@@ -22,10 +22,11 @@ import json
 import logging
 import sys
 from pathlib import Path
+from urllib.parse import quote
 
 from . import corpus, metrics, mqm, postprocess, promptgen, report, runner, terminology
 from .config import PairConfig, PipelineConfig, load_config
-from .errors import DataError, EndpointError, UsageError
+from .errors import DataError, EndpointError, FormatError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -76,7 +77,9 @@ class Layout:
         return self.root / "outputs" / f"{code}.totals.json"
 
     def score_file(self, system: str, code: str) -> Path:
-        return self.root / "scores" / f"{system}.{code}.json"
+        # Names like "org/model" must stay one file in scores/; the JSON
+        # keeps the real name.
+        return self.root / "scores" / f"{quote(system, safe='')}.{code}.json"
 
     def scores_dir(self) -> Path:
         return self.root / "scores"
@@ -145,7 +148,8 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
     base_manifest = config.manifest()
     selected = config.select_pairs(pair_code)
     per_pair_tuning = []
-    matchers: dict[str, terminology.TermMatcher] = {}
+    # Train term pairs under the ids merge_tuning_sets gives the segments.
+    merged_pairs: dict[str, tuple[terminology.TermPair, ...]] = {}
     for pair_config in selected:
         code = pair_config.pair.code
         segments = corpus.read_segments(_require(layout.corpus(code), "ingest"), pair_config.pair)
@@ -156,7 +160,6 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
             manifest={**base_manifest, "pair": code},
         )
         matcher = _load_matcher(layout, pair_config)
-        matchers[code] = matcher
         train = promptgen.build_dataset(tuning, matcher, template, "train")
         test_prompts = promptgen.build_dataset(test, matcher, template, "test")
         for mode, examples, path in (
@@ -174,6 +177,7 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
                 manifest={**base_manifest, "pair": code, "mode": mode},
             )
         per_pair_tuning.append(tuning)
+        merged_pairs.update((f"{code}:{e.segment_id}", e.term_pairs) for e in train)
         stats = promptgen.dataset_stats(train)
         coverage = stats["with_terms"] / stats["examples"] if stats["examples"] else 0.0
         print(
@@ -183,9 +187,7 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
         )
     merged_segments = corpus.merge_tuning_sets(per_pair_tuning, config.seed)
     merged = [
-        promptgen.render_example(
-            segment, matchers[segment.pair.code].find_candidates(segment), template, "train"
-        )
+        promptgen.render_example(segment, merged_pairs[segment.id], template, "train")
         for segment in merged_segments
     ]
     promptgen.write_dataset(
@@ -329,8 +331,10 @@ def cmd_score(
             )
         hypotheses = [outputs_by_id[r.id].cleaned_text for r in references]
         reference_texts = [r.target_text for r in references]
-        matcher = _load_matcher(layout, pair_config)
-        accuracy, correct, total = metrics.term_accuracy(outputs, references, matcher)
+        candidates = terminology.read_candidates(
+            _require(layout.candidates(code, "test"), "build")
+        )
+        accuracy, correct, total = metrics.term_accuracy(outputs, candidates)
         external = {}
         scores_path = external_scores or pair_config.external_scores_path
         if scores_path is not None:
@@ -350,13 +354,16 @@ def cmd_score(
         if annotations_path is not None:
             spans = mqm.load_annotations(annotations_path)
             spans = mqm.filter_by_confidence(spans, config.confidence_threshold)
-            totals_data = json.loads(layout.totals(code).read_text(encoding="utf-8"))["totals"]
-            token_total = totals_data[
-                "token_total_raw" if config.mqm_tokens == "raw" else "token_total_cleaned"
-            ]
-            counts = mqm.tally(
-                spans, token_total, scheme=f"{totals_data['counting_scheme']}:{config.mqm_tokens}"
-            )
+            totals_path = _require(layout.totals(code), "translate")
+            try:
+                totals_data = json.loads(totals_path.read_text(encoding="utf-8"))["totals"]
+                token_total = totals_data[
+                    "token_total_raw" if config.mqm_tokens == "raw" else "token_total_cleaned"
+                ]
+                scheme = f"{totals_data['counting_scheme']}:{config.mqm_tokens}"
+            except (ValueError, KeyError, TypeError) as exc:
+                raise FormatError(f"bad totals file: {exc!r}", path=totals_path) from exc
+            counts = mqm.tally(spans, token_total, scheme=scheme)
             mqm_block = {"counts": counts.to_dict(), "score": mqm.mqm_score(counts)}
         _write_json(
             layout.score_file(system, code),

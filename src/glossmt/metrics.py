@@ -20,11 +20,11 @@ from statistics import fmean
 from typing import Sequence
 
 from . import _jsonl
-from .corpus import LanguagePair, ParallelSegment
+from .corpus import LanguagePair
 from .errors import FormatError, UsageError
 from .postprocess import ModelOutput
 from .prng import SplitMix64
-from .terminology import TermMatcher, term_in_text
+from .terminology import TermPair, term_in_text
 
 BLEU_MAX_ORDER = 4
 CHRF_MAX_ORDER = 6
@@ -138,33 +138,35 @@ def chrf(hypotheses: Sequence[str], references: Sequence[str]) -> float:
 
 def term_accuracy(
     outputs: Sequence[ModelOutput],
-    references: Sequence[ParallelSegment],
-    matcher: TermMatcher,
+    candidates: Sequence[tuple[str, Sequence[TermPair]]],
 ) -> tuple[float, int, int]:
     """Micro-averaged terminology accuracy.
 
-    The expected set per segment is what strict matching finds on (source,
-    reference); a pair counts as correct when its target term occurs in the
-    cleaned MT output under the same matching semantics. Returns (accuracy,
-    correct, total); a test set with zero expected pairs scores 0.0.
+    ``candidates`` holds the expected set per segment as (segment_id, pairs),
+    the glossary pairs strict matching finds on (source, reference) — what
+    :func:`~glossmt.terminology.read_candidates` returns for the test set. A
+    pair counts as correct when its target term occurs in the cleaned MT
+    output under the same matching semantics. Returns (accuracy, correct,
+    total); a test set with zero expected pairs scores 0.0.
     """
     outputs_by_id = {output.segment_id: output for output in outputs}
     if len(outputs_by_id) != len(outputs):
         raise UsageError("duplicate segment ids in outputs")
-    reference_ids = {segment.id for segment in references}
-    if reference_ids != set(outputs_by_id):
-        missing = sorted(reference_ids - set(outputs_by_id))[:5]
-        extra = sorted(set(outputs_by_id) - reference_ids)[:5]
+    candidate_ids = {segment_id for segment_id, _ in candidates}
+    if len(candidate_ids) != len(candidates):
+        raise UsageError("duplicate segment ids in candidates")
+    if candidate_ids != set(outputs_by_id):
+        missing = sorted(candidate_ids - set(outputs_by_id))[:5]
+        extra = sorted(set(outputs_by_id) - candidate_ids)[:5]
         raise UsageError(
-            f"outputs and references are not aligned (missing={missing}, extra={extra})"
+            f"outputs and candidates are not aligned (missing={missing}, extra={extra})"
         )
     correct = 0
     total = 0
-    for segment in references:
-        expected = matcher.find_candidates(segment)
+    for segment_id, expected in candidates:
         if not expected:
             continue
-        cleaned = outputs_by_id[segment.id].cleaned_text
+        cleaned = outputs_by_id[segment_id].cleaned_text
         total += len(expected)
         correct += sum(1 for pair in expected if term_in_text(pair.target_term, cleaned))
     accuracy = correct / total if total else 0.0

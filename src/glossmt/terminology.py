@@ -158,14 +158,19 @@ def filter_by_reliability(glossary: Glossary, min_stars: int) -> Glossary:
 def casefold_with_map(text: str) -> tuple[str, list[int]]:
     """Casefold ``text``, returning the folded string and, per folded
     character, the index of the original character it came from (casefolding
-    can expand one character into several, e.g. ß -> ss)."""
-    folded_chars: list[str] = []
+    can expand one character into several, e.g. ß -> ss).
+
+    Folding is per character and no character folds to the empty string, so
+    when the length is unchanged every character folded to exactly one and
+    the map is the identity.
+    """
+    folded = text.casefold()
+    if len(folded) == len(text):
+        return folded, list(range(len(text)))
     index_map: list[int] = []
     for index, char in enumerate(text):
-        folded = char.casefold()
-        folded_chars.append(folded)
-        index_map.extend([index] * len(folded))
-    return "".join(folded_chars), index_map
+        index_map.extend([index] * len(char.casefold()))
+    return folded, index_map
 
 
 def _on_word_boundaries(text: str, start: int, end: int) -> bool:
@@ -174,6 +179,17 @@ def _on_word_boundaries(text: str, start: int, end: int) -> bool:
     if end < len(text) and text[end].isalnum():
         return False
     return True
+
+
+def _occurs_on_boundaries(pattern: str, haystack: str) -> bool:
+    """Whether ``pattern`` occurs in ``haystack`` on word boundaries; both
+    are already casefolded."""
+    start = haystack.find(pattern)
+    while start != -1:
+        if _on_word_boundaries(haystack, start, start + len(pattern)):
+            return True
+        start = haystack.find(pattern, start + 1)
+    return False
 
 
 class _Automaton:
@@ -240,10 +256,12 @@ class TermPair:
 class TermMatcher:
     """Multi-pattern matcher for one glossary.
 
-    Builds one automaton over the source terms and one over the target
-    terms; a candidate pair for a segment is any glossary entry whose source
-    pattern hits the source text and whose target pattern hits the target
-    text, both on word boundaries.
+    Builds one automaton over the casefolded source terms and indexes the
+    entries by source pattern. A candidate pair for a segment is any
+    glossary entry whose source pattern hits the source text and whose
+    target term occurs in the target text, both on word boundaries. Only the
+    entries of source patterns that hit are visited, so the cost after the
+    source scan grows with the hits, not with the glossary.
     """
 
     def __init__(self, glossary: Glossary):
@@ -251,25 +269,20 @@ class TermMatcher:
             raise UsageError("cannot build a matcher from an empty glossary")
         self.glossary = glossary
         self.pair = glossary.pair
-        self._source_patterns: list[str] = []
-        self._target_patterns: list[str] = []
+        source_patterns: list[str] = []
         source_ids: dict[str, int] = {}
-        target_ids: dict[str, int] = {}
-        # entry -> (source pattern id, target pattern id); several entries
-        # may share a pattern (same term under casefolding).
-        self._entry_patterns: list[tuple[int, int]] = []
+        # source pattern id -> (entry, casefolded target term) for every
+        # entry with that source term under casefolding.
+        self._entries_by_source: list[list[tuple[GlossaryEntry, str]]] = []
         for entry in glossary.entries:
             source_key = entry.source_term.casefold()
-            target_key = entry.target_term.casefold()
-            if source_key not in source_ids:
-                source_ids[source_key] = len(self._source_patterns)
-                self._source_patterns.append(source_key)
-            if target_key not in target_ids:
-                target_ids[target_key] = len(self._target_patterns)
-                self._target_patterns.append(target_key)
-            self._entry_patterns.append((source_ids[source_key], target_ids[target_key]))
-        self._source_automaton = _Automaton(self._source_patterns)
-        self._target_automaton = _Automaton(self._target_patterns)
+            source_id = source_ids.get(source_key)
+            if source_id is None:
+                source_id = source_ids[source_key] = len(source_patterns)
+                source_patterns.append(source_key)
+                self._entries_by_source.append([])
+            self._entries_by_source[source_id].append((entry, entry.target_term.casefold()))
+        self._source_automaton = _Automaton(source_patterns)
 
     def find_candidates(self, segment: ParallelSegment) -> list[TermPair]:
         """All glossary pairs realized in the segment, sorted by descending
@@ -283,16 +296,12 @@ class TermMatcher:
         for pattern_id, start, end in self._source_automaton.iter_matches(folded_source):
             if pattern_id not in first_offset and _on_word_boundaries(folded_source, start, end):
                 first_offset[pattern_id] = source_map[start]
-        folded_target, _ = casefold_with_map(segment.target_text)
-        target_hits: set[int] = set()
-        for pattern_id, start, end in self._target_automaton.iter_matches(folded_target):
-            if pattern_id not in target_hits and _on_word_boundaries(folded_target, start, end):
-                target_hits.add(pattern_id)
-
+        folded_target = segment.target_text.casefold()
         found = [
-            TermPair(entry.source_term, entry.target_term, first_offset[source_id])
-            for entry, (source_id, target_id) in zip(self.glossary.entries, self._entry_patterns)
-            if source_id in first_offset and target_id in target_hits
+            TermPair(entry.source_term, entry.target_term, offset)
+            for source_id, offset in first_offset.items()
+            for entry, target_key in self._entries_by_source[source_id]
+            if _occurs_on_boundaries(target_key, folded_target)
         ]
         found.sort(key=_candidate_sort_key)
         return found
@@ -318,13 +327,7 @@ def term_in_text(term: str, text: str) -> bool:
     pattern = normalize_text(term).casefold()
     if not pattern:
         raise UsageError("term must be non-empty")
-    haystack, _ = casefold_with_map(normalize_text(text))
-    start = haystack.find(pattern)
-    while start != -1:
-        if _on_word_boundaries(haystack, start, start + len(pattern)):
-            return True
-        start = haystack.find(pattern, start + 1)
-    return False
+    return _occurs_on_boundaries(pattern, normalize_text(text).casefold())
 
 
 # ---------------------------------------------------------------------------
@@ -347,12 +350,18 @@ def write_candidates(
     _jsonl.write_jsonl(path, records, manifest=manifest)
 
 
+def _string(value) -> str:
+    if not isinstance(value, str):
+        raise TypeError(f"expected a string, got {value!r}")
+    return value
+
+
 def read_candidates(path) -> list[tuple[str, list[TermPair]]]:
     result = []
     for line_number, record in _jsonl.iter_jsonl(path):
         try:
-            pairs = [TermPair(p["src"], p["tgt"]) for p in record["pairs"]]
-            result.append((record["segment_id"], pairs))
+            pairs = [TermPair(_string(p["src"]), _string(p["tgt"])) for p in record["pairs"]]
+            result.append((_string(record["segment_id"]), pairs))
         except (KeyError, TypeError) as exc:
             raise FormatError(f"bad candidate record: {exc}", path=path, line=line_number) from exc
     return result

@@ -1,7 +1,9 @@
 import json
 import shutil
 
+import pytest
 
+from glossmt._jsonl import read_jsonl
 from glossmt.cli import Layout, main
 
 CONFIG_TEMPLATE = """\
@@ -62,6 +64,20 @@ def write_project(tmp_path, fixtures_dir, endpoint, seed=11, retries=2, name="pi
 
 def run(*argv):
     return main([str(a) for a in argv])
+
+
+def translated_project(tmp_path, fixtures_dir, stub_endpoint):
+    config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+    for step in ("ingest", "build", "translate"):
+        assert run(step, "--config", config) == 0
+    return config, layout
+
+
+def assert_one_line_error(capsys, kind, text):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert f"glossmt: {kind} error:" in err
+    assert text in err
 
 
 class TestPipeline:
@@ -136,6 +152,16 @@ class TestPipeline:
             assert run(step, "--config", config) == 0
         assert run("score", "--config", config, "--system", "run-a") == 0
         assert layout.score_file("run-a", "en-es").is_file()
+
+    def test_system_name_with_slash_reaches_report(self, tmp_path, fixtures_dir, stub_endpoint):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        assert run("score", "--config", config, "--system", "org/model") == 0
+        score_path = layout.score_file("org/model", "en-es")
+        assert score_path.parent == layout.scores_dir()
+        assert json.loads(score_path.read_text(encoding="utf-8"))["report"]["system"] == "org/model"
+        assert layout.score_file("stub-model", "en-es").name == "stub-model.en-es.json"
+        assert run("report", "--config", config) == 0
+        assert "org/model" in (layout.reports_dir() / "metrics.csv").read_text(encoding="utf-8")
 
 
 class TestDeterminism:
@@ -224,6 +250,93 @@ class TestExitCodes:
         assert run("translate", "--config", config) == 3
         manifest = json.loads(layout.generation_manifest("en-es").read_text())
         assert manifest["aborted"] is True
+
+
+class TestScoreInputs:
+    """``score`` maps missing and broken inputs onto the exit codes."""
+
+    def rewrite_candidates(self, layout, edit):
+        path = layout.candidates("en-es", "test")
+        lines = path.read_text(encoding="utf-8").splitlines()
+        path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
+
+    def test_missing_totals_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        layout.totals("en-es").unlink()
+        annotations = fixtures_dir / "annotations_en_es.jsonl"
+        assert run("score", "--config", config, "--annotations", annotations) == 1
+        assert_one_line_error(capsys, "usage", "run `glossmt translate` first")
+
+    def test_corrupt_totals_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        layout.totals("en-es").write_text('{"totals": {}}\n', encoding="utf-8")
+        annotations = fixtures_dir / "annotations_en_es.jsonl"
+        assert run("score", "--config", config, "--annotations", annotations) == 2
+        assert_one_line_error(capsys, "data", "bad totals file")
+
+    def test_missing_candidates_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        layout.candidates("en-es", "test").unlink()
+        assert run("score", "--config", config) == 1
+        assert_one_line_error(capsys, "usage", "run `glossmt build` first")
+
+    def test_duplicate_candidate_ids_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        self.rewrite_candidates(layout, lambda lines: lines + [lines[1]])
+        assert run("score", "--config", config) == 1
+        assert_one_line_error(capsys, "usage", "duplicate segment ids in candidates")
+
+    def test_candidate_ids_differing_from_references_is_usage_error(
+        self, tmp_path, fixtures_dir, stub_endpoint, capsys
+    ):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+
+        def rename_first(lines):
+            record = json.loads(lines[1])
+            record["segment_id"] = "not-a-test-segment"
+            return [lines[0], json.dumps(record), *lines[2:]]
+
+        self.rewrite_candidates(layout, rename_first)
+        assert run("score", "--config", config) == 1
+        assert_one_line_error(capsys, "usage", "not aligned")
+
+    @pytest.mark.parametrize(
+        "corrupt_line",
+        ['{"segment_id": "0", "pairs": [', '{"segment_id": 0, "pairs": []}', '{"segment_id": "0"}'],
+    )
+    def test_corrupt_candidates_line_is_data_error(
+        self, tmp_path, fixtures_dir, stub_endpoint, capsys, corrupt_line
+    ):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        self.rewrite_candidates(layout, lambda lines: [*lines[:2], corrupt_line, *lines[3:]])
+        assert run("score", "--config", config) == 2
+        assert_one_line_error(capsys, "data", "(line 3)")
+
+
+class TestMatchOnce:
+    """Terms are matched once, in ``build``; later steps reuse the result."""
+
+    def test_score_does_not_need_the_glossary(self, tmp_path, fixtures_dir, stub_endpoint):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        assert run("score", "--config", config) == 0
+        with_glossary = layout.score_file("stub-model", "en-es").read_bytes()
+        layout.glossary("en-es").unlink()
+        assert run("score", "--config", config) == 0
+        assert layout.score_file("stub-model", "en-es").read_bytes() == with_glossary
+
+    def test_merged_train_records_carry_per_pair_terms(self, tmp_path, fixtures_dir, stub_endpoint):
+        config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        assert run("ingest", "--config", config) == 0
+        assert run("build", "--config", config) == 0
+        per_pair = {
+            f"en-es:{record['segment_id']}": record["terms"]
+            for record in read_jsonl(layout.train_dataset("en-es"))
+        }
+        merged = read_jsonl(layout.train_merged())
+        assert sorted(record["segment_id"] for record in merged) == sorted(per_pair)
+        for record in merged:
+            assert record["terms"] == per_pair[record["segment_id"]]
+        assert any(record["terms"] for record in merged)
 
 
 class TestResume:

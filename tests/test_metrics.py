@@ -166,6 +166,10 @@ class TestTermAccuracy:
         )
         return TermMatcher(Glossary(pair=en_es, entries=entries))
 
+    def candidates(self, segments, en_es):
+        matcher = self.matcher(en_es)
+        return [(s.id, matcher.find_candidates(s)) for s in segments]
+
     def segments(self, en_es):
         return [
             ParallelSegment(
@@ -188,7 +192,7 @@ class TestTermAccuracy:
             output("1", "se observó fiebre y erupción"),
         ]
         accuracy, correct, total = term_accuracy(
-            outputs, self.segments(en_es), self.matcher(en_es)
+            outputs, self.candidates(self.segments(en_es), en_es)
         )
         assert (accuracy, correct, total) == (1.0, 4, 4)
 
@@ -198,7 +202,7 @@ class TestTermAccuracy:
             output("1", "se observó fiebre y sarpullido"),  # "erupción" missing
         ]
         accuracy, correct, total = term_accuracy(
-            outputs, self.segments(en_es), self.matcher(en_es)
+            outputs, self.candidates(self.segments(en_es), en_es)
         )
         assert total == 4 and correct == 3
         assert accuracy == pytest.approx(0.75)
@@ -209,7 +213,7 @@ class TestTermAccuracy:
             output("1", "fiebre y erupción"),
         ]
         accuracy, correct, total = term_accuracy(
-            outputs, self.segments(en_es), self.matcher(en_es)
+            outputs, self.candidates(self.segments(en_es), en_es)
         )
         assert correct == 2 and total == 4
 
@@ -220,21 +224,25 @@ class TestTermAccuracy:
             )
         ]
         accuracy, correct, total = term_accuracy(
-            [output("0", "nada")], segments, self.matcher(en_es)
+            [output("0", "nada")], self.candidates(segments, en_es)
         )
         assert (accuracy, correct, total) == (0.0, 0, 0)
 
     def test_misaligned_ids_rejected(self, en_es):
         with pytest.raises(UsageError):
-            term_accuracy([output("9", "x")], self.segments(en_es), self.matcher(en_es))
+            term_accuracy([output("9", "x")], self.candidates(self.segments(en_es), en_es))
 
     def test_duplicate_output_ids_rejected(self, en_es):
         with pytest.raises(UsageError):
             term_accuracy(
                 [output("0", "x"), output("0", "y")],
-                self.segments(en_es)[:1],
-                self.matcher(en_es),
+                self.candidates(self.segments(en_es)[:1], en_es),
             )
+
+    def test_duplicate_candidate_ids_rejected(self, en_es):
+        candidates = self.candidates(self.segments(en_es)[:1], en_es)
+        with pytest.raises(UsageError):
+            term_accuracy([output("0", "x")], candidates + candidates)
 
 
 class TestSignificance:

@@ -116,6 +116,20 @@ class TestCasefoldMap:
         assert folded == "ssx"
         assert origins == [0, 0, 1]
 
+    @given(
+        text=st.text(
+            alphabet=st.one_of(st.characters(), st.sampled_from("ßİŉﬁ")), max_size=40
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_character_reference(self, text):
+        chars, origins = [], []
+        for index, char in enumerate(text):
+            folded = char.casefold()
+            chars.append(folded)
+            origins.extend([index] * len(folded))
+        assert casefold_with_map(text) == ("".join(chars), origins)
+
 
 class TestMatching:
     def test_candidates_ordered_longest_source_first(self, en_es):
@@ -259,6 +273,60 @@ class TestOracleEquivalence:
             cleaned, seg.source_text, seg.target_text
         )
         assert got == expected
+
+    def test_entries_sharing_a_source_term(self, en_es):
+        glossary = glossary_of(
+            en_es,
+            ("dose", "dosis"),
+            ("Dose", "toma"),
+            ("dose", "posología"),
+            ("insulin dose", "dosis de insulina"),
+            ("insulin", "insulina"),
+            ("STRASSE", "calle"),
+            ("straße", "vía"),
+        )
+        matcher = TermMatcher(glossary)
+        for source, target in (
+            ("the insulin dose is low", "la dosis de insulina es baja"),
+            ("one dose, one DOSE", "una toma, una posología"),
+            ("dose the Straße", "la calle"),
+            ("die strasse dose", "la vía, dosis y toma"),
+            ("nothing here", "dosis toma calle"),
+        ):
+            seg = segment(en_es, source, target)
+            got = [
+                (p.source_term, p.target_term, p.first_source_offset)
+                for p in matcher.find_candidates(seg)
+            ]
+            expected = brute_force_candidates(
+                glossary.entries, seg.source_text, seg.target_text
+            )
+            assert got == expected, (source, target)
+
+    @given(
+        entries=st.lists(
+            st.tuples(
+                st.sampled_from(["ab", "AB", "a b", "ß", "SS", "ss a"]),
+                st.sampled_from(["ab", "b", "ss", "ß b", "c"]),
+            ),
+            min_size=1,
+            max_size=12,
+        ),
+        source=st.text(alphabet="abßS ,", min_size=1, max_size=30),
+        target=st.text(alphabet="abcßS ,", min_size=1, max_size=30),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_shared_source_terms_agree_with_brute_force(self, entries, source, target, en_es):
+        glossary = glossary_of(en_es, *entries)
+        matcher = TermMatcher(glossary)
+        if not source.strip(" ,") or not target.strip(" ,"):
+            return
+        seg = segment(en_es, source, target)
+        got = [
+            (p.source_term, p.target_term, p.first_source_offset)
+            for p in matcher.find_candidates(seg)
+        ]
+        assert got == brute_force_candidates(glossary.entries, seg.source_text, seg.target_text)
 
     def test_offsets_agree_on_fixture_corpus(self, fixtures_dir, en_es):
         from glossmt.corpus import load_parallel
