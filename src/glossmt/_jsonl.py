@@ -1,20 +1,25 @@
-"""JSON Lines helpers shared by the artifact writers.
+"""JSON Lines helpers shared by the artifact writers and readers.
 
 Every artifact file starts with a manifest record (``record_type:
 "manifest"``) carrying at least the config hash and seed, so a file can be
 traced back to the run that produced it. Readers skip the manifest
-transparently; :func:`read_manifest` retrieves it.
+transparently. A reader reads its fields with :func:`field` in a ``build``
+function that :func:`read_records` applies to every record.
 """
 
 from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Any, Iterable
+from typing import Any, Callable, Iterable, TypeVar
 
-from .errors import FormatError
+from .errors import FormatError, UsageError
 
 MANIFEST_TYPE = "manifest"
+
+T = TypeVar("T")
+
+_REQUIRED = object()
 
 
 def dumps(record: dict[str, Any]) -> str:
@@ -35,15 +40,20 @@ def write_jsonl(path, records: Iterable[dict[str, Any]], manifest: dict[str, Any
 
 def iter_jsonl(path) -> Iterable[tuple[int, dict[str, Any]]]:
     """Yield (line_number, record) for every data record, skipping the manifest."""
-    with open(path, encoding="utf-8") as handle:
-        for line_number, line in enumerate(handle, start=1):
-            line = line.strip()
+    with open(path, "rb") as handle:
+        for line_number, raw in enumerate(handle, start=1):
+            try:
+                line = raw.decode("utf-8").strip()
+            except UnicodeDecodeError as exc:
+                raise FormatError("not valid UTF-8", path=path, line=line_number) from exc
             if not line:
                 continue
             try:
                 record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON: {exc.msg}", path=path, line=line_number) from exc
+            except (ValueError, RecursionError) as exc:
+                # ValueError beyond JSONDecodeError: an integer too long to parse.
+                message = getattr(exc, "msg", exc)
+                raise FormatError(f"invalid JSON: {message}", path=path, line=line_number) from exc
             if not isinstance(record, dict):
                 raise FormatError("record is not a JSON object", path=path, line=line_number)
             if record.get("record_type") == MANIFEST_TYPE:
@@ -51,22 +61,32 @@ def iter_jsonl(path) -> Iterable[tuple[int, dict[str, Any]]]:
             yield line_number, record
 
 
-def read_jsonl(path) -> list[dict[str, Any]]:
-    return [record for _, record in iter_jsonl(path)]
+def field(record, key: str, kind=str, default=_REQUIRED):
+    """``record[key]`` after checking it is a ``kind`` (a type or a tuple of
+    types); a bool never counts as a number. With a ``default``, a missing
+    or null value gives the default instead."""
+    value = record[key] if default is _REQUIRED else record.get(key)
+    if type(value) is kind:  # the common case, checked first
+        return value
+    if value is None and default is not _REQUIRED:
+        return default
+    kinds = kind if isinstance(kind, tuple) else (kind,)
+    if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
+        names = " or ".join(k.__name__ for k in kinds)
+        raise TypeError(f"field {key!r} must be {names}, got {value!r}")
+    return value
 
 
-def read_manifest(path) -> dict[str, Any] | None:
-    """Return the manifest record of a JSONL artifact, or None if absent."""
-    with open(path, encoding="utf-8") as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"invalid JSON: {exc.msg}", path=path, line=1) from exc
-            if isinstance(record, dict) and record.get("record_type") == MANIFEST_TYPE:
-                return {k: v for k, v in record.items() if k != "record_type"}
-            return None
-    return None
+def read_records(path, build: Callable[[dict[str, Any]], T]) -> list[T]:
+    """``[build(record) for each data record]``; a record whose ``build``
+    raises KeyError, TypeError, ValueError, OverflowError or UsageError is a
+    FormatError with its line number."""
+    results = []
+    for line_number, record in iter_jsonl(path):
+        try:
+            results.append(build(record))
+        except KeyError as exc:
+            raise FormatError(f"missing field {exc}", path=path, line=line_number) from exc
+        except (TypeError, ValueError, OverflowError, UsageError) as exc:
+            raise FormatError(f"bad record: {exc}", path=path, line=line_number) from exc
+    return results

@@ -24,9 +24,9 @@ import sys
 from pathlib import Path
 from urllib.parse import quote
 
-from . import corpus, metrics, mqm, postprocess, promptgen, report, runner, terminology
+from . import _jsonl, corpus, metrics, mqm, postprocess, promptgen, report, runner, terminology
 from .config import PairConfig, PipelineConfig, load_config
-from .errors import DataError, EndpointError, FormatError, UsageError
+from .errors import ConfigurationError, DataError, EndpointError, FormatError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -92,6 +92,15 @@ def _require(path: Path, produced_by: str) -> Path:
     if not path.is_file():
         raise UsageError(f"missing artifact {path}; run `glossmt {produced_by}` first")
     return path
+
+
+def _read_json(path: Path, what: str, read):
+    """``read(data)`` for the JSON file at ``path``; a file that does not
+    parse, or lacks or mistypes what ``read`` looks up, is a FormatError."""
+    try:
+        return read(json.loads(path.read_text(encoding="utf-8")))
+    except (ValueError, KeyError, TypeError, UsageError) as exc:
+        raise FormatError(f"bad {what}: {exc!r}", path=path) from exc
 
 
 def _write_json(path: Path, data: dict) -> None:
@@ -240,10 +249,15 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
         examples = promptgen.read_dataset(_require(layout.test_dataset(code), "build"), pair_config.pair)
         completed: dict[str, runner.GenerationRecord] = {}
         if resume and layout.generations(code).is_file():
+            # Keep only records this configuration would produce again.
+            snapshot = config.inference.snapshot()
+            prompts = {e.segment_id: e.rendered_text for e in examples}
             completed = {
                 record.segment_id: record
                 for record in runner.read_records(layout.generations(code))
                 if record.ok
+                and record.config == snapshot
+                and record.prompt_text == prompts.get(record.segment_id)
             }
             log.info("pair=%s resume_completed=%d", code, len(completed))
         pending = [e for e in examples if e.segment_id not in completed]
@@ -354,16 +368,15 @@ def cmd_score(
         if annotations_path is not None:
             spans = mqm.load_annotations(annotations_path)
             spans = mqm.filter_by_confidence(spans, config.confidence_threshold)
-            totals_path = _require(layout.totals(code), "translate")
-            try:
-                totals_data = json.loads(totals_path.read_text(encoding="utf-8"))["totals"]
-                token_total = totals_data[
-                    "token_total_raw" if config.mqm_tokens == "raw" else "token_total_cleaned"
-                ]
-                scheme = f"{totals_data['counting_scheme']}:{config.mqm_tokens}"
-            except (ValueError, KeyError, TypeError) as exc:
-                raise FormatError(f"bad totals file: {exc!r}", path=totals_path) from exc
-            counts = mqm.tally(spans, token_total, scheme=scheme)
+            token_total, scheme = _read_json(
+                _require(layout.totals(code), "translate"),
+                "totals file",
+                lambda data: (
+                    _jsonl.field(data["totals"], f"token_total_{config.mqm_tokens}", int),
+                    _jsonl.field(data["totals"], "counting_scheme"),
+                ),
+            )
+            counts = mqm.tally(spans, token_total, scheme=f"{scheme}:{config.mqm_tokens}")
             mqm_block = {"counts": counts.to_dict(), "score": mqm.mqm_score(counts)}
         _write_json(
             layout.score_file(system, code),
@@ -388,22 +401,26 @@ def _collect_scores(config: PipelineConfig, layout: Layout):
     reports = []
     mqm_entries = []
     known_pairs = {p.pair.code: p.pair for p in config.pairs}
-    for path in sorted(layout.scores_dir().glob("*.json")):
-        data = json.loads(path.read_text(encoding="utf-8"))
-        code = data["report"]["pair"]
+
+    def read_score_file(data):
+        code = _jsonl.field(data["report"], "pair")
         pair = known_pairs.get(code)
         if pair is None:
             try:
                 pair = corpus.LanguagePair.from_code(code)
-            except Exception:
-                log.warning("score_file=%s unknown_pair=%s skipped", path, code)
-                continue
-        score_report = metrics.ScoreReport.from_dict(data["report"], pair)
+            except ConfigurationError:
+                return code, None, None
+        counts = mqm.SeverityCounts.from_dict(data["mqm"]["counts"]) if data.get("mqm") else None
+        return code, metrics.ScoreReport.from_dict(data["report"], pair), counts
+
+    for path in sorted(layout.scores_dir().glob("*.json")):
+        code, score_report, counts = _read_json(path, "score file", read_score_file)
+        if score_report is None:
+            log.warning("score_file=%s unknown_pair=%s skipped", path, code)
+            continue
         reports.append(score_report)
-        if data.get("mqm"):
-            mqm_entries.append(
-                (score_report.system, code, mqm.SeverityCounts.from_dict(data["mqm"]["counts"]))
-            )
+        if counts is not None:
+            mqm_entries.append((score_report.system, code, counts))
     return reports, mqm_entries
 
 
@@ -456,8 +473,6 @@ def build_parser() -> argparse.ArgumentParser:
     score = subparsers.add_parser("score", parents=[common], help="compute metrics and write score files")
     score.add_argument("--system", help="system name for score files (default: model name)")
     score.add_argument("--threshold", type=float, help="confidence threshold for annotations")
-    score.add_argument("--scheme", choices=["whitespace", "external", "no-truncation"],
-                       help="override the counting scheme")
     score.add_argument("--annotations", type=Path, help="error-span annotations (JSONL, single pair)")
     score.add_argument("--external-scores", type=Path, help="external metric scores (JSONL, single pair)")
     score.add_argument("--mqm-tokens", choices=["raw", "cleaned"], help="MQM token denominator")

@@ -16,7 +16,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import _jsonl
-from .errors import AlignmentError, ConfigurationError, FormatError, UsageError
+from .errors import AlignmentError, ConfigurationError, UsageError
 from .prng import seeded_permutation, seeded_shuffle
 
 log = logging.getLogger(__name__)
@@ -226,21 +226,16 @@ def write_segments(
 
 def read_segments(path, pair: LanguagePair, split: str | None = None) -> list[ParallelSegment]:
     """Read segments back, optionally keeping only one split label."""
-    segments = []
-    for line_number, record in _jsonl.iter_jsonl(path):
-        try:
-            record_pair = record["pair"]
-            if record_pair != pair.code:
-                raise FormatError(
-                    f"record pair {record_pair!r} does not match {pair.code!r}",
-                    path=path,
-                    line=line_number,
-                )
-            if split is not None and record.get("split") != split:
-                continue
-            segments.append(
-                ParallelSegment(record["id"], pair, record["source"], record["target"])
-            )
-        except KeyError as exc:
-            raise FormatError(f"missing field {exc}", path=path, line=line_number) from exc
-    return segments
+
+    def build(record) -> ParallelSegment | None:
+        record_pair = _jsonl.field(record, "pair")
+        if record_pair != pair.code:
+            raise ValueError(f"record pair {record_pair!r} does not match {pair.code!r}")
+        # Filter before construction: normalizing dropped segments is waste.
+        if split is not None and _jsonl.field(record, "split") != split:
+            return None
+        return ParallelSegment(
+            _jsonl.field(record, "id"), pair, _jsonl.field(record, "source"), _jsonl.field(record, "target")
+        )
+
+    return [segment for segment in _jsonl.read_records(path, build) if segment is not None]

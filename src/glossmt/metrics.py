@@ -21,7 +21,7 @@ from typing import Sequence
 
 from . import _jsonl
 from .corpus import LanguagePair
-from .errors import FormatError, UsageError
+from .errors import UsageError
 from .postprocess import ModelOutput
 from .prng import SplitMix64
 from .terminology import TermPair, term_in_text
@@ -264,16 +264,17 @@ class ScoreReport:
 
 def load_external_scores(path) -> dict[str, float]:
     """Mean per metric name over a JSONL file of {segment_id, name, value}."""
+
+    def build(record) -> tuple[str, float]:
+        name = _jsonl.field(record, "name")
+        if not name:
+            raise ValueError("name must be non-empty")
+        value = float(_jsonl.field(record, "value", (int, float)))
+        if not math.isfinite(value):
+            raise ValueError(f"value must be finite, got {value}")
+        return name, value
+
     values: dict[str, list[float]] = {}
-    for line_number, record in _jsonl.iter_jsonl(path):
-        try:
-            name = record["name"]
-            value = record["value"]
-        except KeyError as exc:
-            raise FormatError(f"missing field {exc}", path=path, line=line_number) from exc
-        if not isinstance(name, str) or not name:
-            raise FormatError("name must be a non-empty string", path=path, line=line_number)
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise FormatError(f"value must be numeric, got {value!r}", path=path, line=line_number)
-        values.setdefault(name, []).append(float(value))
+    for name, value in _jsonl.read_records(path, build):
+        values.setdefault(name, []).append(value)
     return {name: fmean(vals) for name, vals in sorted(values.items())}

@@ -113,39 +113,37 @@ class SeverityCounts:
 
 def load_annotations(path, outputs_by_id: Mapping[str, str] | None = None) -> list[ErrorSpan]:
     """Load spans, rejecting (with a logged count) records whose severity is
-    not recognizable, whose confidence is out of [0,1], or whose offsets are
-    inconsistent. When ``outputs_by_id`` (segment_id -> MT text) is given,
-    spans with offsets must slice their output to span_text."""
+    not recognizable, whose confidence is out of [0,1], whose segment id or
+    span is not a string, or whose offsets are not consistent integers. When
+    ``outputs_by_id`` (segment_id -> MT text) is given, spans with offsets
+    must slice their output to span_text."""
     spans: list[ErrorSpan] = []
     rejected = 0
     for line_number, record in _jsonl.iter_jsonl(path):
-        try:
-            segment_id = record["segment_id"]
-            span_text = record["span"]
-            raw_severity = record["severity"]
-            confidence = record["confidence"]
-        except KeyError as exc:
-            raise FormatError(f"missing field {exc}", path=path, line=line_number) from exc
-        severity = normalize_severity(raw_severity)
+        missing = [key for key in ("segment_id", "span", "severity", "confidence") if key not in record]
+        if missing:
+            raise FormatError(f"missing field {missing[0]!r}", path=path, line=line_number)
+        severity = normalize_severity(record["severity"])
         if severity is None:
             rejected += 1
             log.warning("path=%s line=%d rejected_span reason=unknown_severity value=%r",
-                        path, line_number, raw_severity)
+                        path, line_number, record["severity"])
             continue
+        confidence = record["confidence"]
         if isinstance(confidence, bool) or not isinstance(confidence, (int, float)):
             rejected += 1
             log.warning("path=%s line=%d rejected_span reason=bad_confidence", path, line_number)
             continue
         try:
             span = ErrorSpan(
-                segment_id=segment_id,
-                span_text=span_text,
+                segment_id=_jsonl.field(record, "segment_id"),
+                span_text=_jsonl.field(record, "span"),
                 severity=severity,
                 confidence=float(confidence),
-                start=record.get("start"),
-                end=record.get("end"),
+                start=_jsonl.field(record, "start", int, default=None),
+                end=_jsonl.field(record, "end", int, default=None),
             )
-        except UsageError:
+        except (TypeError, OverflowError, UsageError):
             rejected += 1
             log.warning("path=%s line=%d rejected_span reason=invalid", path, line_number)
             continue

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Sequence, Union
 
 from . import _jsonl
-from .errors import FormatError, MissingCountError, UsageError
+from .errors import MissingCountError, UsageError
 from .promptgen import TemplateSpec
 from .runner import GenerationRecord
 
@@ -78,23 +78,17 @@ class ExternalCounts:
     @classmethod
     def load(cls, path) -> "ExternalCounts":
         counts: dict[str, int] = {}
-        for line_number, record in _jsonl.iter_jsonl(path):
-            try:
-                segment_id = record["segment_id"]
-                token_count = record["token_count"]
-            except KeyError as exc:
-                raise FormatError(f"missing field {exc}", path=path, line=line_number) from exc
-            if not isinstance(token_count, int) or isinstance(token_count, bool) or token_count < 0:
-                raise FormatError(
-                    f"token_count must be a nonnegative integer, got {token_count!r}",
-                    path=path,
-                    line=line_number,
-                )
+
+        def build(record) -> None:
+            segment_id = _jsonl.field(record, "segment_id")
+            token_count = _jsonl.field(record, "token_count", int)
+            if token_count < 0:
+                raise ValueError(f"token_count must be nonnegative, got {token_count}")
             if segment_id in counts:
-                raise FormatError(
-                    f"duplicate segment_id {segment_id!r}", path=path, line=line_number
-                )
+                raise ValueError(f"duplicate segment_id {segment_id!r}")
             counts[segment_id] = token_count
+
+        _jsonl.read_records(path, build)
         return cls(counts)
 
     def count(self, segment_id: str) -> int:
@@ -190,20 +184,15 @@ def write_outputs(path, outputs: Sequence[ModelOutput], manifest: dict | None = 
 
 
 def read_outputs(path) -> list[ModelOutput]:
-    outputs = []
-    for line_number, record in _jsonl.iter_jsonl(path):
-        try:
-            outputs.append(
-                ModelOutput(
-                    segment_id=record["segment_id"],
-                    raw_text=record["raw"],
-                    cleaned_text=record["cleaned"],
-                    truncated=record["truncated"],
-                    token_count_raw=record["tokens_raw"],
-                    token_count_cleaned=record["tokens_cleaned"],
-                    counting_scheme=record["scheme"],
-                )
-            )
-        except (KeyError, UsageError) as exc:
-            raise FormatError(f"bad output record: {exc}", path=path, line=line_number) from exc
-    return outputs
+    return _jsonl.read_records(
+        path,
+        lambda record: ModelOutput(
+            segment_id=_jsonl.field(record, "segment_id"),
+            raw_text=_jsonl.field(record, "raw"),
+            cleaned_text=_jsonl.field(record, "cleaned"),
+            truncated=_jsonl.field(record, "truncated", bool),
+            token_count_raw=_jsonl.field(record, "tokens_raw", int),
+            token_count_cleaned=_jsonl.field(record, "tokens_cleaned", int),
+            counting_scheme=_jsonl.field(record, "scheme"),
+        ),
+    )

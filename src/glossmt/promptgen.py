@@ -369,23 +369,18 @@ def write_dataset(path, examples: Sequence[InstructionExample], manifest: dict |
 
 
 def read_dataset(path, pair: LanguagePair) -> list[InstructionExample]:
-    examples = []
-    for line_number, record in _jsonl.iter_jsonl(path):
-        try:
-            examples.append(
-                InstructionExample(
-                    segment_id=record["segment_id"],
-                    pair=pair,
-                    mode=record["mode"],
-                    term_pairs=tuple(TermPair(t["src"], t["tgt"]) for t in record["terms"]),
-                    rendered_text=record["text"],
-                    family_id=record["family"],
-                    target_text=record.get("target"),
-                )
-            )
-        except (KeyError, TypeError, UsageError) as exc:
-            raise FormatError(f"bad dataset record: {exc}", path=path, line=line_number) from exc
-    return examples
+    return _jsonl.read_records(
+        path,
+        lambda record: InstructionExample(
+            segment_id=_jsonl.field(record, "segment_id"),
+            pair=pair,
+            mode=_jsonl.field(record, "mode"),
+            term_pairs=tuple(TermPair.from_record(t) for t in _jsonl.field(record, "terms", list)),
+            rendered_text=_jsonl.field(record, "text"),
+            family_id=_jsonl.field(record, "family"),
+            target_text=_jsonl.field(record, "target", default=None),
+        ),
+    )
 
 
 def write_dataset_rawtext(path, examples: Sequence[InstructionExample]) -> None:

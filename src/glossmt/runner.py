@@ -5,12 +5,13 @@ The outbound request is ``{model, prompt, top_p, temperature?, max_tokens}``
 carrying the generated text either as ``{"text": ...}`` or OpenAI-style as
 ``{"choices": [{"text": ...}]}``.
 
-Failure policy: connection errors, timeouts, HTTP 429 and 5xx are retried
-with exponential backoff. A request that still cannot *connect* after its
-retries marks the endpoint unreachable and aborts the whole batch
-(EndpointError, carrying the records completed so far); every other
-exhausted failure — timeout, HTTP error status, malformed response body —
-becomes a per-record error record so no prompt is ever silently dropped.
+Failure policy: connection errors, timeouts, other request failures (e.g.
+a broken chunked body), HTTP 429 and 5xx are retried with exponential
+backoff. A request that still cannot *connect* after its retries marks the
+endpoint unreachable and aborts the whole batch (EndpointError, carrying
+the records completed so far); every other exhausted failure — timeout,
+request failure, HTTP error status, malformed response body — becomes a
+per-record error record so no prompt is ever silently dropped.
 
 Credentials come from the ``GLOSSMT_API_TOKEN`` environment variable (sent
 as a bearer token) and are never written to records or manifests.
@@ -31,7 +32,7 @@ from typing import Any, Sequence
 import requests
 
 from . import _jsonl
-from .errors import ConfigurationError, EndpointError, FormatError, UsageError
+from .errors import ConfigurationError, EndpointError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -116,23 +117,18 @@ class GenerationRecord:
     def ok(self) -> bool:
         return self.error is None
 
-    def request_payload(self) -> dict[str, Any]:
-        """Rebuild the exact request body this record was produced by."""
-        body = {
-            "model": self.config["model"],
-            "prompt": self.prompt_text,
-            "top_p": self.config["top_p"],
-            "max_tokens": self.config["max_tokens"],
-        }
-        if self.config.get("temperature") is not None:
-            body["temperature"] = self.config["temperature"]
-        return body
 
-
-def _extract_text(body: Any) -> str:
+def _read_response(response) -> tuple[str, str | None]:
+    """(text, None) for a usable reply, ("", error) for a final failure."""
+    if response.status_code != 200:
+        return "", f"HTTP {response.status_code}"
+    try:
+        body = response.json()
+    except ValueError as exc:
+        return "", f"malformed response: {exc}"
     if isinstance(body, dict):
         if isinstance(body.get("text"), str):
-            return body["text"]
+            return body["text"], None
         choices = body.get("choices")
         if (
             isinstance(choices, list)
@@ -140,8 +136,22 @@ def _extract_text(body: Any) -> str:
             and isinstance(choices[0], dict)
             and isinstance(choices[0].get("text"), str)
         ):
-            return choices[0]["text"]
-    raise ValueError("no text field in response body")
+            return choices[0]["text"], None
+    return "", "malformed response: no text field in response body"
+
+
+def _exhausted_error(failure, response, attempts: int) -> str:
+    """The error of a request whose every attempt failed retryably:
+    ``failure`` is the last request exception, or None when the last
+    response had a retryable status."""
+    if failure is None:
+        return f"HTTP {response.status_code} after {attempts} attempts"
+    # ConnectTimeout is both a ConnectionError and a Timeout: unreachable.
+    if isinstance(failure, requests.exceptions.ConnectionError):
+        return f"endpoint unreachable after {attempts} attempts: {failure}"
+    if isinstance(failure, requests.exceptions.Timeout):
+        return f"timed out after {attempts} attempts"
+    return f"request failed after {attempts} attempts: {failure}"
 
 
 def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationRecord]:
@@ -177,6 +187,7 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
         attempts = 0
         while True:
             attempts += 1
+            failure = response = None
             try:
                 response = requests.post(
                     cfg.endpoint_url,
@@ -184,41 +195,23 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
                     headers=headers,
                     timeout=cfg.request_timeout,
                 )
-            except requests.exceptions.ConnectionError as exc:
-                if attempts <= cfg.max_retries:
-                    time.sleep(cfg.retry_backoff * 2 ** (attempts - 1))
-                    continue
+            except requests.exceptions.RequestException as exc:
+                failure = exc
+            else:
+                if response.status_code not in _RETRYABLE_STATUS:
+                    text, error = _read_response(response)
+                    return "done", make_record(example, text, attempts, error, started)
+            if attempts <= cfg.max_retries:
+                time.sleep(cfg.retry_backoff * 2 ** (attempts - 1))
+                continue
+            record = make_record(
+                example, "", attempts, _exhausted_error(failure, response, attempts), started
+            )
+            if isinstance(failure, requests.exceptions.ConnectionError):
                 abort.set()
                 log.error("segment=%s endpoint_unreachable attempts=%d", example.segment_id, attempts)
-                return "unreachable", make_record(
-                    example, "", attempts, f"endpoint unreachable after {attempts} attempts: {exc}", started
-                )
-            except requests.exceptions.Timeout:
-                if attempts <= cfg.max_retries:
-                    time.sleep(cfg.retry_backoff * 2 ** (attempts - 1))
-                    continue
-                return "done", make_record(
-                    example, "", attempts, f"timed out after {attempts} attempts", started
-                )
-            if response.status_code in _RETRYABLE_STATUS:
-                if attempts <= cfg.max_retries:
-                    time.sleep(cfg.retry_backoff * 2 ** (attempts - 1))
-                    continue
-                return "done", make_record(
-                    example, "", attempts,
-                    f"HTTP {response.status_code} after {attempts} attempts", started,
-                )
-            if response.status_code != 200:
-                return "done", make_record(
-                    example, "", attempts, f"HTTP {response.status_code}", started
-                )
-            try:
-                text = _extract_text(response.json())
-            except (ValueError, json.JSONDecodeError) as exc:
-                return "done", make_record(
-                    example, "", attempts, f"malformed response: {exc}", started
-                )
-            return "done", make_record(example, text, attempts, None, started)
+                return "unreachable", record
+            return "done", record
 
     with ThreadPoolExecutor(max_workers=cfg.max_concurrent_requests) as pool:
         outcomes = list(pool.map(worker, examples))
@@ -260,23 +253,18 @@ def write_records(path, records: Sequence[GenerationRecord], manifest: dict | No
 
 
 def read_records(path) -> list[GenerationRecord]:
-    records = []
-    for line_number, record in _jsonl.iter_jsonl(path):
-        try:
-            records.append(
-                GenerationRecord(
-                    segment_id=record["segment_id"],
-                    prompt_text=record["prompt"],
-                    raw_output=record["output"],
-                    model_name=record["model"],
-                    config=record["config"],
-                    attempts=record["attempts"],
-                    error=record.get("error"),
-                )
-            )
-        except KeyError as exc:
-            raise FormatError(f"missing field {exc}", path=path, line=line_number) from exc
-    return records
+    return _jsonl.read_records(
+        path,
+        lambda record: GenerationRecord(
+            segment_id=_jsonl.field(record, "segment_id"),
+            prompt_text=_jsonl.field(record, "prompt"),
+            raw_output=_jsonl.field(record, "output"),
+            model_name=_jsonl.field(record, "model"),
+            config=_jsonl.field(record, "config", dict),
+            attempts=_jsonl.field(record, "attempts", int),
+            error=_jsonl.field(record, "error", default=None),
+        ),
+    )
 
 
 def write_timing_sidecar(path, records: Sequence[GenerationRecord]) -> None:

@@ -252,6 +252,11 @@ class TermPair:
     target_term: str
     first_source_offset: int | None = None
 
+    @classmethod
+    def from_record(cls, record) -> "TermPair":
+        """A pair from its serialized ``{src, tgt}`` form."""
+        return cls(_jsonl.field(record, "src"), _jsonl.field(record, "tgt"))
+
 
 class TermMatcher:
     """Multi-pattern matcher for one glossary.
@@ -350,21 +355,14 @@ def write_candidates(
     _jsonl.write_jsonl(path, records, manifest=manifest)
 
 
-def _string(value) -> str:
-    if not isinstance(value, str):
-        raise TypeError(f"expected a string, got {value!r}")
-    return value
-
-
 def read_candidates(path) -> list[tuple[str, list[TermPair]]]:
-    result = []
-    for line_number, record in _jsonl.iter_jsonl(path):
-        try:
-            pairs = [TermPair(_string(p["src"]), _string(p["tgt"])) for p in record["pairs"]]
-            result.append((_string(record["segment_id"]), pairs))
-        except (KeyError, TypeError) as exc:
-            raise FormatError(f"bad candidate record: {exc}", path=path, line=line_number) from exc
-    return result
+    return _jsonl.read_records(
+        path,
+        lambda record: (
+            _jsonl.field(record, "segment_id"),
+            [TermPair.from_record(p) for p in _jsonl.field(record, "pairs", list)],
+        ),
+    )
 
 
 def write_glossary_tsv(path, entries: Iterable[GlossaryEntry], manifest: dict | None = None) -> None:

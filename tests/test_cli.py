@@ -3,7 +3,7 @@ import shutil
 
 import pytest
 
-from glossmt._jsonl import read_jsonl
+from glossmt._jsonl import read_records
 from glossmt.cli import Layout, main
 
 CONFIG_TEMPLATE = """\
@@ -226,6 +226,11 @@ class TestExitCodes:
         assert run("postprocess", "--config", config, "--scheme", "bogus") == 1
         capsys.readouterr()
 
+    def test_score_has_no_scheme_option(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        assert run("score", "--config", config, "--scheme", "whitespace") == 1
+        assert_one_line_error(capsys, "usage", "--scheme")
+
     def test_unknown_pair_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint):
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
         assert run("ingest", "--config", config, "--pair", "en-zz") == 1
@@ -313,6 +318,23 @@ class TestScoreInputs:
         assert_one_line_error(capsys, "data", "(line 3)")
 
 
+class TestReportInputs:
+    """``report`` turns a broken score file into one line and exit code 2."""
+
+    @pytest.mark.parametrize(
+        "content",
+        ['{"report": {"pair": "en-es"', '{"manifest": {}}', '{"report": {"system": "stub-model"}}'],
+        ids=["corrupt", "keyless", "pairless"],
+    )
+    def test_broken_score_file_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys, content):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        assert run("score", "--config", config) == 0
+        layout.score_file("stub-model", "en-es").write_text(content + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("report", "--config", config) == 2
+        assert_one_line_error(capsys, "data", "bad score file")
+
+
 class TestMatchOnce:
     """Terms are matched once, in ``build``; later steps reuse the result."""
 
@@ -330,9 +352,9 @@ class TestMatchOnce:
         assert run("build", "--config", config) == 0
         per_pair = {
             f"en-es:{record['segment_id']}": record["terms"]
-            for record in read_jsonl(layout.train_dataset("en-es"))
+            for record in read_records(layout.train_dataset("en-es"), dict)
         }
-        merged = read_jsonl(layout.train_merged())
+        merged = read_records(layout.train_merged(), dict)
         assert sorted(record["segment_id"] for record in merged) == sorted(per_pair)
         for record in merged:
             assert record["terms"] == per_pair[record["segment_id"]]
@@ -364,6 +386,20 @@ class TestResume:
         ]
         assert all(row["error"] is None for row in rows)
         assert len(stub_endpoint.requests) - requests_before == len(failed)
+
+    def test_resume_requests_again_under_another_model(self, tmp_path, fixtures_dir, stub_endpoint):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        config.write_text(
+            config.read_text(encoding="utf-8").replace("model_name = stub-model", "model_name = other-model"),
+            encoding="utf-8",
+        )
+        before = len(stub_endpoint.requests)
+        assert run("translate", "--config", config, "--resume") == 0
+        assert len(stub_endpoint.requests) - before == 20
+        rows = read_records(layout.generations("en-es"), dict)
+        assert len(rows) == 20
+        assert {row["model"] for row in rows} == {"other-model"}
+        assert {row["config"]["model"] for row in rows} == {"other-model"}
 
     def test_resume_with_all_ok_sends_nothing(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = write_project(

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from glossmt import _jsonl
-from glossmt.errors import FormatError
+from glossmt.errors import AlignmentError, FormatError, UsageError
 
 
 def test_write_puts_manifest_first(tmp_path):
@@ -34,20 +34,85 @@ def test_bad_json_reports_path_and_line(tmp_path):
     assert "data.jsonl" in str(exc.value)
 
 
-def test_read_manifest(tmp_path):
-    path = tmp_path / "data.jsonl"
-    _jsonl.write_jsonl(path, [], manifest={"seed": 3})
-    manifest = _jsonl.read_manifest(path)
-    assert manifest["seed"] == 3
-
-
-def test_read_manifest_absent(tmp_path):
-    path = tmp_path / "data.jsonl"
-    path.write_text('{"x": 1}\n', encoding="utf-8")
-    assert _jsonl.read_manifest(path) is None
-
-
 def test_unicode_not_escaped(tmp_path):
     path = tmp_path / "data.jsonl"
     _jsonl.write_jsonl(path, [{"t": "dosis única"}])
     assert "única" in path.read_text(encoding="utf-8")
+
+
+def test_invalid_utf8_reports_line(tmp_path):
+    path = tmp_path / "data.jsonl"
+    path.write_bytes(b'{"ok": 1}\n{"t": "\xff"}\n')
+    with pytest.raises(FormatError) as exc:
+        list(_jsonl.iter_jsonl(path))
+    assert exc.value.line == 2
+    assert "UTF-8" in str(exc.value)
+
+
+@pytest.mark.parametrize("line", ["1" * 5000, "[" * 100_000 + "]" * 100_000])
+def test_json_python_cannot_parse_is_format_error(tmp_path, line):
+    path = tmp_path / "data.jsonl"
+    path.write_text(line + "\n", encoding="utf-8")
+    with pytest.raises(FormatError) as exc:
+        list(_jsonl.iter_jsonl(path))
+    assert exc.value.line == 1
+
+
+class TestField:
+    def test_returns_value_of_kind(self):
+        assert _jsonl.field({"a": "x"}, "a") == "x"
+        assert _jsonl.field({"n": 2.5}, "n", (int, float)) == 2.5
+
+    def test_wrong_kind_is_type_error(self):
+        with pytest.raises(TypeError, match="'a' must be str"):
+            _jsonl.field({"a": 5}, "a")
+
+    def test_bool_is_not_a_number(self):
+        with pytest.raises(TypeError):
+            _jsonl.field({"n": True}, "n", int)
+        assert _jsonl.field({"b": False}, "b", bool) is False
+
+    def test_missing_is_key_error(self):
+        with pytest.raises(KeyError):
+            _jsonl.field({}, "a")
+
+    def test_default_covers_missing_and_null_only(self):
+        assert _jsonl.field({}, "a", default=None) is None
+        assert _jsonl.field({"a": None}, "a", default="d") == "d"
+        with pytest.raises(TypeError):
+            _jsonl.field({"a": 1}, "a", default=None)
+
+
+class TestReadRecords:
+    def write(self, tmp_path, *lines):
+        path = tmp_path / "data.jsonl"
+        _jsonl.write_jsonl(path, [json.loads(line) for line in lines], manifest={"seed": 1})
+        return path
+
+    def test_builds_every_data_record(self, tmp_path):
+        path = self.write(tmp_path, '{"a": "x"}', '{"a": "y"}')
+        assert _jsonl.read_records(path, lambda r: _jsonl.field(r, "a")) == ["x", "y"]
+
+    @pytest.mark.parametrize(
+        "error", [KeyError("a"), TypeError("t"), ValueError("v"), OverflowError("o"), UsageError("u")]
+    )
+    def test_build_errors_become_format_errors_with_line(self, tmp_path, error):
+        path = self.write(tmp_path, '{"a": "x"}', '{"a": "y"}')
+
+        def build(record):
+            if record["a"] == "y":
+                raise error
+            return record
+
+        with pytest.raises(FormatError) as exc:
+            _jsonl.read_records(path, build)
+        assert exc.value.line == 3  # the manifest is line 1
+
+    def test_other_errors_pass_through(self, tmp_path):
+        path = self.write(tmp_path, '{"a": "x"}')
+
+        def build(record):
+            raise AlignmentError("kept as is")
+
+        with pytest.raises(AlignmentError):
+            _jsonl.read_records(path, build)

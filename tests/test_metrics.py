@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from glossmt.corpus import ParallelSegment
-from glossmt.errors import UsageError
+from glossmt.errors import FormatError, UsageError
 from glossmt.metrics import (
     ScoreReport,
     bleu,
@@ -333,3 +333,14 @@ class TestExternalScores:
         )
         scores = load_external_scores(path)
         assert scores == {"comet22": pytest.approx(0.85), "xcomet": pytest.approx(0.5)}
+
+    def test_non_finite_value_is_format_error(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            '{"segment_id": "0", "name": "comet22", "value": Infinity}\n'
+            '{"segment_id": "1", "name": "comet22", "value": -Infinity}\n',
+            encoding="utf-8",
+        )
+        with pytest.raises(FormatError) as exc:
+            load_external_scores(path)
+        assert exc.value.line == 1

@@ -2,6 +2,7 @@ import dataclasses
 import json
 
 import pytest
+import requests
 
 from glossmt.errors import ConfigurationError, EndpointError, UsageError
 from glossmt.runner import (
@@ -191,6 +192,22 @@ class TestRetries:
         assert records[0].attempts == 2
 
 
+    def test_other_request_failures_retry_then_error(self, monkeypatch):
+        calls = []
+
+        def broken_body(*args, **kwargs):
+            calls.append(1)
+            raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
+
+        monkeypatch.setattr(requests, "post", broken_body)
+        cfg = config("http://127.0.0.1:9/echo", max_retries=2)
+        records = generate_batch(prompts(1, prefix="chunked"), cfg)
+        assert len(records) == 1
+        assert not records[0].ok
+        assert records[0].attempts == cfg.max_retries + 1 == len(calls)
+        assert "request failed after 3 attempts" in records[0].error
+
+
 class TestUnreachable:
     def test_connection_error_aborts_batch(self):
         # a port from the TEST-NET range that nothing listens on
@@ -218,13 +235,6 @@ class TestRecordIO:
         assert [r.segment_id for r in loaded] == [r.segment_id for r in records]
         assert [r.raw_output for r in loaded] == [r.raw_output for r in records]
         assert all(r.duration_s == 0.0 for r in loaded)
-
-    def test_request_payload_reconstructs_body(self, stub_endpoint):
-        record = self.sample_records(stub_endpoint)[0]
-        body = record.request_payload()
-        assert body["prompt"] == record.prompt_text
-        assert body["model"] == "stub-model"
-        assert body["top_p"] == 0.9
 
     def test_timing_sidecar(self, tmp_path, stub_endpoint):
         records = self.sample_records(stub_endpoint)
