@@ -31,7 +31,9 @@ def dumps(record: dict[str, Any]) -> str:
 def write_jsonl(path, records: Iterable[dict[str, Any]], manifest: dict[str, Any] | None = None) -> None:
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    # A lone surrogate (an endpoint may return "\ud800") cannot be encoded
+    # as UTF-8; backslashreplace writes it as that same JSON escape.
+    with open(path, "w", encoding="utf-8", errors="backslashreplace", newline="\n") as handle:
         if manifest is not None:
             handle.write(dumps({"record_type": MANIFEST_TYPE, **manifest}) + "\n")
         for record in records:

@@ -277,4 +277,11 @@ def load_external_scores(path) -> dict[str, float]:
     values: dict[str, list[float]] = {}
     for name, value in _jsonl.read_records(path, build):
         values.setdefault(name, []).append(value)
-    return {name: fmean(vals) for name, vals in sorted(values.items())}
+    return {name: _mean(vals) for name, vals in sorted(values.items())}
+
+
+def _mean(values: list[float]) -> float:
+    try:
+        return fmean(values)
+    except OverflowError:  # finite values whose sum overflows, e.g. 1e308 twice
+        return math.fsum(v / len(values) for v in values)

@@ -29,8 +29,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Sequence
 
-import requests
-
 from . import _jsonl
 from .errors import ConfigurationError, EndpointError, UsageError
 
@@ -101,7 +99,8 @@ class GenerationRecord:
 
     ``duration_s`` is wall-clock timing and is serialized only to the
     timing sidecar, never to the records artifact, so record files stay
-    byte-identical across reruns.
+    byte-identical across reruns. It is None for a record read back from
+    the artifact, i.e. one that ``--resume`` carries over untimed.
     """
 
     segment_id: str
@@ -111,7 +110,7 @@ class GenerationRecord:
     config: dict[str, Any]
     attempts: int
     error: str | None = None
-    duration_s: float = 0.0
+    duration_s: float | None = None
 
     @property
     def ok(self) -> bool:
@@ -144,6 +143,8 @@ def _exhausted_error(failure, response, attempts: int) -> str:
     """The error of a request whose every attempt failed retryably:
     ``failure`` is the last request exception, or None when the last
     response had a retryable status."""
+    import requests
+
     if failure is None:
         return f"HTTP {response.status_code} after {attempts} attempts"
     # ConnectTimeout is both a ConnectionError and a Timeout: unreachable.
@@ -157,6 +158,10 @@ def _exhausted_error(failure, response, attempts: int) -> str:
 def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationRecord]:
     """Send one request per test example; results come back in input order
     regardless of completion order or concurrency level."""
+    # Imported here, not at module level: no other stage sends a request,
+    # and importing requests is most of their start-up time.
+    import requests
+
     for example in examples:
         if example.mode != "test":
             raise UsageError(
@@ -267,14 +272,16 @@ def read_records(path) -> list[GenerationRecord]:
     )
 
 
+def _timing(record: GenerationRecord) -> dict[str, Any]:
+    if record.duration_s is None:
+        return {"segment_id": record.segment_id, "carried": True, "seconds": None, "attempts": record.attempts}
+    return {"segment_id": record.segment_id, "seconds": round(record.duration_s, 6), "attempts": record.attempts}
+
+
 def write_timing_sidecar(path, records: Sequence[GenerationRecord]) -> None:
-    _jsonl.write_jsonl(
-        path,
-        (
-            {"segment_id": r.segment_id, "seconds": round(r.duration_s, 6), "attempts": r.attempts}
-            for r in records
-        ),
-    )
+    """One line per record: its wall-clock seconds, or ``"carried": true``
+    and null seconds for a record carried over by ``--resume``."""
+    _jsonl.write_jsonl(path, (_timing(r) for r in records))
 
 
 def write_run_manifest(

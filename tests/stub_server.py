@@ -4,10 +4,12 @@ Routes (select behaviour by path):
   /echo         -> {"text": "<echo:PROMPT_HASH>"} deterministic per prompt
   /echo-openai  -> {"choices": [{"text": ...}]} same payload, other shape
   /flaky        -> 500 on the first request for each prompt, then echoes
+  /flaky-half   -> like /flaky, but only for prompts whose hash is odd
   /malformed    -> 200 with a non-JSON body
   /notfound     -> 404 (non-retryable)
   /slow         -> sleeps longer than short client timeouts, then echoes
   /empty        -> 200 JSON without text/choices keys
+  /surrogate    -> echoes with a lone surrogate appended ("\\ud800" in JSON)
 
 Every request is recorded on server.requests as (path, payload, headers)
 so tests can assert on bodies and on what was *not* sent.
@@ -25,6 +27,10 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 def echo_text(prompt: str) -> str:
     digest = hashlib.sha256(prompt.encode("utf-8")).hexdigest()[:12]
     return f"<echo:{digest}> {prompt.splitlines()[-1][:40]}"
+
+
+def _digest(prompt: str) -> int:
+    return int(hashlib.sha256(prompt.encode("utf-8")).hexdigest(), 16)
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -55,7 +61,7 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if self.path == "/slow":
             time.sleep(0.3)
-        if self.path == "/flaky":
+        if self.path == "/flaky" or (self.path == "/flaky-half" and _digest(prompt) % 2):
             with self.server.lock:
                 seen = self.server.flaky_seen
                 if prompt not in seen:
@@ -66,6 +72,8 @@ class _Handler(BaseHTTPRequestHandler):
         text = echo_text(prompt)
         if self.path == "/echo-openai":
             reply = {"choices": [{"text": text}]}
+        elif self.path == "/surrogate":
+            reply = {"text": text + " \ud800"}
         else:
             reply = {"text": text}
         self._send(200, json.dumps(reply).encode("utf-8"))

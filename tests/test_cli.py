@@ -1,8 +1,14 @@
 import json
+import os
 import shutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import glossmt
+from glossmt import runner
 from glossmt._jsonl import read_records
 from glossmt.cli import Layout, main
 
@@ -162,6 +168,34 @@ class TestPipeline:
         assert layout.score_file("stub-model", "en-es").name == "stub-model.en-es.json"
         assert run("report", "--config", config) == 0
         assert "org/model" in (layout.reports_dir() / "metrics.csv").read_text(encoding="utf-8")
+
+    def test_lone_surrogate_in_reply_round_trips(self, tmp_path, fixtures_dir, stub_endpoint):
+        config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/surrogate")
+        for step in ("ingest", "build", "translate", "score"):
+            assert run(step, "--config", config) == 0
+        text = layout.generations("en-es").read_text(encoding="utf-8")
+        assert "\\ud800" in text
+        records = runner.read_records(layout.generations("en-es"))
+        assert len(records) == 20
+        assert all(r.ok and r.raw_output.endswith(" \ud800") for r in records)
+
+
+class TestStartup:
+    def test_ingest_and_build_never_import_requests(self, tmp_path, fixtures_dir):
+        config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9")
+        script = (
+            "import sys\n"
+            "import glossmt, glossmt.cli\n"
+            "for stage in ('ingest', 'build'):\n"
+            "    assert glossmt.cli.main([stage, '--config', sys.argv[1]]) == 0, stage\n"
+            "assert 'requests' not in sys.modules, 'requests was imported'\n"
+        )
+        src = str(Path(glossmt.__file__).resolve().parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run(
+            [sys.executable, "-c", script, str(config)], env=env, capture_output=True, text=True
+        )
+        assert result.returncode == 0, result.stderr
 
 
 class TestDeterminism:
@@ -410,6 +444,26 @@ class TestResume:
         before = len(stub_endpoint.requests)
         assert run("translate", "--config", config, "--resume") == 0
         assert len(stub_endpoint.requests) == before
+
+    def test_resume_marks_carried_records_in_timing_sidecar(self, tmp_path, fixtures_dir, stub_endpoint):
+        stub_endpoint.reset()
+        config, layout = write_project(
+            tmp_path, fixtures_dir, stub_endpoint.url + "/flaky-half", retries=0
+        )
+        for step in ("ingest", "build", "translate"):
+            assert run(step, "--config", config) == 0
+        rows = read_records(layout.generations("en-es"), dict)
+        completed = {row["segment_id"] for row in rows if row["error"] is None}
+        assert 0 < len(completed) < len(rows)
+
+        assert run("translate", "--config", config, "--resume") == 0
+        timing = read_records(layout.timing("en-es"), dict)
+        assert len(timing) == len(rows)
+        carried = [row for row in timing if row["segment_id"] in completed]
+        fresh = [row for row in timing if row["segment_id"] not in completed]
+        assert {row["segment_id"] for row in timing if row.get("carried")} == completed
+        assert all(row["carried"] is True and row["seconds"] is None for row in carried)
+        assert all("carried" not in row and row["seconds"] > 0 for row in fresh)
 
 
 class TestPostprocessCommand:

@@ -40,6 +40,22 @@ def test_unicode_not_escaped(tmp_path):
     assert "única" in path.read_text(encoding="utf-8")
 
 
+def test_lone_surrogate_written_as_json_escape(tmp_path):
+    path = tmp_path / "data.jsonl"
+    record = {"t": "dosis \ud800 única"}
+    _jsonl.write_jsonl(path, [record])
+    assert path.read_bytes() == '{"t": "dosis \\ud800 única"}\n'.encode("utf-8")
+    assert [r for _, r in _jsonl.iter_jsonl(path)] == [record]
+
+
+def test_bytes_without_surrogates_unchanged(tmp_path):
+    path = tmp_path / "data.jsonl"
+    records = [{"t": "dosis única", "e": "\U0001f48a ß İ", "b": "back\\slash"}]
+    _jsonl.write_jsonl(path, records, manifest={"seed": 1})
+    expected = "".join(_jsonl.dumps(r) + "\n" for r in [{"record_type": "manifest", "seed": 1}, *records])
+    assert path.read_bytes() == expected.encode("utf-8")
+
+
 def test_invalid_utf8_reports_line(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_bytes(b'{"ok": 1}\n{"t": "\xff"}\n')

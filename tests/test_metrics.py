@@ -334,6 +334,15 @@ class TestExternalScores:
         scores = load_external_scores(path)
         assert scores == {"comet22": pytest.approx(0.85), "xcomet": pytest.approx(0.5)}
 
+    def test_overflowing_sum_falls_back_to_scaled_sum(self, tmp_path):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            '{"segment_id": "0", "name": "comet22", "value": 1e308}\n'
+            '{"segment_id": "1", "name": "comet22", "value": 1e308}\n',
+            encoding="utf-8",
+        )
+        assert load_external_scores(path) == {"comet22": 1e308}
+
     def test_non_finite_value_is_format_error(self, tmp_path):
         path = tmp_path / "scores.jsonl"
         path.write_text(

@@ -234,7 +234,7 @@ class TestRecordIO:
         loaded = read_records(path)
         assert [r.segment_id for r in loaded] == [r.segment_id for r in records]
         assert [r.raw_output for r in loaded] == [r.raw_output for r in records]
-        assert all(r.duration_s == 0.0 for r in loaded)
+        assert all(r.duration_s is None for r in loaded)
 
     def test_timing_sidecar(self, tmp_path, stub_endpoint):
         records = self.sample_records(stub_endpoint)
