@@ -9,6 +9,7 @@ and prompt rendering always see one canonical form.
 
 from __future__ import annotations
 
+import codecs
 import logging
 import re
 from dataclasses import dataclass, replace
@@ -16,7 +17,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import _jsonl
-from .errors import AlignmentError, ConfigurationError, UsageError
+from .errors import AlignmentError, ConfigurationError, FormatError, UsageError
 from .prng import seeded_permutation, seeded_shuffle
 
 log = logging.getLogger(__name__)
@@ -39,6 +40,24 @@ DISPLAY_NAMES = {
 def normalize_text(text: str) -> str:
     """Collapse whitespace runs to single spaces and trim both ends."""
     return _WS_RUN.sub(" ", text).strip()
+
+
+def read_text_lines(path) -> list[str]:
+    """The lines of a UTF-8 text file, without a leading byte-order mark.
+
+    Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``; ``str.splitlines``
+    also splits at U+2028, U+0085, form feeds and more, which would cut one
+    line in two and misalign a parallel file pair. Invalid UTF-8 raises
+    FormatError with the offending line number.
+    """
+    raw_lines = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8).splitlines()
+    lines: list[str] = []
+    for line_number, raw in enumerate(raw_lines, start=1):
+        try:
+            lines.append(raw.decode("utf-8"))
+        except UnicodeDecodeError as exc:
+            raise FormatError("not valid UTF-8", path=path, line=line_number) from exc
+    return lines
 
 
 @dataclass(frozen=True)
@@ -129,8 +148,8 @@ def load_parallel(source_path, target_path, pair: LanguagePair) -> list[Parallel
     index, so segment ids always equal the 0-based line number in the input
     files. Files with different line counts raise AlignmentError.
     """
-    source_lines = Path(source_path).read_text(encoding="utf-8").splitlines()
-    target_lines = Path(target_path).read_text(encoding="utf-8").splitlines()
+    source_lines = read_text_lines(source_path)
+    target_lines = read_text_lines(target_path)
     if len(source_lines) != len(target_lines):
         raise AlignmentError(
             f"line counts differ: {source_path} has {len(source_lines)}, "

@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Sequence
 
 from . import _jsonl
-from .corpus import LanguagePair, ParallelSegment
+from .corpus import LanguagePair, ParallelSegment, read_text_lines
 from .errors import FormatError, TemplateError, UsageError
 from .terminology import TermMatcher, TermPair
 
@@ -295,7 +295,7 @@ _HEADER_KEYS = {"family_id", "eos_marker", "target_region"}
 
 
 def load_template_file(path) -> TemplateSpec:
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
+    lines = read_text_lines(path)
     header: dict[str, str] = {}
     sections: dict[str, list[str]] = {}
     current: list[str] | None = None

@@ -21,14 +21,14 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 import xml.etree.ElementTree as ET
-from collections import deque
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from . import _jsonl
-from .corpus import LanguagePair, ParallelSegment, normalize_text
+from .corpus import LanguagePair, ParallelSegment, normalize_text, read_text_lines
 from .errors import FormatError, UsageError
 
 log = logging.getLogger(__name__)
@@ -107,17 +107,9 @@ def load_glossary(path, pair: LanguagePair) -> Glossary:
     aborting the load. Lines starting with ``#`` are comments. Files that
     are not valid UTF-8 raise FormatError with the offending line number.
     """
-    raw_lines = Path(path).read_bytes().splitlines()
-    lines: list[str] = []
-    for line_number, raw in enumerate(raw_lines, start=1):
-        try:
-            lines.append(raw.decode("utf-8"))
-        except UnicodeDecodeError as exc:
-            raise FormatError("not valid UTF-8", path=path, line=line_number) from exc
-
     entries: list[GlossaryEntry] = []
     skipped = 0
-    for line_number, line in enumerate(lines, start=1):
+    for line_number, line in enumerate(read_text_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
         row = next(csv.reader([line], delimiter="\t"))
@@ -181,6 +173,14 @@ def _on_word_boundaries(text: str, start: int, end: int) -> bool:
     return True
 
 
+# A term's head is its first character and the run of letters and digits
+# after it ([^\W_] is exactly str.isalnum). A term occurring on word
+# boundaries at position s has the head of the text at s, so this pattern,
+# which yields the head at every position not preceded by a letter or digit,
+# finds every place a term can match and which terms to try there.
+_HEAD_RE = re.compile(r"(?<![^\W_])(?=(.[^\W_]*))", re.DOTALL)
+
+
 def _occurs_on_boundaries(pattern: str, haystack: str) -> bool:
     """Whether ``pattern`` occurs in ``haystack`` on word boundaries; both
     are already casefolded."""
@@ -190,52 +190,6 @@ def _occurs_on_boundaries(pattern: str, haystack: str) -> bool:
             return True
         start = haystack.find(pattern, start + 1)
     return False
-
-
-class _Automaton:
-    """Aho-Corasick automaton over a fixed set of (casefolded) patterns."""
-
-    def __init__(self, patterns: Sequence[str]):
-        self._children: list[dict[str, int]] = [{}]
-        self._fail: list[int] = [0]
-        self._outputs: list[tuple[tuple[int, int], ...]] = [()]
-        for pattern_id, pattern in enumerate(patterns):
-            node = 0
-            for char in pattern:
-                next_node = self._children[node].get(char)
-                if next_node is None:
-                    self._children.append({})
-                    self._fail.append(0)
-                    self._outputs.append(())
-                    next_node = len(self._children) - 1
-                    self._children[node][char] = next_node
-                node = next_node
-            self._outputs[node] += ((pattern_id, len(pattern)),)
-        # Breadth-first failure links; outputs are flattened onto each node
-        # so the scan never has to walk the failure chain for reporting.
-        queue = deque(self._children[0].values())
-        while queue:
-            node = queue.popleft()
-            for char, child in self._children[node].items():
-                queue.append(child)
-                fail = self._fail[node]
-                while fail and char not in self._children[fail]:
-                    fail = self._fail[fail]
-                fallback = self._children[fail].get(char, 0)
-                if fallback != child:
-                    self._fail[child] = fallback
-                    self._outputs[child] += self._outputs[fallback]
-
-    def iter_matches(self, text: str) -> Iterator[tuple[int, int, int]]:
-        """Yield (pattern_id, start, end) for every occurrence, in order of
-        match end position."""
-        node = 0
-        for position, char in enumerate(text):
-            while node and char not in self._children[node]:
-                node = self._fail[node]
-            node = self._children[node].get(char, 0)
-            for pattern_id, length in self._outputs[node]:
-                yield pattern_id, position - length + 1, position + 1
 
 
 @dataclass(frozen=True)
@@ -261,12 +215,13 @@ class TermPair:
 class TermMatcher:
     """Multi-pattern matcher for one glossary.
 
-    Builds one automaton over the casefolded source terms and indexes the
-    entries by source pattern. A candidate pair for a segment is any
-    glossary entry whose source pattern hits the source text and whose
-    target term occurs in the target text, both on word boundaries. Only the
-    entries of source patterns that hit are visited, so the cost after the
-    source scan grows with the hits, not with the glossary.
+    Indexes the casefolded source terms by their head (see
+    :data:`_HEAD_RE`) and the entries by source term. A candidate pair for a
+    segment is any glossary entry whose source term occurs in the source
+    text and whose target term occurs in the target text, both on word
+    boundaries. The source scan visits only the terms whose head the text
+    has at a word start, and only the entries of source terms that hit, so
+    its cost grows with the hits, not with the glossary.
     """
 
     def __init__(self, glossary: Glossary):
@@ -274,20 +229,18 @@ class TermMatcher:
             raise UsageError("cannot build a matcher from an empty glossary")
         self.glossary = glossary
         self.pair = glossary.pair
-        source_patterns: list[str] = []
-        source_ids: dict[str, int] = {}
-        # source pattern id -> (entry, casefolded target term) for every
-        # entry with that source term under casefolding.
-        self._entries_by_source: list[list[tuple[GlossaryEntry, str]]] = []
+        # casefolded source term -> (entry, casefolded target term) for
+        # every entry with that source term under casefolding.
+        self._entries_by_source: dict[str, list[tuple[GlossaryEntry, str]]] = {}
+        self._sources_by_head: dict[str, list[str]] = {}
         for entry in glossary.entries:
             source_key = entry.source_term.casefold()
-            source_id = source_ids.get(source_key)
-            if source_id is None:
-                source_id = source_ids[source_key] = len(source_patterns)
-                source_patterns.append(source_key)
-                self._entries_by_source.append([])
-            self._entries_by_source[source_id].append((entry, entry.target_term.casefold()))
-        self._source_automaton = _Automaton(source_patterns)
+            entries = self._entries_by_source.get(source_key)
+            if entries is None:
+                entries = self._entries_by_source[source_key] = []
+                head = _HEAD_RE.match(source_key).group(1)
+                self._sources_by_head.setdefault(head, []).append(source_key)
+            entries.append((entry, entry.target_term.casefold()))
 
     def find_candidates(self, segment: ParallelSegment) -> list[TermPair]:
         """All glossary pairs realized in the segment, sorted by descending
@@ -297,15 +250,24 @@ class TermMatcher:
                 f"segment pair {segment.pair.code} does not match matcher pair {self.pair.code}"
             )
         folded_source, source_map = casefold_with_map(segment.source_text)
-        first_offset: dict[int, int] = {}
-        for pattern_id, start, end in self._source_automaton.iter_matches(folded_source):
-            if pattern_id not in first_offset and _on_word_boundaries(folded_source, start, end):
-                first_offset[pattern_id] = source_map[start]
+        first_offset: dict[str, int] = {}
+        for hit in _HEAD_RE.finditer(folded_source):
+            source_keys = self._sources_by_head.get(hit.group(1))
+            if source_keys is None:
+                continue
+            start = hit.start()
+            for source_key in source_keys:
+                if (
+                    source_key not in first_offset
+                    and folded_source.startswith(source_key, start)
+                    and _on_word_boundaries(folded_source, start, start + len(source_key))
+                ):
+                    first_offset[source_key] = source_map[start]
         folded_target = segment.target_text.casefold()
         found = [
             TermPair(entry.source_term, entry.target_term, offset)
-            for source_id, offset in first_offset.items()
-            for entry, target_key in self._entries_by_source[source_id]
+            for source_key, offset in first_offset.items()
+            for entry, target_key in self._entries_by_source[source_key]
             if _occurs_on_boundaries(target_key, folded_target)
         ]
         found.sort(key=_candidate_sort_key)

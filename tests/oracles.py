@@ -1,7 +1,7 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is deliberately built with different mechanics from the
-package modules — exhaustive sliding-window scans instead of automata,
+package modules — exhaustive sliding-window scans instead of indexed lookups,
 exact Fraction arithmetic instead of float accumulation, sort/group-by
 instead of counters — so that the two routes can disagree when either one
 is wrong. Nothing in this module imports from glossmt.

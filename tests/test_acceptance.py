@@ -155,7 +155,7 @@ def test_02_prompt_rendering_bit_exact():
 
 
 # ---------------------------------------------------------------------------
-# 3. Automaton matcher == brute-force oracle on 1,000 seeded instances.
+# 3. Head-indexed matcher == brute-force oracle on 1,000 seeded instances.
 
 WORDS = [
     "dose", "insulin", "glargine", "fever", "rash", "renal", "impairment",

@@ -72,6 +72,13 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def project_with(tmp_path, fixtures_dir, old, new):
+    """A project config with one piece of text replaced."""
+    config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
+    config.write_text(config.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    return config
+
+
 def translated_project(tmp_path, fixtures_dir, stub_endpoint):
     config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
     for step in ("ingest", "build", "translate"):
@@ -279,6 +286,21 @@ class TestExitCodes:
         assert run("ingest", "--config", config) == 0
         layout.corpus("en-es").write_text("not json at all\n", encoding="utf-8")
         assert run("build", "--config", config) == 2
+
+    def test_invalid_utf8_corpus_is_data_error(self, tmp_path, fixtures_dir, capsys):
+        source = tmp_path / "corpus.en"
+        source.write_bytes((fixtures_dir / "emea.en").read_bytes().replace(b"\n", b" \xff\n", 1))
+        config = project_with(tmp_path, fixtures_dir, str(fixtures_dir / "emea.en"), str(source))
+        assert run("ingest", "--config", config) == 2
+        assert_one_line_error(capsys, "data", "not valid UTF-8 (line 1)")
+
+    def test_invalid_utf8_template_is_data_error(self, tmp_path, fixtures_dir, capsys):
+        template = tmp_path / "template.txt"
+        template.write_bytes((fixtures_dir / "custom_template.txt").read_bytes() + b"\xff\n")
+        config = project_with(tmp_path, fixtures_dir, "family = chatml", f"file = {template}")
+        assert run("ingest", "--config", config) == 0
+        assert run("build", "--config", config) == 2
+        assert_one_line_error(capsys, "data", "not valid UTF-8 (line 16)")
 
     def test_unreachable_endpoint_is_endpoint_error(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = write_project(

@@ -13,7 +13,7 @@ from glossmt.corpus import (
     split_corpus,
     write_segments,
 )
-from glossmt.errors import AlignmentError, ConfigurationError, UsageError
+from glossmt.errors import AlignmentError, ConfigurationError, FormatError, UsageError
 
 
 def seg(pair, sid, source_text="src text", target_text="tgt text"):
@@ -87,6 +87,38 @@ class TestLoadParallel:
         b.write_text("uno\ndos\ntres\n", encoding="utf-8")
         segments = load_parallel(a, b, en_es)
         assert [s.id for s in segments] == ["0", "2"]
+
+    def test_only_line_breaks_end_lines(self, tmp_path, en_es):
+        # Three lines each by `wc -l`; U+2028, U+0085, form feed and \x1c-\x1e
+        # are whitespace inside a line, not line ends.
+        a = tmp_path / "a.en"
+        b = tmp_path / "b.es"
+        a.write_bytes("fever\u2028dose\nrash\x0crenal\r\nvial\u0085oral\n".encode("utf-8"))
+        b.write_bytes("fiebre\x1cdosis\ndolor\x1derupción\rvial\x1eoral\n".encode("utf-8"))
+        segments = load_parallel(a, b, en_es)
+        assert [(s.id, s.source_text, s.target_text) for s in segments] == [
+            ("0", "fever dose", "fiebre dosis"),
+            ("1", "rash renal", "dolor erupción"),
+            ("2", "vial oral", "vial oral"),
+        ]
+
+    def test_leading_bom_is_stripped(self, tmp_path, en_es):
+        a = tmp_path / "a.en"
+        b = tmp_path / "b.es"
+        a.write_bytes(b"\xef\xbb\xbfdose\n")
+        b.write_bytes(b"\xef\xbb\xbfdosis\n")
+        [segment] = load_parallel(a, b, en_es)
+        assert (segment.source_text, segment.target_text) == ("dose", "dosis")
+
+    def test_invalid_utf8_is_format_error_with_line(self, tmp_path, en_es):
+        a = tmp_path / "a.en"
+        b = tmp_path / "b.es"
+        a.write_bytes(b"one\ntwo \xff\n")
+        b.write_text("uno\ndos\n", encoding="utf-8")
+        with pytest.raises(FormatError) as exc:
+            load_parallel(a, b, en_es)
+        assert exc.value.line == 2
+        assert "not valid UTF-8" in str(exc.value)
 
     def test_missing_file_is_an_oserror(self, tmp_path, en_es):
         with pytest.raises(OSError):

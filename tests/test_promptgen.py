@@ -289,6 +289,26 @@ class TestTemplateFile:
         assert "{target_segment}" not in test.rendered_text
         assert not test.rendered_text.endswith("<END>")
 
+    def test_leading_bom_is_accepted(self, tmp_path, fixtures_dir):
+        path = tmp_path / "bom.txt"
+        path.write_bytes(b"\xef\xbb\xbf" + (fixtures_dir / "custom_template.txt").read_bytes())
+        assert load_template_file(path) == load_template_file(fixtures_dir / "custom_template.txt")
+
+    def test_invalid_utf8_is_format_error_with_line(self, tmp_path):
+        path = tmp_path / "broken.txt"
+        path.write_bytes(b"family_id: demo\n\xff\n")
+        with pytest.raises(FormatError) as exc:
+            load_template_file(path)
+        assert exc.value.line == 2
+
+    def test_unicode_line_separator_stays_in_its_line(self, tmp_path, fixtures_dir):
+        text = (fixtures_dir / "custom_template.txt").read_text(encoding="utf-8")
+        path = tmp_path / "separator.txt"
+        path.write_text(text.replace("Render ", "Render\u2028"), encoding="utf-8")
+        template = load_template_file(path)
+        assert "Render\u2028{source_id}" in template.with_terms_template
+        assert "Render\n" not in template.with_terms_template
+
     def test_missing_section_is_format_error(self, tmp_path):
         path = tmp_path / "broken.txt"
         path.write_text(

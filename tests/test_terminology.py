@@ -1,4 +1,6 @@
 import logging
+import re
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -98,6 +100,14 @@ class TestLoadGlossary:
         path.write_text("fever\tfiebre\tnine\t1001\n", encoding="utf-8")
         glossary = load_glossary(path, en_es)
         assert len(glossary) == 0
+
+    def test_leading_bom_does_not_hide_the_first_row(self, tmp_path, en_es):
+        path = tmp_path / "glossary.tsv"
+        path.write_bytes(b"\xef\xbb\xbfdose\tdosis\t4\t1\n")
+        glossary = load_glossary(path, en_es)
+        assert [e.source_term for e in glossary.entries] == ["dose"]
+        seg = segment(en_es, "one dose daily", "una dosis diaria")
+        assert [p.source_term for p in build_matcher(glossary).find_candidates(seg)] == ["dose"]
 
     def test_duplicate_entries_in_constructor_rejected(self, en_es):
         with pytest.raises(UsageError):
@@ -231,23 +241,25 @@ class TestMatching:
 
 
 class TestOracleEquivalence:
-    """The automaton must agree with an exhaustive scan on every input."""
+    """The head-indexed matcher must agree with an exhaustive scan on every
+    input."""
 
-    terms = st.text(
-        alphabet="abcßâé -",
-        min_size=1,
-        max_size=8,
-    ).filter(lambda t: t.strip(" -") and " ".join(t.split()))
+    # Casefold expansions (ß, İ, ﬁ), non-ASCII and ASCII digits, and `_`
+    # (a word character to `\w` but not a letter or digit); terms may start
+    # or end with punctuation.
+    alphabet = "abcßâéİﬁ_1٣ -.,'"
+    terms = st.text(alphabet=alphabet, min_size=1, max_size=8).filter(
+        lambda t: " ".join(t.split())
+    )
 
     @given(
         entries=st.lists(
             st.tuples(terms, terms), min_size=1, max_size=6, unique=True
         ),
-        source=st.text(alphabet="abcßâé ,.-", max_size=60),
-        target=st.text(alphabet="abcßâé ,.-", max_size=60),
+        data=st.data(),
     )
     @settings(max_examples=300, deadline=None)
-    def test_matcher_agrees_with_brute_force(self, entries, source, target, en_es):
+    def test_matcher_agrees_with_brute_force(self, entries, data, en_es):
         cleaned = []
         seen = set()
         for src, tgt in entries:
@@ -260,6 +272,17 @@ class TestOracleEquivalence:
             cleaned.append(e)
         glossary = Glossary(pair=en_es, entries=tuple(cleaned))
         matcher = TermMatcher(glossary)
+        # Texts are glued from the terms themselves (some upper-cased) and
+        # short random runs, so hits and near-misses at every kind of
+        # boundary are common.
+        term_texts = [t for pair in entries for t in pair]
+        pieces = st.one_of(
+            st.sampled_from(term_texts),
+            st.sampled_from(term_texts).map(str.upper),
+            st.text(alphabet=self.alphabet, max_size=3),
+        )
+        texts = st.lists(pieces, max_size=10).map("".join)
+        source, target = data.draw(texts), data.draw(texts)
         if not source.strip() or not target.strip():
             return
         seg = ParallelSegment(
@@ -302,6 +325,33 @@ class TestOracleEquivalence:
                 glossary.entries, seg.source_text, seg.target_text
             )
             assert got == expected, (source, target)
+
+    def test_terms_sharing_a_head(self, en_es):
+        glossary = glossary_of(
+            en_es,
+            ("dose", "dosis"),
+            ("dose form", "forma farmacéutica"),
+            ("dose-response", "dosis-respuesta"),
+            ("dose.", "dosis"),
+            ("doses", "dosis"),
+        )
+        matcher = TermMatcher(glossary)
+        seg = segment(
+            en_es,
+            "the dose form, a dose-response curve and one dose.",
+            "la forma farmacéutica, una curva dosis-respuesta y una dosis.",
+        )
+        got = [
+            (p.source_term, p.target_term, p.first_source_offset)
+            for p in matcher.find_candidates(seg)
+        ]
+        assert got == [
+            ("dose-response", "dosis-respuesta", 17),
+            ("dose form", "forma farmacéutica", 4),
+            ("dose.", "dosis", 45),
+            ("dose", "dosis", 4),
+        ]
+        assert got == brute_force_candidates(glossary.entries, seg.source_text, seg.target_text)
 
     @given(
         entries=st.lists(
@@ -350,6 +400,13 @@ class TestOracleEquivalence:
             assert got == expected, seg.id
             total += len(got)
         assert total > 0
+
+
+def test_head_class_is_isalnum_on_every_code_point():
+    # The matcher's head pattern spells "letter or digit" as [^\W_]; word
+    # boundaries are checked with str.isalnum. They must agree everywhere.
+    every = "".join(map(chr, range(sys.maxunicode + 1)))
+    assert re.findall(r"[^\W_]", every) == [c for c in every if c.isalnum()]
 
 
 class TestCandidateIO:
