@@ -163,7 +163,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         raise ConfigurationError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             parser.read_file(handle)
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc

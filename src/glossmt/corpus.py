@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import codecs
 import logging
-import re
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
@@ -21,8 +20,6 @@ from .errors import AlignmentError, ConfigurationError, FormatError, UsageError
 from .prng import seeded_permutation, seeded_shuffle
 
 log = logging.getLogger(__name__)
-
-_WS_RUN = re.compile(r"\s+")
 
 # Display names rendered verbatim into prompts ("English:", "Spanish:").
 DISPLAY_NAMES = {
@@ -38,8 +35,12 @@ DISPLAY_NAMES = {
 
 
 def normalize_text(text: str) -> str:
-    """Collapse whitespace runs to single spaces and trim both ends."""
-    return _WS_RUN.sub(" ", text).strip()
+    """Collapse whitespace runs to single spaces and trim both ends.
+
+    Whitespace is what ``str.split()`` splits on (``str.isspace``), the same
+    set as the regex class ``\\s``.
+    """
+    return " ".join(text.split())
 
 
 def read_text_lines(path) -> list[str]:
@@ -158,12 +159,12 @@ def load_parallel(source_path, target_path, pair: LanguagePair) -> list[Parallel
     segments = []
     dropped = 0
     for index, (source_line, target_line) in enumerate(zip(source_lines, target_lines)):
-        source_text = normalize_text(source_line)
-        target_text = normalize_text(target_line)
-        if not source_text or not target_text:
+        # A line normalizes to "" exactly when strip() empties it; the
+        # segment normalizes the kept lines once.
+        if not source_line.strip() or not target_line.strip():
             dropped += 1
             continue
-        segments.append(ParallelSegment(str(index), pair, source_text, target_text))
+        segments.append(ParallelSegment(str(index), pair, source_line, target_line))
     if dropped:
         log.info("pair=%s dropped_empty_lines=%d kept=%d", pair.code, dropped, len(segments))
     return segments

@@ -16,7 +16,6 @@ import math
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from statistics import fmean
 from typing import Sequence
 
 from . import _jsonl
@@ -24,7 +23,7 @@ from .corpus import LanguagePair
 from .errors import UsageError
 from .postprocess import ModelOutput
 from .prng import SplitMix64
-from .terminology import TermPair, term_in_text
+from .terminology import TermPair, terms_in_text
 
 BLEU_MAX_ORDER = 4
 CHRF_MAX_ORDER = 6
@@ -133,7 +132,7 @@ def chrf(hypotheses: Sequence[str], references: Sequence[str]) -> float:
             )
     if not f_scores:
         return 0.0
-    return 100.0 * fmean(f_scores)
+    return 100.0 * _mean(f_scores)
 
 
 def term_accuracy(
@@ -168,7 +167,7 @@ def term_accuracy(
             continue
         cleaned = outputs_by_id[segment_id].cleaned_text
         total += len(expected)
-        correct += sum(1 for pair in expected if term_in_text(pair.target_term, cleaned))
+        correct += sum(terms_in_text((pair.target_term for pair in expected), cleaned))
     accuracy = correct / total if total else 0.0
     return accuracy, correct, total
 
@@ -192,7 +191,7 @@ def significance_test(
     if resamples < 1:
         raise UsageError("resamples must be positive")
     n = len(scores_a)
-    observed = abs(fmean(scores_a) - fmean(scores_b))
+    observed = abs(_mean(scores_a) - _mean(scores_b))
     rng = SplitMix64(seed)
     at_least_as_extreme = 0
     for _ in range(resamples):
@@ -280,8 +279,10 @@ def load_external_scores(path) -> dict[str, float]:
     return {name: _mean(vals) for name, vals in sorted(values.items())}
 
 
-def _mean(values: list[float]) -> float:
+def _mean(values: Sequence[float]) -> float:
+    """The float mean, as ``statistics.fmean`` computes it (``fsum`` over
+    the count), without importing ``statistics`` at start-up."""
     try:
-        return fmean(values)
+        return math.fsum(values) / len(values)
     except OverflowError:  # finite values whose sum overflows, e.g. 1e308 twice
         return math.fsum(v / len(values) for v in values)

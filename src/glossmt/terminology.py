@@ -22,8 +22,7 @@ from __future__ import annotations
 import csv
 import logging
 import re
-import xml.etree.ElementTree as ET
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -39,7 +38,7 @@ MIN_RELIABILITY = 1
 MAX_RELIABILITY = 4
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GlossaryEntry:
     """One term pair with its reliability rating and domain tag."""
 
@@ -47,22 +46,27 @@ class GlossaryEntry:
     target_term: str
     reliability: int
     domain_id: str = ""
+    # Casefolded (source, target) pair; duplicates collapse on this. Left out
+    # of equality, hashing and repr.
+    key: tuple[str, str] = field(init=False, compare=False, repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "source_term", normalize_text(self.source_term))
-        object.__setattr__(self, "target_term", normalize_text(self.target_term))
-        if not self.source_term or not self.target_term:
+    def __init__(self, source_term: str, target_term: str, reliability: int, domain_id: str = ""):
+        # Written out so that each field is set once, after normalization
+        # and the checks: loading a glossary builds one entry per row.
+        source_term = normalize_text(source_term)
+        target_term = normalize_text(target_term)
+        if not source_term or not target_term:
             raise UsageError("glossary terms must be non-empty")
-        if not MIN_RELIABILITY <= self.reliability <= MAX_RELIABILITY:
+        if not MIN_RELIABILITY <= reliability <= MAX_RELIABILITY:
             raise UsageError(
                 f"reliability must be in {MIN_RELIABILITY}..{MAX_RELIABILITY}, "
-                f"got {self.reliability}"
+                f"got {reliability}"
             )
-
-    @property
-    def key(self) -> tuple[str, str]:
-        """Casefolded (source, target) pair; duplicates collapse on this."""
-        return (self.source_term.casefold(), self.target_term.casefold())
+        object.__setattr__(self, "source_term", source_term)
+        object.__setattr__(self, "target_term", target_term)
+        object.__setattr__(self, "reliability", reliability)
+        object.__setattr__(self, "domain_id", domain_id)
+        object.__setattr__(self, "key", (source_term.casefold(), target_term.casefold()))
 
 
 @dataclass(frozen=True)
@@ -71,6 +75,8 @@ class Glossary:
     entries: tuple[GlossaryEntry, ...]
 
     def __post_init__(self):
+        if len({entry.key for entry in self.entries}) == len(self.entries):
+            return
         seen: set[tuple[str, str]] = set()
         for entry in self.entries:
             if entry.key in seen:
@@ -112,7 +118,7 @@ def load_glossary(path, pair: LanguagePair) -> Glossary:
     for line_number, line in enumerate(read_text_lines(path), start=1):
         if not line.strip() or line.startswith("#"):
             continue
-        row = next(csv.reader([line], delimiter="\t"))
+        row = _split_row(line)
         if len(row) != 4:
             skipped += 1
             log.warning("path=%s line=%d skipped_row reason=column_count", path, line_number)
@@ -134,6 +140,15 @@ def load_glossary(path, pair: LanguagePair) -> Glossary:
     if skipped:
         log.info("path=%s skipped_rows=%d", path, skipped)
     return Glossary.build(pair, entries)
+
+
+def _split_row(line: str) -> list[str]:
+    """The tab-separated fields of one glossary line. Without a quote
+    character the csv module's default dialect splits exactly at each tab,
+    so only quoted lines need the csv parser."""
+    if '"' not in line:
+        return line.split("\t")
+    return next(csv.reader([line], delimiter="\t"))
 
 
 def filter_by_reliability(glossary: Glossary, min_stars: int) -> Glossary:
@@ -159,9 +174,27 @@ def casefold_with_map(text: str) -> tuple[str, list[int]]:
     folded = text.casefold()
     if len(folded) == len(text):
         return folded, list(range(len(text)))
+    # Only the characters that fold to several (ß, İ, ﬁ, ...) break the
+    # identity; fill the runs between them with ranges.
+    widths = {}
+    for char in set(text):
+        width = len(char.casefold())
+        if width > 1:
+            widths[char] = width
+    positions = []
+    for char in widths:
+        position = text.find(char)
+        while position != -1:
+            positions.append(position)
+            position = text.find(char, position + 1)
+    positions.sort()
     index_map: list[int] = []
-    for index, char in enumerate(text):
-        index_map.extend([index] * len(char.casefold()))
+    start = 0
+    for position in positions:
+        index_map.extend(range(start, position))
+        index_map.extend([position] * widths[text[position]])
+        start = position + 1
+    index_map.extend(range(start, len(text)))
     return folded, index_map
 
 
@@ -234,13 +267,13 @@ class TermMatcher:
         self._entries_by_source: dict[str, list[tuple[GlossaryEntry, str]]] = {}
         self._sources_by_head: dict[str, list[str]] = {}
         for entry in glossary.entries:
-            source_key = entry.source_term.casefold()
+            source_key, target_key = entry.key
             entries = self._entries_by_source.get(source_key)
             if entries is None:
                 entries = self._entries_by_source[source_key] = []
                 head = _HEAD_RE.match(source_key).group(1)
                 self._sources_by_head.setdefault(head, []).append(source_key)
-            entries.append((entry, entry.target_term.casefold()))
+            entries.append((entry, target_key))
 
     def find_candidates(self, segment: ParallelSegment) -> list[TermPair]:
         """All glossary pairs realized in the segment, sorted by descending
@@ -291,10 +324,21 @@ def build_matcher(glossary: Glossary) -> TermMatcher:
 def term_in_text(term: str, text: str) -> bool:
     """Whether ``term`` occurs in ``text`` under the matching semantics
     (casefolded, word-boundary-anchored, single internal spaces)."""
-    pattern = normalize_text(term).casefold()
-    if not pattern:
-        raise UsageError("term must be non-empty")
-    return _occurs_on_boundaries(pattern, normalize_text(text).casefold())
+    (found,) = terms_in_text([term], text)
+    return found
+
+
+def terms_in_text(terms: Iterable[str], text: str) -> list[bool]:
+    """:func:`term_in_text` for each of ``terms``, normalizing and
+    casefolding ``text`` once."""
+    haystack = normalize_text(text).casefold()
+    found = []
+    for term in terms:
+        pattern = normalize_text(term).casefold()
+        if not pattern:
+            raise UsageError("term must be non-empty")
+        found.append(_occurs_on_boundaries(pattern, haystack))
+    return found
 
 
 # ---------------------------------------------------------------------------
@@ -353,6 +397,9 @@ def tbx_to_entries(path, pair: LanguagePair, domain_id: str | None = None) -> li
     codes count as 1). ``domain_id``, when given, keeps only concepts whose
     subjectField contains that id.
     """
+    # Imported here: no pipeline stage reads TBX, so none pays for the import.
+    import xml.etree.ElementTree as ET
+
     try:
         tree = ET.parse(path)
     except ET.ParseError as exc:

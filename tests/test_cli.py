@@ -195,7 +195,8 @@ class TestStartup:
             "import glossmt, glossmt.cli\n"
             "for stage in ('ingest', 'build'):\n"
             "    assert glossmt.cli.main([stage, '--config', sys.argv[1]]) == 0, stage\n"
-            "assert 'requests' not in sys.modules, 'requests was imported'\n"
+            "for module in ('requests', 'xml.etree', 'statistics'):\n"
+            "    assert module not in sys.modules, module + ' was imported'\n"
         )
         src = str(Path(glossmt.__file__).resolve().parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -278,6 +279,12 @@ class TestExitCodes:
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run("ingest", "--config", tmp_path / "absent.ini") == 1
+
+    def test_config_with_leading_bom_is_accepted(self, tmp_path, fixtures_dir):
+        config, layout = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9")
+        config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
+        assert run("ingest", "--config", config) == 0
+        assert layout.glossary("en-es").is_file()
 
     def test_corrupt_artifact_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = write_project(

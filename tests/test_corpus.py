@@ -1,4 +1,6 @@
 import dataclasses
+import re
+import sys
 
 import pytest
 
@@ -29,6 +31,15 @@ class TestNormalize:
 
     def test_empty(self):
         assert normalize_text(" \t ") == ""
+
+    def test_equals_regex_form_on_every_code_point(self):
+        # normalize_text splits with str.split(); it was
+        # re.sub(r"\s+", " ", text).strip(). Each code point appears alone
+        # between letters, in a run of two, and next to all the others, so
+        # the two agree only if \s and str.split() class it alike.
+        every = [chr(c) for c in range(sys.maxunicode + 1)]
+        for text in ("x".join(every), "x".join(c + c for c in every), "".join(every)):
+            assert normalize_text(text) == re.sub(r"\s+", " ", text).strip()
 
 
 class TestLanguagePair:

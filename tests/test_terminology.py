@@ -1,9 +1,11 @@
+import csv
+import dataclasses
 import logging
 import re
 import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from glossmt.corpus import ParallelSegment
@@ -13,6 +15,7 @@ from glossmt.terminology import (
     GlossaryEntry,
     TermMatcher,
     TermPair,
+    _split_row,
     build_matcher,
     casefold_with_map,
     filter_by_reliability,
@@ -57,6 +60,20 @@ class TestGlossaryEntry:
 
     def test_key_is_casefolded(self):
         assert entry("DOSE", "Dosis").key == ("dose", "dosis")
+
+    def test_key_is_outside_equality_hash_and_repr(self):
+        e = entry("DOSE", " Dosis", stars=3, domain="10")
+        assert e == entry("DOSE", "Dosis", stars=3, domain="10")
+        assert e != entry("dose", "Dosis", stars=3, domain="10")
+        assert hash(e) == hash(("DOSE", "Dosis", 3, "10"))
+        assert repr(e) == (
+            "GlossaryEntry(source_term='DOSE', target_term='Dosis', reliability=3, domain_id='10')"
+        )
+
+    def test_replace_recomputes_key(self):
+        e = dataclasses.replace(entry("dose", "dosis"), source_term="Daily  DOSE")
+        assert e.source_term == "Daily DOSE"
+        assert e.key == ("daily dose", "dosis")
 
 
 class TestLoadGlossary:
@@ -108,6 +125,25 @@ class TestLoadGlossary:
         assert [e.source_term for e in glossary.entries] == ["dose"]
         seg = segment(en_es, "one dose daily", "una dosis diaria")
         assert [p.source_term for p in build_matcher(glossary).find_candidates(seg)] == ["dose"]
+
+    def test_quoted_row_keeps_its_tab_inside_the_field(self, tmp_path, en_es):
+        path = tmp_path / "glossary.tsv"
+        path.write_text('"a\tb"\tc\t3\td\n', encoding="utf-8")
+        glossary = load_glossary(path, en_es)
+        assert glossary.entries == (GlossaryEntry("a b", "c", 3, "d"),)
+
+    @given(
+        fields=st.lists(
+            st.text(st.characters(blacklist_characters='\t"\r\n'), max_size=6),
+            min_size=1,
+            max_size=6,
+        )
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_tab_split_equals_csv_reader_without_quotes(self, fields):
+        line = "\t".join(fields)
+        assume(line)  # csv yields no row for "", and load_glossary skips blank lines
+        assert _split_row(line) == next(csv.reader([line], delimiter="\t"))
 
     def test_duplicate_entries_in_constructor_rejected(self, en_es):
         with pytest.raises(UsageError):
