@@ -5,6 +5,9 @@ punctuation split off, digit-adjacent periods/commas kept — and no smoothing:
 any n-gram order with zero matches scores 0.0, and identical corpora score
 exactly 100.0. chrF is the character n-gram F-score (orders 1..6, beta=2)
 with all whitespace removed before n-gram extraction, likewise unsmoothed.
+Both are corpus scores computed, as in sacreBLEU, from the sums of
+per-segment integer statistics (:func:`bleu_statistics`,
+:func:`chrf_statistics`): n-gram matches and totals per order.
 
 Neural metric scores (COMET and friends) are never computed here; they are
 ingested from external score files and merged into reports.
@@ -13,6 +16,7 @@ ingested from external score files and merged into reports.
 from __future__ import annotations
 
 import math
+import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
@@ -29,11 +33,13 @@ BLEU_MAX_ORDER = 4
 CHRF_MAX_ORDER = 6
 CHRF_BETA = 2.0
 
-_13A_PUNCT = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
+# mteval-13a pads every character of the class [{-~[-` -&(-+:-@/] with
+# spaces. The class is these 29 ASCII characters, space included, so a
+# translate table does it without a Python call per character.
+_13A_PUNCT_TABLE = {ord(char): f" {char} " for char in " !\"#$%&()*+/:;<=>?@[\\]^_`{|}~"}
 _13A_PERIOD_BEFORE = re.compile(r"([^0-9])([\.,])")
 _13A_PERIOD_AFTER = re.compile(r"([\.,])([^0-9])")
 _13A_DASH = re.compile(r"([0-9])(-)")
-_WS = re.compile(r"\s+")
 
 
 def tokenize_13a(line: str) -> list[str]:
@@ -47,11 +53,11 @@ def tokenize_13a(line: str) -> list[str]:
         .replace("&gt;", ">")
     )
     norm = f" {norm} "
-    norm = _13A_PUNCT.sub(r" \1 ", norm)
+    norm = norm.translate(_13A_PUNCT_TABLE)
     norm = _13A_PERIOD_BEFORE.sub(r"\1 \2 ", norm)
     norm = _13A_PERIOD_AFTER.sub(r" \1 \2", norm)
     norm = _13A_DASH.sub(r"\1 \2 ", norm)
-    return _WS.sub(" ", norm).strip().split()
+    return norm.split()
 
 
 def _check_paired(hypotheses: Sequence[str], references: Sequence[str]) -> None:
@@ -63,28 +69,52 @@ def _check_paired(hypotheses: Sequence[str], references: Sequence[str]) -> None:
         raise UsageError("need at least one hypothesis/reference pair")
 
 
+def _clipped_matches(hypothesis_ngrams: list, reference_ngrams: list) -> int:
+    """Sum over distinct n-grams of min(hypothesis count, reference count).
+
+    When either side has no repeated n-gram every count on that side is 1,
+    so the sum is the size of the intersection of the two sets.
+    """
+    hypothesis_set = set(hypothesis_ngrams)
+    if len(hypothesis_set) == len(hypothesis_ngrams):
+        return len(hypothesis_set.intersection(reference_ngrams))
+    reference_set = set(reference_ngrams)
+    if len(reference_set) == len(reference_ngrams):
+        return len(reference_set.intersection(hypothesis_ngrams))
+    return sum((Counter(hypothesis_ngrams) & Counter(reference_ngrams)).values())
+
+
+def _summed(rows) -> list[int]:
+    """Column sums of per-segment statistics tuples."""
+    return [sum(column) for column in zip(*rows)]
+
+
+def bleu_statistics(hypothesis: str, reference: str) -> tuple[int, ...]:
+    """Per-segment BLEU sufficient statistics: matches for n=1..4, totals
+    (hypothesis n-grams) for n=1..4, hypothesis length, reference length."""
+    hyp_tokens = tokenize_13a(hypothesis)
+    ref_tokens = tokenize_13a(reference)
+    matches = []
+    totals = []
+    for n in range(1, BLEU_MAX_ORDER + 1):
+        if n == 1:
+            hyp_ngrams, ref_ngrams = hyp_tokens, ref_tokens
+        else:
+            hyp_ngrams = list(zip(*[hyp_tokens[i:] for i in range(n)]))
+            ref_ngrams = list(zip(*[ref_tokens[i:] for i in range(n)]))
+        matches.append(_clipped_matches(hyp_ngrams, ref_ngrams))
+        totals.append(len(hyp_ngrams))
+    return (*matches, *totals, len(hyp_tokens), len(ref_tokens))
+
+
 def bleu(hypotheses: Sequence[str], references: Sequence[str]) -> float:
     """Corpus BLEU: modified n-gram precisions for n=1..4, geometric mean,
     exponential brevity penalty, scale 0..100."""
     _check_paired(hypotheses, references)
-    matches = [0] * BLEU_MAX_ORDER
-    totals = [0] * BLEU_MAX_ORDER
-    hypothesis_length = 0
-    reference_length = 0
-    for hypothesis, reference in zip(hypotheses, references):
-        hyp_tokens = tokenize_13a(hypothesis)
-        ref_tokens = tokenize_13a(reference)
-        hypothesis_length += len(hyp_tokens)
-        reference_length += len(ref_tokens)
-        for n in range(1, BLEU_MAX_ORDER + 1):
-            hyp_ngrams = Counter(
-                tuple(hyp_tokens[i : i + n]) for i in range(len(hyp_tokens) - n + 1)
-            )
-            ref_ngrams = Counter(
-                tuple(ref_tokens[i : i + n]) for i in range(len(ref_tokens) - n + 1)
-            )
-            totals[n - 1] += max(len(hyp_tokens) - n + 1, 0)
-            matches[n - 1] += sum((hyp_ngrams & ref_ngrams).values())
+    sums = _summed(map(bleu_statistics, hypotheses, references))
+    matches = sums[:BLEU_MAX_ORDER]
+    totals = sums[BLEU_MAX_ORDER : 2 * BLEU_MAX_ORDER]
+    hypothesis_length, reference_length = sums[2 * BLEU_MAX_ORDER :]
     if hypothesis_length == 0 or any(m == 0 for m in matches):
         return 0.0
     log_precision_sum = sum(
@@ -97,26 +127,34 @@ def bleu(hypotheses: Sequence[str], references: Sequence[str]) -> float:
     return 100.0 * brevity_penalty * math.exp(log_precision_sum)
 
 
-def _char_ngrams(text: str, n: int) -> Counter:
-    return Counter(text[i : i + n] for i in range(len(text) - n + 1))
+def chrf_statistics(hypothesis: str, reference: str) -> tuple[int, ...]:
+    """Per-segment chrF sufficient statistics over whitespace-free character
+    n-grams: matches, hypothesis totals and reference totals for n=1..6."""
+    hyp_chars = "".join(hypothesis.split())
+    ref_chars = "".join(reference.split())
+    # Order n is order n-1 extended by one character: a str, then lists.
+    hyp_ngrams, ref_ngrams = hyp_chars, ref_chars
+    matches = []
+    hyp_totals = []
+    ref_totals = []
+    for n in range(1, CHRF_MAX_ORDER + 1):
+        if n > 1:
+            hyp_ngrams = list(map(operator.add, hyp_ngrams, hyp_chars[n - 1 :]))
+            ref_ngrams = list(map(operator.add, ref_ngrams, ref_chars[n - 1 :]))
+        matches.append(_clipped_matches(hyp_ngrams, ref_ngrams))
+        hyp_totals.append(len(hyp_ngrams))
+        ref_totals.append(len(ref_ngrams))
+    return (*matches, *hyp_totals, *ref_totals)
 
 
 def chrf(hypotheses: Sequence[str], references: Sequence[str]) -> float:
     """Corpus chrF: per-order F-scores (beta=2) over character n-grams 1..6
     with whitespace removed, averaged over the orders present in the data."""
     _check_paired(hypotheses, references)
-    matches = [0] * CHRF_MAX_ORDER
-    hyp_totals = [0] * CHRF_MAX_ORDER
-    ref_totals = [0] * CHRF_MAX_ORDER
-    for hypothesis, reference in zip(hypotheses, references):
-        hyp_chars = "".join(hypothesis.split())
-        ref_chars = "".join(reference.split())
-        for n in range(1, CHRF_MAX_ORDER + 1):
-            hyp_ngrams = _char_ngrams(hyp_chars, n)
-            ref_ngrams = _char_ngrams(ref_chars, n)
-            matches[n - 1] += sum((hyp_ngrams & ref_ngrams).values())
-            hyp_totals[n - 1] += sum(hyp_ngrams.values())
-            ref_totals[n - 1] += sum(ref_ngrams.values())
+    sums = _summed(map(chrf_statistics, hypotheses, references))
+    matches = sums[:CHRF_MAX_ORDER]
+    hyp_totals = sums[CHRF_MAX_ORDER : 2 * CHRF_MAX_ORDER]
+    ref_totals = sums[2 * CHRF_MAX_ORDER :]
     beta_squared = CHRF_BETA**2
     f_scores = []
     for match, hyp_total, ref_total in zip(matches, hyp_totals, ref_totals):
@@ -177,10 +215,12 @@ def significance_test(
 ) -> float:
     """Paired approximate randomization test on the difference of means.
 
-    Per resample, each aligned score pair is swapped with probability 1/2;
-    the p-value is the add-one-smoothed fraction of resamples whose absolute
-    mean difference reaches the observed one. Identical inputs give exactly
-    1.0. Deterministic given the seed.
+    Per resample, each aligned score pair is swapped with probability 1/2:
+    segment i is swapped when bit i % 64 of the resample's draw i // 64 is
+    set, so one 64-bit draw serves 64 segments. The p-value is the
+    add-one-smoothed fraction of resamples whose absolute mean difference
+    reaches the observed one. Identical inputs give exactly 1.0.
+    Deterministic given the seed.
     """
     if len(scores_a) != len(scores_b):
         raise UsageError(
@@ -193,14 +233,18 @@ def significance_test(
     n = len(scores_a)
     observed = abs(_mean(scores_a) - _mean(scores_b))
     rng = SplitMix64(seed)
+    differences = [a - b for a, b in zip(scores_a, scores_b)]
     at_least_as_extreme = 0
     for _ in range(resamples):
         difference_total = 0.0
-        for a, b in zip(scores_a, scores_b):
-            if rng.next_u64() & 1:
-                difference_total += b - a
+        for i, difference in enumerate(differences):
+            if not i & 63:
+                bits = rng.next_u64()
+            if bits & 1:
+                difference_total -= difference
             else:
-                difference_total += a - b
+                difference_total += difference
+            bits >>= 1
         if abs(difference_total) / n >= observed:
             at_least_as_extreme += 1
     return (at_least_as_extreme + 1) / (resamples + 1)

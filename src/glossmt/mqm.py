@@ -210,19 +210,3 @@ def mqm_per_segment(
         )
     return scores
 
-
-def write_spans(path, spans: Sequence[ErrorSpan], manifest: dict | None = None) -> None:
-    def records():
-        for span in spans:
-            record = {
-                "segment_id": span.segment_id,
-                "span": span.span_text,
-                "severity": span.severity,
-                "confidence": span.confidence,
-            }
-            if span.start is not None:
-                record["start"] = span.start
-                record["end"] = span.end
-            yield record
-
-    _jsonl.write_jsonl(path, records(), manifest=manifest)

@@ -1,15 +1,20 @@
 import math
+import re
+import sys
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from glossmt.corpus import ParallelSegment
 from glossmt.errors import FormatError, UsageError
 from glossmt.metrics import (
+    _13A_PUNCT_TABLE,
     ScoreReport,
     bleu,
+    bleu_statistics,
     chrf,
+    chrf_statistics,
     load_external_scores,
     significance_test,
     term_accuracy,
@@ -17,7 +22,7 @@ from glossmt.metrics import (
 )
 from glossmt.postprocess import ModelOutput
 from glossmt.terminology import Glossary, GlossaryEntry, TermMatcher
-from oracles import bleu_oracle, chrf_oracle, reference_tokenize
+from oracles import _ngram_bag, bleu_oracle, chrf_oracle, reference_tokenize
 
 # Frozen corpus-level values for tests/fixtures/metric_{hyps,refs}.txt,
 # computed once with the exact-arithmetic reference implementation in
@@ -57,6 +62,71 @@ class TestTokenizer:
     @settings(max_examples=200, deadline=None)
     def test_agrees_with_reference_tokenizer(self, line):
         assert tokenize_13a(line) == reference_tokenize(line)
+
+    def test_punct_table_equals_regex_form_on_every_code_point(self):
+        # tokenize_13a pads the 13a punctuation class through a translate
+        # table of its ASCII characters; the class is the regex below. Each
+        # code point appears alone between letters and next to all the
+        # others, so the two agree only if the table holds exactly the class.
+        pattern = re.compile(r"([\{-\~\[-\` -\&\(-\+\:-\@\/])")
+        every = [chr(c) for c in range(sys.maxunicode + 1)]
+        for text in ("x".join(every), "".join(every)):
+            assert text.translate(_13A_PUNCT_TABLE) == pattern.sub(r" \1 ", text)
+
+
+def _oracle_statistics(hyp_units, ref_units, max_order):
+    """(matches, hypothesis totals, reference totals) per order 1..max_order,
+    counted from tests/oracles.py's n-gram bags."""
+    matches, hyp_totals, ref_totals = [], [], []
+    for order in range(1, max_order + 1):
+        hyp_bag = _ngram_bag(hyp_units, order)
+        ref_bag = _ngram_bag(ref_units, order)
+        matches.append(sum(min(count, ref_bag.get(gram, 0)) for gram, count in hyp_bag.items()))
+        hyp_totals.append(sum(hyp_bag.values()))
+        ref_totals.append(sum(ref_bag.values()))
+    return matches, hyp_totals, ref_totals
+
+
+# Lengths 0..20 over a tiny alphabet: n-grams repeat often on one side, both
+# or neither, so every path of the clipped-match count runs.
+_TINY_TEXT = st.text(alphabet="ab ß,.", max_size=20)
+
+
+class TestSegmentStatistics:
+    @given(_TINY_TEXT, _TINY_TEXT)
+    @settings(max_examples=400, deadline=None)
+    @example("", "")
+    @example("", "a b")
+    @example("   ", " \t")
+    @example("a", "ab")  # shorter than every higher order
+    @example("a b , .", "a a b b")  # only the hypothesis without repeats
+    @example("a a b b", "a b , .")  # only the reference without repeats
+    @example("a a a b", "a a b b b")  # both sides repeat
+    def test_bleu_statistics_equal_oracle_counts(self, hypothesis, reference):
+        hyp = reference_tokenize(hypothesis)
+        ref = reference_tokenize(reference)
+        matches, totals, _ = _oracle_statistics(hyp, ref, 4)
+        assert bleu_statistics(hypothesis, reference) == (
+            *matches,
+            *totals,
+            len(hyp),
+            len(ref),
+        )
+
+    @given(_TINY_TEXT, _TINY_TEXT)
+    @settings(max_examples=400, deadline=None)
+    @example("", "")
+    @example("", "ab")
+    @example("   ", " \t")
+    @example("ab", "a b ß")  # shorter than the higher orders
+    @example("abß,.", "aabb")  # only the hypothesis without repeats
+    @example("aabb", "abß,.")  # only the reference without repeats
+    @example("aaab", "aabbb")  # both sides repeat
+    def test_chrf_statistics_equal_oracle_counts(self, hypothesis, reference):
+        matches, hyp_totals, ref_totals = _oracle_statistics(
+            list("".join(hypothesis.split())), list("".join(reference.split())), 6
+        )
+        assert chrf_statistics(hypothesis, reference) == (*matches, *hyp_totals, *ref_totals)
 
 
 class TestBleu:

@@ -15,7 +15,6 @@ from glossmt.mqm import (
     mqm_score,
     normalize_severity,
     tally,
-    write_spans,
 )
 from oracles import mqm_oracle, tally_oracle
 
@@ -225,16 +224,6 @@ class TestPerSegment:
 
 
 class TestRoundTrip:
-    def test_write_then_load(self, tmp_path):
-        spans = [
-            span(sid="0", text="se encuentra", severity="MIN", confidence=0.52),
-            span(sid="1", text="luz", severity="CRIT", confidence=0.4, start=0, end=3),
-        ]
-        path = tmp_path / "spans.jsonl"
-        write_spans(path, spans, manifest={"source": "unit"})
-        loaded = load_annotations(path)
-        assert loaded == spans
-
     def test_counts_round_trip(self):
         counts = SeverityCounts(5, 3, 1, 999, "external")
         assert SeverityCounts.from_dict(counts.to_dict()) == counts
