@@ -1,4 +1,6 @@
-"""JSON Lines helpers shared by the artifact writers and readers.
+"""JSON Lines helpers shared by the artifact writers and readers, plus the
+writer of the pretty-printed JSON artifacts (totals, score files, run
+manifests).
 
 Every artifact file starts with a manifest record (``record_type:
 "manifest"``) carrying at least the config hash and seed, so a file can be
@@ -38,6 +40,12 @@ def write_jsonl(path, records: Iterable[dict[str, Any]], manifest: dict[str, Any
             handle.write(dumps({"record_type": MANIFEST_TYPE, **manifest}) + "\n")
         for record in records:
             handle.write(dumps(record) + "\n")
+
+
+def write_json(path, data: dict[str, Any]) -> None:
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 def iter_jsonl(path) -> Iterable[tuple[int, dict[str, Any]]]:

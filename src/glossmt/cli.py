@@ -25,7 +25,7 @@ from pathlib import Path
 from urllib.parse import quote
 
 from . import _jsonl, corpus, metrics, mqm, postprocess, promptgen, report, runner, terminology
-from .config import PairConfig, PipelineConfig, load_config
+from .config import COUNTING_SCHEMES, MQM_TOKEN_MODES, PairConfig, PipelineConfig, load_config
 from .errors import ConfigurationError, DataError, EndpointError, FormatError, UsageError
 
 log = logging.getLogger(__name__)
@@ -101,11 +101,6 @@ def _read_json(path: Path, what: str, read):
         return read(json.loads(path.read_text(encoding="utf-8")))
     except (ValueError, KeyError, TypeError, UsageError) as exc:
         raise FormatError(f"bad {what}: {exc!r}", path=path) from exc
-
-
-def _write_json(path: Path, data: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
 
 
 # ---------------------------------------------------------------------------
@@ -237,7 +232,7 @@ def _postprocess_pair(
     postprocess.write_outputs(
         layout.outputs(code), outputs, manifest={**base_manifest, "pair": code}
     )
-    _write_json(layout.totals(code), {**base_manifest, "pair": code, "totals": totals})
+    _jsonl.write_json(layout.totals(code), {**base_manifest, "pair": code, "totals": totals})
     return totals
 
 
@@ -261,36 +256,27 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
             }
             log.info("pair=%s resume_completed=%d", code, len(completed))
         pending = [e for e in examples if e.segment_id not in completed]
+        aborted = None
         try:
             new_records = runner.generate_batch(pending, config.inference)
         except EndpointError as exc:
-            by_id = {**completed, **{r.segment_id: r for r in exc.partial_records}}
-            partial = [by_id[e.segment_id] for e in examples if e.segment_id in by_id]
-            runner.write_records(
-                layout.generations(code), partial, manifest={**base_manifest, "pair": code}
-            )
-            runner.write_run_manifest(
-                layout.generation_manifest(code),
-                config.inference,
-                partial,
-                config_hash=base_manifest["config_hash"],
-                seed=config.seed,
-                aborted=True,
-            )
-            raise
+            aborted, new_records = exc, exc.partial_records
         by_id = {**completed, **{r.segment_id: r for r in new_records}}
-        records = [by_id[e.segment_id] for e in examples]
+        records = [by_id[e.segment_id] for e in examples if e.segment_id in by_id]
         runner.write_records(
             layout.generations(code), records, manifest={**base_manifest, "pair": code}
         )
-        runner.write_timing_sidecar(layout.timing(code), records)
         runner.write_run_manifest(
             layout.generation_manifest(code),
             config.inference,
             records,
             config_hash=base_manifest["config_hash"],
             seed=config.seed,
+            aborted=aborted is not None,
         )
+        if aborted is not None:
+            raise aborted
+        runner.write_timing_sidecar(layout.timing(code), records)
         totals = _postprocess_pair(config, layout, pair_config, records)
         errors = sum(1 for r in records if not r.ok)
         print(
@@ -378,7 +364,7 @@ def cmd_score(
             )
             counts = mqm.tally(spans, token_total, scheme=f"{scheme}:{config.mqm_tokens}")
             mqm_block = {"counts": counts.to_dict(), "score": mqm.mqm_score(counts)}
-        _write_json(
+        _jsonl.write_json(
             layout.score_file(system, code),
             {
                 "manifest": {**base_manifest, "pair": code, "system": system},
@@ -466,8 +452,7 @@ def build_parser() -> argparse.ArgumentParser:
     translate.add_argument("--resume", action="store_true", help="skip segments already generated")
 
     post = subparsers.add_parser("postprocess", parents=[common], help="re-run cleaning and token counting")
-    post.add_argument("--scheme", choices=["whitespace", "external", "no-truncation"],
-                      help="override the counting scheme")
+    post.add_argument("--scheme", choices=COUNTING_SCHEMES, help="override the counting scheme")
     post.add_argument("--counts-file", type=Path, help="external token counts (JSONL)")
 
     score = subparsers.add_parser("score", parents=[common], help="compute metrics and write score files")
@@ -475,7 +460,7 @@ def build_parser() -> argparse.ArgumentParser:
     score.add_argument("--threshold", type=float, help="confidence threshold for annotations")
     score.add_argument("--annotations", type=Path, help="error-span annotations (JSONL, single pair)")
     score.add_argument("--external-scores", type=Path, help="external metric scores (JSONL, single pair)")
-    score.add_argument("--mqm-tokens", choices=["raw", "cleaned"], help="MQM token denominator")
+    score.add_argument("--mqm-tokens", choices=MQM_TOKEN_MODES, help="MQM token denominator")
 
     subparsers.add_parser("report", parents=[common], help="regenerate report tables from score files")
     return parser

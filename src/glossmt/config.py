@@ -144,8 +144,6 @@ def _get(parser: configparser.ConfigParser, section: str, option: str, kind, def
         return default
     raw = parser.get(section, option)
     try:
-        if kind is bool:
-            return parser.getboolean(section, option)
         return kind(raw)
     except ValueError as exc:
         raise ConfigurationError(f"[{section}] {option} = {raw!r}: {exc}") from exc
@@ -154,9 +152,9 @@ def _get(parser: configparser.ConfigParser, section: str, option: str, kind, def
 def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     """Parse a config file and apply command-line overrides (which win).
 
-    Recognized override keys: seed, output_dir, threshold, scheme,
-    mqm_tokens. All paths referenced by the resulting configuration must
-    exist (the output directory is created, not required).
+    Recognized override keys: seed, threshold, scheme, mqm_tokens. All
+    paths referenced by the resulting configuration must exist (the output
+    directory is created, not required).
     """
     path = Path(path)
     if not path.is_file():
@@ -178,11 +176,7 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     seed = overrides.get("seed")
     if seed is None:
         seed = _get(parser, "project", "seed", int, 0)
-    output_dir = overrides.get("output_dir")
-    if output_dir is None:
-        output_dir = resolve(_get(parser, "project", "output_dir", str, "out"))
-    else:
-        output_dir = Path(output_dir)
+    output_dir = resolve(_get(parser, "project", "output_dir", str, "out"))
 
     pairs = []
     for section in parser.sections():

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Sequence
+from typing import Any, Callable, Sequence
 
 from . import _jsonl
 from .metrics import ScoreReport
@@ -44,99 +44,67 @@ def markdown_table(header: Sequence[str], rows: Sequence[Sequence[str]]) -> str:
     return "\n".join(lines)
 
 
-def _systems_and_pairs(reports: Sequence[ScoreReport]) -> tuple[list[str], list[str]]:
-    systems = sorted({r.system for r in reports})
-    pairs = sorted({r.pair.code for r in reports})
-    return systems, pairs
+def _pivot(
+    entries: Sequence[tuple[str, str, Any]],
+    labels: Sequence[str],
+    cells: Callable[[Any], list[str]],
+) -> tuple[list[str], list[list[str]]]:
+    """entries: (system, pair_code, value). Rows are the sorted systems and
+    column groups the sorted pairs; each group has one ``"{pair} {label}"``
+    column per label, filled by ``cells(value)``. A system with no entry for
+    a pair gets empty cells."""
+    systems = sorted({system for system, _, _ in entries})
+    pairs = sorted({pair for _, pair, _ in entries})
+    by_key = {(system, pair): value for system, pair, value in entries}
+    header = ["system"] + [f"{pair} {label}" for pair in pairs for label in labels]
+    rows = []
+    for system in systems:
+        row = [system]
+        for pair in pairs:
+            key = (system, pair)
+            row.extend(cells(by_key[key]) if key in by_key else [""] * len(labels))
+        rows.append(row)
+    return header, rows
+
+
+def _by_report(reports: Sequence[ScoreReport]) -> list[tuple[str, str, ScoreReport]]:
+    return [(r.system, r.pair.code, r) for r in reports]
 
 
 def build_metric_table(reports: Sequence[ScoreReport]) -> tuple[list[str], list[list[str]]]:
     """BLEU, chrF, and any external score names, grouped per pair."""
-    systems, pairs = _systems_and_pairs(reports)
     external_names = sorted({name for r in reports for name in r.external_scores})
-    by_key = {(r.system, r.pair.code): r for r in reports}
-    header = ["system"]
-    for pair in pairs:
-        header.extend([f"{pair} BLEU", f"{pair} chrF"])
-        header.extend(f"{pair} {name}" for name in external_names)
-    rows = []
-    for system in systems:
-        row = [system]
-        for pair in pairs:
-            report = by_key.get((system, pair))
-            if report is None:
-                row.extend([""] * (2 + len(external_names)))
-                continue
-            row.extend([_fmt(report.bleu), _fmt(report.chrf)])
-            row.extend(
-                _fmt(report.external_scores[name]) if name in report.external_scores else ""
-                for name in external_names
-            )
-        rows.append(row)
-    return header, rows
+    return _pivot(
+        _by_report(reports),
+        ["BLEU", "chrF", *external_names],
+        lambda r: [_fmt(r.bleu), _fmt(r.chrf)]
+        + [_fmt(r.external_scores[name]) if name in r.external_scores else "" for name in external_names],
+    )
 
 
 def build_term_accuracy_table(reports: Sequence[ScoreReport]) -> tuple[list[str], list[list[str]]]:
-    systems, pairs = _systems_and_pairs(reports)
-    by_key = {(r.system, r.pair.code): r for r in reports}
-    header = ["system"]
-    for pair in pairs:
-        header.extend([f"{pair} accuracy", f"{pair} correct", f"{pair} expected"])
-    rows = []
-    for system in systems:
-        row = [system]
-        for pair in pairs:
-            report = by_key.get((system, pair))
-            if report is None:
-                row.extend(["", "", ""])
-            else:
-                row.extend(
-                    [_fmt(report.term_accuracy), str(report.term_correct), str(report.term_total)]
-                )
-        rows.append(row)
-    return header, rows
+    return _pivot(
+        _by_report(reports),
+        ["accuracy", "correct", "expected"],
+        lambda r: [_fmt(r.term_accuracy), str(r.term_correct), str(r.term_total)],
+    )
 
 
 def build_mqm_counts_table(
     entries: Sequence[tuple[str, str, SeverityCounts]],
 ) -> tuple[list[str], list[list[str]]]:
     """entries: (system, pair_code, counts)."""
-    systems = sorted({system for system, _, _ in entries})
-    pairs = sorted({pair for _, pair, _ in entries})
-    by_key = {(system, pair): counts for system, pair, counts in entries}
-    header = ["system"]
-    for pair in pairs:
-        header.extend([f"{pair} MIN", f"{pair} MAJ", f"{pair} CRIT", f"{pair} tokens"])
-    rows = []
-    for system in systems:
-        row = [system]
-        for pair in pairs:
-            counts = by_key.get((system, pair))
-            if counts is None:
-                row.extend(["", "", "", ""])
-            else:
-                row.extend(
-                    [str(counts.minor), str(counts.major), str(counts.critical), str(counts.token_total)]
-                )
-        rows.append(row)
-    return header, rows
+    return _pivot(
+        entries,
+        ["MIN", "MAJ", "CRIT", "tokens"],
+        lambda c: [str(c.minor), str(c.major), str(c.critical), str(c.token_total)],
+    )
 
 
 def build_mqm_score_table(
     entries: Sequence[tuple[str, str, SeverityCounts]],
 ) -> tuple[list[str], list[list[str]]]:
-    systems = sorted({system for system, _, _ in entries})
-    pairs = sorted({pair for _, pair, _ in entries})
-    by_key = {(system, pair): counts for system, pair, counts in entries}
-    header = ["system"] + [f"{pair} MQM" for pair in pairs]
-    rows = []
-    for system in systems:
-        row = [system]
-        for pair in pairs:
-            counts = by_key.get((system, pair))
-            row.append("" if counts is None else _fmt(mqm_score(counts)))
-        rows.append(row)
-    return header, rows
+    return _pivot(entries, ["MQM"], lambda c: [_fmt(mqm_score(c))])
 
 
 def write_report_files(
@@ -149,33 +117,19 @@ def write_report_files(
     returns the written paths."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
-    sections: list[tuple[str, list[str], list[list[str]]]] = []
-
+    tables = []  # (title, file name, (header, rows))
     if reports:
-        header, rows = build_metric_table(reports)
-        write_csv(directory / "metrics.csv", header, rows, manifest=manifest)
-        written.append(directory / "metrics.csv")
-        sections.append(("Surface metrics", header, rows))
-
-        header, rows = build_term_accuracy_table(reports)
-        write_csv(directory / "term_accuracy.csv", header, rows, manifest=manifest)
-        written.append(directory / "term_accuracy.csv")
-        sections.append(("Terminology accuracy", header, rows))
-
+        tables.append(("Surface metrics", "metrics.csv", build_metric_table(reports)))
+        tables.append(("Terminology accuracy", "term_accuracy.csv", build_term_accuracy_table(reports)))
     if mqm_entries:
-        header, rows = build_mqm_counts_table(mqm_entries)
-        write_csv(directory / "mqm_counts.csv", header, rows, manifest=manifest)
-        written.append(directory / "mqm_counts.csv")
-        sections.append(("MQM severity counts", header, rows))
+        tables.append(("MQM severity counts", "mqm_counts.csv", build_mqm_counts_table(mqm_entries)))
+        tables.append(("MQM scores", "mqm_scores.csv", build_mqm_score_table(mqm_entries)))
 
-        header, rows = build_mqm_score_table(mqm_entries)
-        write_csv(directory / "mqm_scores.csv", header, rows, manifest=manifest)
-        written.append(directory / "mqm_scores.csv")
-        sections.append(("MQM scores", header, rows))
-
+    written: list[Path] = []
     parts = ["# Evaluation report", ""]
-    for title, header, rows in sections:
+    for title, name, (header, rows) in tables:
+        write_csv(directory / name, header, rows, manifest=manifest)
+        written.append(directory / name)
         parts.extend([f"## {title}", "", markdown_table(header, rows), ""])
     if manifest is not None:
         parts.extend(["---", "", "Manifest: `" + _jsonl.dumps(manifest) + "`", ""])

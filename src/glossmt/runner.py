@@ -19,14 +19,12 @@ as a bearer token) and are never written to records or manifests.
 
 from __future__ import annotations
 
-import json
 import logging
 import os
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from pathlib import Path
 from typing import Any, Sequence
 
 from . import _jsonl
@@ -303,6 +301,4 @@ def write_run_manifest(
         "error_segment_ids": [r.segment_id for r in records if not r.ok],
         "aborted": aborted,
     }
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _jsonl.write_json(path, manifest)

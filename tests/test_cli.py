@@ -318,6 +318,13 @@ class TestExitCodes:
         assert run("translate", "--config", config) == 3
         manifest = json.loads(layout.generation_manifest("en-es").read_text())
         assert manifest["aborted"] is True
+        # The partial records match the manifest (their number depends on
+        # thread timing) and are all errors; nothing past the abort is written.
+        records = runner.read_records(layout.generations("en-es"))
+        assert len(records) == manifest["records"]
+        assert all(not r.ok for r in records)
+        assert not layout.timing("en-es").exists()
+        assert not layout.outputs("en-es").exists()
 
 
 class TestScoreInputs:

@@ -113,3 +113,85 @@ class TestWriters:
         names = {p.name for p in paths}
         assert "mqm_counts.csv" not in names
         assert (tmp_path / "report.md").exists()
+
+
+class TestWholeReport:
+    """Every cell of every table, and report.md byte for byte, for a mixed
+    input: a system with one pair only, an external score on one report,
+    and MQM counts on one cell."""
+
+    def reports(self):
+        en_de, en_es = LanguagePair.from_code("en-de"), LanguagePair.from_code("en-es")
+        return [
+            report(en_es, "zero-shot", bleu=20.5, chrf=45.0, correct=0, total=0),
+            report(en_es, "tuned", bleu=35.9, chrf=57.25, correct=4, total=4, external={"comet22": 0.81}),
+            report(en_de, "tuned", bleu=28.4, chrf=55.0, correct=1, total=3),
+            report(en_es, "baseline", bleu=30.12, chrf=52.5, correct=3, total=4),
+            report(en_de, "baseline", bleu=25.0, chrf=50.125, correct=2, total=5),
+        ]
+
+    entries = [("tuned", "en-es", SeverityCounts(5, 2, 1, 400, "whitespace"))]
+
+    def test_tables_and_markdown(self, tmp_path):
+        assert build_metric_table(self.reports()) == (
+            ["system", "en-de BLEU", "en-de chrF", "en-de comet22", "en-es BLEU", "en-es chrF", "en-es comet22"],
+            [
+                ["baseline", "25.00", "50.12", "", "30.12", "52.50", ""],
+                ["tuned", "28.40", "55.00", "", "35.90", "57.25", "0.81"],
+                ["zero-shot", "", "", "", "20.50", "45.00", ""],
+            ],
+        )
+        assert build_term_accuracy_table(self.reports()) == (
+            ["system", "en-de accuracy", "en-de correct", "en-de expected",
+             "en-es accuracy", "en-es correct", "en-es expected"],
+            [
+                ["baseline", "0.40", "2", "5", "0.75", "3", "4"],
+                ["tuned", "0.33", "1", "3", "1.00", "4", "4"],
+                ["zero-shot", "", "", "", "0.00", "0", "0"],
+            ],
+        )
+        assert build_mqm_counts_table(self.entries) == (
+            ["system", "en-es MIN", "en-es MAJ", "en-es CRIT", "en-es tokens"],
+            [["tuned", "5", "2", "1", "400"]],
+        )
+        assert build_mqm_score_table(self.entries) == (["system", "en-es MQM"], [["tuned", "93.75"]])
+        paths = write_report_files(tmp_path, self.reports(), self.entries, manifest={"config_hash": "h", "seed": 3})
+        assert [p.name for p in paths] == [
+            "metrics.csv", "term_accuracy.csv", "mqm_counts.csv", "mqm_scores.csv", "report.md",
+        ]
+        assert (tmp_path / "report.md").read_text(encoding="utf-8") == (
+            "# Evaluation report\n"
+            "\n"
+            "## Surface metrics\n"
+            "\n"
+            "| system | en-de BLEU | en-de chrF | en-de comet22 | en-es BLEU | en-es chrF | en-es comet22 |\n"
+            "| --- | --- | --- | --- | --- | --- | --- |\n"
+            "| baseline | 25.00 | 50.12 |  | 30.12 | 52.50 |  |\n"
+            "| tuned | 28.40 | 55.00 |  | 35.90 | 57.25 | 0.81 |\n"
+            "| zero-shot |  |  |  | 20.50 | 45.00 |  |\n"
+            "\n"
+            "## Terminology accuracy\n"
+            "\n"
+            "| system | en-de accuracy | en-de correct | en-de expected"
+            " | en-es accuracy | en-es correct | en-es expected |\n"
+            "| --- | --- | --- | --- | --- | --- | --- |\n"
+            "| baseline | 0.40 | 2 | 5 | 0.75 | 3 | 4 |\n"
+            "| tuned | 0.33 | 1 | 3 | 1.00 | 4 | 4 |\n"
+            "| zero-shot |  |  |  | 0.00 | 0 | 0 |\n"
+            "\n"
+            "## MQM severity counts\n"
+            "\n"
+            "| system | en-es MIN | en-es MAJ | en-es CRIT | en-es tokens |\n"
+            "| --- | --- | --- | --- | --- |\n"
+            "| tuned | 5 | 2 | 1 | 400 |\n"
+            "\n"
+            "## MQM scores\n"
+            "\n"
+            "| system | en-es MQM |\n"
+            "| --- | --- |\n"
+            "| tuned | 93.75 |\n"
+            "\n"
+            "---\n"
+            "\n"
+            'Manifest: `{"config_hash": "h","seed": 3}`\n'
+        )
