@@ -25,7 +25,7 @@ from pathlib import Path
 from urllib.parse import quote
 
 from . import _jsonl, corpus, metrics, mqm, postprocess, promptgen, report, runner, terminology
-from .config import COUNTING_SCHEMES, MQM_TOKEN_MODES, PairConfig, PipelineConfig, load_config
+from .config import MQM_TOKEN_MODES, PairConfig, PipelineConfig, load_config
 from .errors import ConfigurationError, DataError, EndpointError, FormatError, UsageError
 
 log = logging.getLogger(__name__)
@@ -204,17 +204,19 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
     return 0
 
 
-def _resolve_scheme(config: PipelineConfig, pair_config: PairConfig, counts_file: Path | None):
+def _external_counts(
+    config: PipelineConfig, pair_config: PairConfig, counts_file: Path | None
+) -> postprocess.ExternalCounts | None:
     if counts_file is not None:
         return postprocess.ExternalCounts.load(counts_file)
-    if config.counting_scheme == "external":
-        if pair_config.external_counts_path is None:
-            raise UsageError(
-                f"pair {pair_config.pair.code}: counting_scheme=external needs "
-                "external_counts in the pair section or --counts-file"
-            )
-        return postprocess.ExternalCounts.load(pair_config.external_counts_path)
-    return config.counting_scheme
+    if config.counting_scheme != postprocess.SCHEME_EXTERNAL:
+        return None
+    if pair_config.external_counts_path is None:
+        raise UsageError(
+            f"pair {pair_config.pair.code}: counting_scheme=external needs "
+            "external_counts in the pair section or --counts-file"
+        )
+    return postprocess.ExternalCounts.load(pair_config.external_counts_path)
 
 
 def _postprocess_pair(
@@ -226,8 +228,8 @@ def _postprocess_pair(
 ) -> dict:
     code = pair_config.pair.code
     template = config.template()
-    scheme = _resolve_scheme(config, pair_config, counts_file)
-    outputs, totals = postprocess.postprocess_batch(records, template, scheme)
+    counts = _external_counts(config, pair_config, counts_file)
+    outputs, totals = postprocess.postprocess_batch(records, template, counts)
     base_manifest = config.manifest()
     postprocess.write_outputs(
         layout.outputs(code), outputs, manifest={**base_manifest, "pair": code}
@@ -452,7 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     translate.add_argument("--resume", action="store_true", help="skip segments already generated")
 
     post = subparsers.add_parser("postprocess", parents=[common], help="re-run cleaning and token counting")
-    post.add_argument("--scheme", choices=COUNTING_SCHEMES, help="override the counting scheme")
+    post.add_argument("--scheme", choices=postprocess.COUNTING_SCHEMES, help="override the counting scheme")
     post.add_argument("--counts-file", type=Path, help="external token counts (JSONL)")
 
     score = subparsers.add_parser("score", parents=[common], help="compute metrics and write score files")

@@ -28,10 +28,10 @@ from pathlib import Path
 
 from .corpus import LanguagePair, SplitSpec
 from .errors import ConfigurationError
+from .postprocess import COUNTING_SCHEMES, SCHEME_WHITESPACE
 from .promptgen import FAMILIES, TemplateSpec, builtin_template, load_template_file
 from .runner import InferenceConfig
 
-COUNTING_SCHEMES = ("whitespace", "external", "no-truncation")
 MQM_TOKEN_MODES = ("raw", "cleaned")
 
 
@@ -238,7 +238,8 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         template_family=_get(parser, "template", "family", str, "flan"),
         template_file=resolve(template_file_raw) if template_file_raw else None,
         inference=inference,
-        counting_scheme=overrides.get("scheme") or _get(parser, "scoring", "counting_scheme", str, "whitespace"),
+        counting_scheme=overrides.get("scheme")
+        or _get(parser, "scoring", "counting_scheme", str, SCHEME_WHITESPACE),
         confidence_threshold=(
             overrides["threshold"]
             if overrides.get("threshold") is not None

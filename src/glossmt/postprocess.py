@@ -1,11 +1,13 @@
 """Cleaning of raw model outputs and token accounting.
 
-Cleaning is end-of-sequence truncation only: output is cut at the first
-occurrence of the template family's marker (over-generation past that point
-— assistant chatter, repeated translations — is dropped). Nothing else is
-stripped; anything more would change what is being evaluated.
+Cleaning is end-of-sequence truncation only: when the template family has a
+marker, output is cut at its first occurrence (over-generation past that
+point — assistant chatter, repeated translations — is dropped); a family
+without one keeps the whole reply. Trailing whitespace is trimmed either
+way. Nothing else is stripped; anything more would change what is being
+evaluated.
 
-Token counting schemes:
+Token counting schemes, which decide the counts and never the cleaning:
 
 * ``whitespace`` — maximal non-space runs; self-contained and fast, but not
   comparable to model-tokenizer counts.
@@ -16,20 +18,17 @@ The scheme is recorded on every output so totals are never mixed."""
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
-from typing import Sequence, Union
+from typing import Sequence
 
 from . import _jsonl
 from .errors import MissingCountError, UsageError
 from .promptgen import TemplateSpec
 from .runner import GenerationRecord
 
-log = logging.getLogger(__name__)
-
 SCHEME_WHITESPACE = "whitespace"
 SCHEME_EXTERNAL = "external"
-SCHEME_NO_TRUNCATION = "no-truncation"
+COUNTING_SCHEMES = (SCHEME_WHITESPACE, SCHEME_EXTERNAL)
 
 
 @dataclass(frozen=True)
@@ -53,9 +52,12 @@ class ModelOutput:
             raise UsageError("counting_scheme must be recorded")
 
 
-def truncate_at_eos(raw: str, marker: str) -> tuple[str, bool]:
+def truncate_at_eos(raw: str, marker: str | None) -> tuple[str, bool]:
     """Cut at the first occurrence of the marker and trim trailing
-    whitespace; (trimmed text, False) when the marker never occurs."""
+    whitespace; (trimmed text, False) when there is no marker or it never
+    occurs."""
+    if marker is None:
+        return raw.rstrip(), False
     if not marker:
         raise UsageError("eos marker must be non-empty")
     position = raw.find(marker)
@@ -104,39 +106,22 @@ class ExternalCounts:
 def postprocess_batch(
     records: Sequence[GenerationRecord],
     template: TemplateSpec,
-    scheme: Union[str, ExternalCounts] = SCHEME_WHITESPACE,
+    counts: ExternalCounts | None = None,
 ) -> tuple[list[ModelOutput], dict]:
     """Clean a batch and aggregate token totals.
 
-    ``scheme`` is "whitespace", "no-truncation" (skip marker truncation for
-    families without a marker; whitespace counting), or an ExternalCounts
-    instance (marker truncation; both counts looked up per segment, since
-    external files carry one count per segment). Error records pass through
-    with empty text and zero counts — they stay visible downstream rather
-    than vanishing from the denominator silently.
+    Each output is cut at the template's eos marker, if it has one. Tokens
+    are counted on whitespace, or, given ``counts``, both counts are looked
+    up per segment (external files carry one count per segment). Error
+    records pass through with empty text and zero counts — they stay visible
+    downstream rather than vanishing from the denominator silently.
     """
-    external = scheme if isinstance(scheme, ExternalCounts) else None
-    if external is None and scheme not in (SCHEME_WHITESPACE, SCHEME_NO_TRUNCATION):
-        raise UsageError(
-            f"scheme must be {SCHEME_WHITESPACE!r}, {SCHEME_NO_TRUNCATION!r}, "
-            f"or an ExternalCounts instance, got {scheme!r}"
-        )
-    truncate = external is not None or scheme == SCHEME_WHITESPACE
-    if truncate and template.eos_marker is None:
-        raise UsageError(
-            f"template family {template.family_id!r} has no eos marker; "
-            f"use scheme {SCHEME_NO_TRUNCATION!r}"
-        )
-    scheme_name = SCHEME_EXTERNAL if external is not None else SCHEME_WHITESPACE
-
+    scheme_name = SCHEME_EXTERNAL if counts is not None else SCHEME_WHITESPACE
     outputs = []
     for record in records:
-        if truncate:
-            cleaned, truncated = truncate_at_eos(record.raw_output, template.eos_marker)
-        else:
-            cleaned, truncated = record.raw_output.rstrip(), False
-        if external is not None:
-            raw_count = cleaned_count = external.count(record.segment_id)
+        cleaned, truncated = truncate_at_eos(record.raw_output, template.eos_marker)
+        if counts is not None:
+            raw_count = cleaned_count = counts.count(record.segment_id)
         else:
             raw_count = count_tokens(record.raw_output)
             cleaned_count = count_tokens(cleaned)

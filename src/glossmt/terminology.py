@@ -1,8 +1,7 @@
 """Glossary ingestion, reliability filtering, and strict term matching.
 
 Glossaries are 4-column TSV files: source term, target term, reliability
-(1-4 stars), domain id. A converter for TBX term-base exports is included
-for producing that TSV from standard terminology dumps.
+(1-4 stars), domain id.
 
 Matching semantics (shared by the matcher, :func:`term_in_text`, and the
 candidate lists rendered into prompts):
@@ -28,11 +27,9 @@ from typing import Iterable, Sequence
 
 from . import _jsonl
 from .corpus import LanguagePair, ParallelSegment, normalize_text, read_text_lines
-from .errors import FormatError, UsageError
+from .errors import UsageError
 
 log = logging.getLogger(__name__)
-
-_XML_LANG = "{http://www.w3.org/XML/1998/namespace}lang"
 
 MIN_RELIABILITY = 1
 MAX_RELIABILITY = 4
@@ -384,55 +381,3 @@ def write_glossary_tsv(path, entries: Iterable[GlossaryEntry], manifest: dict | 
                 [entry.source_term, entry.target_term, entry.reliability, entry.domain_id]
             )
 
-
-# ---------------------------------------------------------------------------
-# TBX conversion
-
-def tbx_to_entries(path, pair: LanguagePair, domain_id: str | None = None) -> list[GlossaryEntry]:
-    """Convert a TBX term-base export into glossary entries.
-
-    For every concept (``termEntry``) holding terms in both languages of the
-    pair, all source-term x target-term combinations are emitted; the pair's
-    reliability is the minimum of the two term reliability codes (missing
-    codes count as 1). ``domain_id``, when given, keeps only concepts whose
-    subjectField contains that id.
-    """
-    # Imported here: no pipeline stage reads TBX, so none pays for the import.
-    import xml.etree.ElementTree as ET
-
-    try:
-        tree = ET.parse(path)
-    except ET.ParseError as exc:
-        raise FormatError(f"not well-formed XML: {exc}", path=path) from exc
-    entries: list[GlossaryEntry] = []
-    for concept in tree.getroot().iter("termEntry"):
-        subject = concept.findtext("descrip[@type='subjectField']", default="")
-        if domain_id is not None:
-            subject_ids = {part.strip() for part in subject.replace(";", ",").split(",")}
-            if domain_id not in subject_ids:
-                continue
-        terms_by_lang: dict[str, list[tuple[str, int]]] = {}
-        for lang_set in concept.iter("langSet"):
-            lang = lang_set.get(_XML_LANG, "").lower()
-            for tig in lang_set.iter("tig"):
-                term = normalize_text(tig.findtext("term", default=""))
-                if not term:
-                    continue
-                reliability_text = tig.findtext("termNote[@type='reliabilityCode']", default="1")
-                try:
-                    reliability = int(reliability_text)
-                except ValueError:
-                    reliability = MIN_RELIABILITY
-                reliability = min(max(reliability, MIN_RELIABILITY), MAX_RELIABILITY)
-                terms_by_lang.setdefault(lang, []).append((term, reliability))
-        for source_term, source_rel in terms_by_lang.get(pair.source_lang, []):
-            for target_term, target_rel in terms_by_lang.get(pair.target_lang, []):
-                entries.append(
-                    GlossaryEntry(
-                        source_term,
-                        target_term,
-                        min(source_rel, target_rel),
-                        subject.strip(),
-                    )
-                )
-    return entries

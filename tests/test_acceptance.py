@@ -417,7 +417,7 @@ def test_07_truncation_and_overgeneration():
             attempts=1,
         ),
     ]
-    outputs, totals = postprocess_batch(records, template, scheme="whitespace")
+    outputs, totals = postprocess_batch(records, template)
     assert outputs[0].cleaned_text == "La dosis diaria."
     assert outputs[0].truncated is True
     assert outputs[2].cleaned_text == ""
@@ -436,7 +436,7 @@ def test_07_truncation_and_overgeneration():
         )
         for o in outputs
     ]
-    reprocessed, _ = postprocess_batch(again, template, scheme="whitespace")
+    reprocessed, _ = postprocess_batch(again, template)
     for before, after in zip(outputs, reprocessed):
         assert after.cleaned_text == before.cleaned_text
         assert after.truncated is False

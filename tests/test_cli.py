@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -140,6 +141,20 @@ class TestPipeline:
         out = capsys.readouterr().out
         assert "bleu=" in out
 
+    def test_default_config_runs_to_score(self, tmp_path, fixtures_dir, stub_endpoint):
+        # No [template] and no [scoring]: the marker-less flan family with
+        # whitespace counting, so nothing is truncated.
+        config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        text = config.read_text(encoding="utf-8")
+        config.write_text(re.sub(r"\[(template|scoring)\]\n(.+\n)+\n", "", text), encoding="utf-8")
+        assert "[template]" not in config.read_text(encoding="utf-8")
+        assert "[scoring]" not in config.read_text(encoding="utf-8")
+        for step in ("ingest", "build", "translate", "score"):
+            assert run(step, "--config", config) == 0
+        rows = read_records(layout.outputs("en-es"), lambda row: row)
+        assert len(rows) == 20
+        assert all(row["truncated"] is False and row["scheme"] == "whitespace" for row in rows)
+
     def test_split_artifact_counts(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = write_project(
             tmp_path, fixtures_dir, stub_endpoint.url + "/echo"
@@ -271,6 +286,22 @@ class TestExitCodes:
     def test_score_has_no_scheme_option(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
         assert run("score", "--config", config, "--scheme", "whitespace") == 1
+        assert_one_line_error(capsys, "usage", "--scheme")
+
+    def test_no_truncation_scheme_in_config_is_usage_error(self, tmp_path, fixtures_dir, capsys):
+        config = project_with(
+            tmp_path,
+            fixtures_dir,
+            "counting_scheme = whitespace",
+            "counting_scheme = no-truncation",
+        )
+        assert run("ingest", "--config", config) == 1
+        assert_one_line_error(capsys, "usage", "counting_scheme")
+
+    def test_no_truncation_scheme_flag_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        capsys.readouterr()
+        assert run("postprocess", "--config", config, "--scheme", "no-truncation") == 1
         assert_one_line_error(capsys, "usage", "--scheme")
 
     def test_unknown_pair_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint):

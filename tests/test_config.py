@@ -28,7 +28,7 @@ top_p = 0.95
 max_new_tokens = 128
 
 [scoring]
-counting_scheme = no-truncation
+counting_scheme = whitespace
 confidence_threshold = 0.5
 mqm_tokens = raw
 
@@ -62,7 +62,7 @@ class TestLoad:
         assert config.template_family == "flan"
         assert config.inference.model_name == "test-model"
         assert config.inference.top_p == 0.95
-        assert config.counting_scheme == "no-truncation"
+        assert config.counting_scheme == "whitespace"
         assert config.confidence_threshold == 0.5
         assert len(config.pairs) == 1
         assert config.pairs[0].pair.code == "en-es"
@@ -125,10 +125,10 @@ class TestOverrides:
     def test_threshold_and_scheme_overrides(self, tmp_path, fixtures_dir):
         config = load_config(
             write_config(tmp_path, fixtures_dir),
-            overrides={"threshold": 0.8, "scheme": "whitespace", "mqm_tokens": "cleaned"},
+            overrides={"threshold": 0.8, "scheme": "external", "mqm_tokens": "cleaned"},
         )
         assert config.confidence_threshold == 0.8
-        assert config.counting_scheme == "whitespace"
+        assert config.counting_scheme == "external"
         assert config.mqm_tokens == "cleaned"
 
     def test_threshold_zero_override_is_respected(self, tmp_path, fixtures_dir):

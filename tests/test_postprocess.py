@@ -93,7 +93,7 @@ class TestBatch:
             record("0", "hola mundo<|im_end|>trailing junk"),
             record("1", "sin marcador aquí"),
         ]
-        outputs, totals = postprocess_batch(records, template, scheme="whitespace")
+        outputs, totals = postprocess_batch(records, template)
         assert outputs[0].cleaned_text == "hola mundo"
         assert outputs[0].truncated is True
         assert outputs[1].cleaned_text == "sin marcador aquí"
@@ -113,27 +113,13 @@ class TestBatch:
         outputs, _ = postprocess_batch(records, template)
         assert all(o.token_count_cleaned <= o.token_count_raw for o in outputs)
 
-    def test_whitespace_scheme_requires_marker(self):
+    def test_template_without_marker_is_not_truncated(self):
         template = builtin_template("flan")  # no eos marker
-        with pytest.raises(UsageError) as exc:
-            postprocess_batch([record("0", "x")], template, scheme="whitespace")
-        assert "no-truncation" in str(exc.value)
-
-    def test_no_truncation_scheme(self):
-        template = builtin_template("flan")
-        outputs, totals = postprocess_batch(
-            [record("0", "la dosis diaria  ")], template, scheme="no-truncation"
-        )
-        assert outputs[0].cleaned_text == "la dosis diaria"
+        outputs, totals = postprocess_batch([record("0", "la dosis<|im_end|> diaria  ")], template)
+        assert outputs[0].cleaned_text == "la dosis<|im_end|> diaria"
         assert outputs[0].truncated is False
-        # counting is still whitespace-based and labeled as such;
-        # the truncated flag records that nothing was cut
         assert totals["counting_scheme"] == "whitespace"
         assert totals["token_total_cleaned"] == 3
-
-    def test_unknown_scheme(self):
-        with pytest.raises(UsageError):
-            postprocess_batch([record("0", "x")], builtin_template("chatml"), scheme="bpe")
 
     def test_error_records_pass_through_empty(self):
         template = builtin_template("chatml")
@@ -148,7 +134,7 @@ class TestBatch:
         template = builtin_template("chatml")
         counts = ExternalCounts({"0": 12, "1": 7})
         records = [record("0", "uno dos<|im_end|>"), record("1", "tres")]
-        outputs, totals = postprocess_batch(records, template, scheme=counts)
+        outputs, totals = postprocess_batch(records, template, counts)
         assert outputs[0].truncated is True
         assert outputs[0].token_count_raw == outputs[0].token_count_cleaned == 12
         assert totals["token_total_raw"] == totals["token_total_cleaned"] == 19
@@ -158,9 +144,7 @@ class TestBatch:
         template = builtin_template("chatml")
         counts = ExternalCounts({"0": 12})
         with pytest.raises(MissingCountError):
-            postprocess_batch(
-                [record("0", "a"), record("9", "b")], template, scheme=counts
-            )
+            postprocess_batch([record("0", "a"), record("9", "b")], template, counts)
 
 
 class TestExternalCountsFile:

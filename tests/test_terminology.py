@@ -21,7 +21,6 @@ from glossmt.terminology import (
     filter_by_reliability,
     load_glossary,
     read_candidates,
-    tbx_to_entries,
     term_in_text,
     write_candidates,
     write_glossary_tsv,
@@ -481,35 +480,6 @@ class TestGlossaryTsvIO:
         loaded = load_glossary(path, en_es)
         assert [e.key for e in loaded.entries] == [e.key for e in entries]
         assert [e.reliability for e in loaded.entries] == [4, 2]
-
-
-class TestTbxConversion:
-    def test_full_file(self, fixtures_dir, en_es):
-        entries = tbx_to_entries(fixtures_dir / "sample.tbx", en_es)
-        keys = {(e.key, e.reliability) for e in entries}
-        assert (("amoxicillin", "amoxicilina"), 3) in keys
-        # concept with no target-language section contributes nothing
-        assert not any(e.key[0] == "orphan term" for e in entries)
-
-    def test_domain_filter(self, fixtures_dir, en_es):
-        entries = tbx_to_entries(fixtures_dir / "sample.tbx", en_es, domain_id="2841")
-        assert len(entries) == 5
-        assert all(e.domain_id for e in entries)
-        # cross-product concept: 2 en x 2 es terms
-        cross = [e for e in entries if e.key[0] in {"adverse reaction", "side effect"}]
-        assert len(cross) == 4
-        # reliability of a pair is the weaker of the two sides; a missing
-        # code counts as 1
-        weakest = {e.key: e.reliability for e in cross}
-        assert min(weakest.values()) == 1
-
-    def test_domain_filter_excludes_other_subjects(self, fixtures_dir, en_es):
-        entries = tbx_to_entries(fixtures_dir / "sample.tbx", en_es, domain_id="2841")
-        assert not any(e.domain_id == "1234" for e in entries)
-
-    def test_missing_file(self, fixtures_dir, en_es):
-        with pytest.raises(OSError):
-            tbx_to_entries(fixtures_dir / "missing.tbx", en_es)
 
 
 class TestFormatErrors:
