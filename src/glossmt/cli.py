@@ -25,7 +25,7 @@ from pathlib import Path
 from urllib.parse import quote
 
 from . import _jsonl, corpus, metrics, mqm, postprocess, promptgen, report, runner, terminology
-from .config import MQM_TOKEN_MODES, PairConfig, PipelineConfig, load_config
+from .config import PairConfig, PipelineConfig, load_config
 from .errors import ConfigurationError, DataError, EndpointError, FormatError, UsageError
 
 log = logging.getLogger(__name__)
@@ -204,31 +204,21 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
     return 0
 
 
-def _external_counts(
-    config: PipelineConfig, pair_config: PairConfig, counts_file: Path | None
-) -> postprocess.ExternalCounts | None:
-    if counts_file is not None:
-        return postprocess.ExternalCounts.load(counts_file)
+def _external_counts(config: PipelineConfig, pair_config: PairConfig) -> postprocess.ExternalCounts | None:
     if config.counting_scheme != postprocess.SCHEME_EXTERNAL:
         return None
     if pair_config.external_counts_path is None:
         raise UsageError(
             f"pair {pair_config.pair.code}: counting_scheme=external needs "
-            "external_counts in the pair section or --counts-file"
+            "external_counts in the pair section"
         )
     return postprocess.ExternalCounts.load(pair_config.external_counts_path)
 
 
-def _postprocess_pair(
-    config: PipelineConfig,
-    layout: Layout,
-    pair_config: PairConfig,
-    records,
-    counts_file: Path | None = None,
-) -> dict:
+def _postprocess_pair(config: PipelineConfig, layout: Layout, pair_config: PairConfig, records) -> dict:
     code = pair_config.pair.code
     template = config.template()
-    counts = _external_counts(config, pair_config, counts_file)
+    counts = _external_counts(config, pair_config)
     outputs, totals = postprocess.postprocess_batch(records, template, counts)
     base_manifest = config.manifest()
     postprocess.write_outputs(
@@ -289,14 +279,12 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
     return 0
 
 
-def cmd_postprocess(
-    config: PipelineConfig, pair_code: str | None = None, counts_file: Path | None = None
-) -> int:
+def cmd_postprocess(config: PipelineConfig, pair_code: str | None = None) -> int:
     layout = Layout(config.output_dir)
     for pair_config in config.select_pairs(pair_code):
         code = pair_config.pair.code
         records = runner.read_records(_require(layout.generations(code), "translate"))
-        totals = _postprocess_pair(config, layout, pair_config, records, counts_file=counts_file)
+        totals = _postprocess_pair(config, layout, pair_config, records)
         print(
             f"{code}: outputs={totals['outputs']} truncated={totals['truncated_count']} "
             f"tokens_raw={totals['token_total_raw']} tokens_cleaned={totals['token_total_cleaned']} "
@@ -305,22 +293,11 @@ def cmd_postprocess(
     return 0
 
 
-def cmd_score(
-    config: PipelineConfig,
-    pair_code: str | None = None,
-    system: str | None = None,
-    annotations: Path | None = None,
-    external_scores: Path | None = None,
-) -> int:
+def cmd_score(config: PipelineConfig, pair_code: str | None = None, system: str | None = None) -> int:
     layout = Layout(config.output_dir)
     system = system or config.inference.model_name
     base_manifest = config.manifest()
-    selected = config.select_pairs(pair_code)
-    if annotations is not None and len(selected) > 1:
-        raise UsageError("--annotations applies to a single pair; use --pair")
-    if external_scores is not None and len(selected) > 1:
-        raise UsageError("--external-scores applies to a single pair; use --pair")
-    for pair_config in selected:
+    for pair_config in config.select_pairs(pair_code):
         code = pair_config.pair.code
         references = corpus.read_segments(
             _require(layout.splits(code), "build"), pair_config.pair, split="test"
@@ -338,9 +315,8 @@ def cmd_score(
         )
         accuracy, correct, total = metrics.term_accuracy(outputs, candidates)
         external = {}
-        scores_path = external_scores or pair_config.external_scores_path
-        if scores_path is not None:
-            external = metrics.load_external_scores(scores_path)
+        if pair_config.external_scores_path is not None:
+            external = metrics.load_external_scores(pair_config.external_scores_path)
         score_report = metrics.ScoreReport(
             pair=pair_config.pair,
             system=system,
@@ -352,9 +328,13 @@ def cmd_score(
             external_scores=external,
         )
         mqm_block = None
-        annotations_path = annotations or pair_config.annotations_path
-        if annotations_path is not None:
-            spans = mqm.load_annotations(annotations_path)
+        if pair_config.annotations_path is not None:
+            # Spans are checked against the text whose tokens are their denominator.
+            raw = config.mqm_tokens == "raw"
+            spans = mqm.load_annotations(
+                pair_config.annotations_path,
+                {o.segment_id: o.raw_text if raw else o.cleaned_text for o in outputs},
+            )
             spans = mqm.filter_by_confidence(spans, config.confidence_threshold)
             token_total, scheme = _read_json(
                 _require(layout.totals(code), "translate"),
@@ -453,36 +433,17 @@ def build_parser() -> argparse.ArgumentParser:
     translate = subparsers.add_parser("translate", parents=[common], help="run test prompts against the endpoint")
     translate.add_argument("--resume", action="store_true", help="skip segments already generated")
 
-    post = subparsers.add_parser("postprocess", parents=[common], help="re-run cleaning and token counting")
-    post.add_argument("--scheme", choices=postprocess.COUNTING_SCHEMES, help="override the counting scheme")
-    post.add_argument("--counts-file", type=Path, help="external token counts (JSONL)")
+    subparsers.add_parser("postprocess", parents=[common], help="re-run cleaning and token counting")
 
     score = subparsers.add_parser("score", parents=[common], help="compute metrics and write score files")
     score.add_argument("--system", help="system name for score files (default: model name)")
-    score.add_argument("--threshold", type=float, help="confidence threshold for annotations")
-    score.add_argument("--annotations", type=Path, help="error-span annotations (JSONL, single pair)")
-    score.add_argument("--external-scores", type=Path, help="external metric scores (JSONL, single pair)")
-    score.add_argument("--mqm-tokens", choices=MQM_TOKEN_MODES, help="MQM token denominator")
 
     subparsers.add_parser("report", parents=[common], help="regenerate report tables from score files")
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    overrides = {}
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if getattr(args, "threshold", None) is not None:
-        overrides["threshold"] = args.threshold
-    if getattr(args, "scheme", None) is not None:
-        overrides["scheme"] = args.scheme
-    if getattr(args, "mqm_tokens", None) is not None:
-        overrides["mqm_tokens"] = args.mqm_tokens
-    return overrides
-
-
 def _dispatch(args: argparse.Namespace) -> int:
-    config = load_config(args.config, overrides=_overrides(args))
+    config = load_config(args.config, seed=args.seed)
     if args.command == "ingest":
         return cmd_ingest(config, pair_code=args.pair)
     if args.command == "build":
@@ -490,15 +451,9 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "translate":
         return cmd_translate(config, pair_code=args.pair, resume=args.resume)
     if args.command == "postprocess":
-        return cmd_postprocess(config, pair_code=args.pair, counts_file=args.counts_file)
+        return cmd_postprocess(config, pair_code=args.pair)
     if args.command == "score":
-        return cmd_score(
-            config,
-            pair_code=args.pair,
-            system=args.system,
-            annotations=args.annotations,
-            external_scores=args.external_scores,
-        )
+        return cmd_score(config, pair_code=args.pair, system=args.system)
     if args.command == "report":
         return cmd_report(config)
     raise UsageError(f"unknown command {args.command!r}")

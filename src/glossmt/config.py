@@ -1,4 +1,4 @@
-"""Pipeline configuration: one declarative INI-style file plus overrides.
+"""Pipeline configuration: one declarative INI-style file.
 
 Sections::
 
@@ -13,9 +13,10 @@ Sections::
     [pair.en-es]  source, target, glossary, (source_name, target_name,
                   annotations, external_scores, external_counts)
 
-One ``[pair.*]`` section per language pair. Command-line flags override
-file values; the resolved configuration is hashed (sha256 over its
-canonical JSON) and that hash is stamped into every artifact manifest.
+One ``[pair.*]`` section per language pair. The file holds every setting
+and input path; only the seed can be overridden, by ``--seed``. The
+resolved configuration is hashed (sha256 over its canonical JSON) and that
+hash is stamped into every artifact manifest.
 """
 
 from __future__ import annotations
@@ -149,12 +150,11 @@ def _get(parser: configparser.ConfigParser, section: str, option: str, kind, def
         raise ConfigurationError(f"[{section}] {option} = {raw!r}: {exc}") from exc
 
 
-def load_config(path, overrides: dict | None = None) -> PipelineConfig:
-    """Parse a config file and apply command-line overrides (which win).
+def load_config(path, seed: int | None = None) -> PipelineConfig:
+    """Parse a config file; ``seed``, when given, replaces the file's seed.
 
-    Recognized override keys: seed, threshold, scheme, mqm_tokens. All
-    paths referenced by the resulting configuration must exist (the output
-    directory is created, not required).
+    All paths referenced by the resulting configuration must exist (the
+    output directory is created, not required).
     """
     path = Path(path)
     if not path.is_file():
@@ -166,14 +166,12 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
 
-    overrides = dict(overrides or {})
     base = path.parent
 
     def resolve(raw: str) -> Path:
         candidate = Path(raw)
         return candidate if candidate.is_absolute() else base / candidate
 
-    seed = overrides.get("seed")
     if seed is None:
         seed = _get(parser, "project", "seed", int, 0)
     output_dir = resolve(_get(parser, "project", "output_dir", str, "out"))
@@ -238,14 +236,9 @@ def load_config(path, overrides: dict | None = None) -> PipelineConfig:
         template_family=_get(parser, "template", "family", str, "flan"),
         template_file=resolve(template_file_raw) if template_file_raw else None,
         inference=inference,
-        counting_scheme=overrides.get("scheme")
-        or _get(parser, "scoring", "counting_scheme", str, SCHEME_WHITESPACE),
-        confidence_threshold=(
-            overrides["threshold"]
-            if overrides.get("threshold") is not None
-            else _get(parser, "scoring", "confidence_threshold", float, 0.0)
-        ),
-        mqm_tokens=overrides.get("mqm_tokens") or _get(parser, "scoring", "mqm_tokens", str, "raw"),
+        counting_scheme=_get(parser, "scoring", "counting_scheme", str, SCHEME_WHITESPACE),
+        confidence_threshold=_get(parser, "scoring", "confidence_threshold", float, 0.0),
+        mqm_tokens=_get(parser, "scoring", "mqm_tokens", str, "raw"),
     )
     _check_paths(config)
     return config

@@ -9,7 +9,7 @@ Severities reduce to the three-level MIN/MAJ/CRIT scheme with fixed weights
 
 unclamped, so heavily penalized systems can go negative. token_total is a
 corpus-level token count whose counting scheme is recorded alongside the
-tallies; a per-segment view is available via mqm_per_segment.
+tallies.
 """
 
 from __future__ import annotations
@@ -115,8 +115,9 @@ def load_annotations(path, outputs_by_id: Mapping[str, str] | None = None) -> li
     """Load spans, rejecting (with a logged count) records whose severity is
     not recognizable, whose confidence is out of [0,1], whose segment id or
     span is not a string, or whose offsets are not consistent integers. When
-    ``outputs_by_id`` (segment_id -> MT text) is given, spans with offsets
-    must slice their output to span_text."""
+    ``outputs_by_id`` (segment_id -> MT text) is given, a span must name one
+    of its segments, and a span with offsets must slice its output to
+    span_text."""
     spans: list[ErrorSpan] = []
     rejected = 0
     for line_number, record in _jsonl.iter_jsonl(path):
@@ -147,17 +148,17 @@ def load_annotations(path, outputs_by_id: Mapping[str, str] | None = None) -> li
             rejected += 1
             log.warning("path=%s line=%d rejected_span reason=invalid", path, line_number)
             continue
-        if (
-            outputs_by_id is not None
-            and span.start is not None
-            and (
-                span.segment_id not in outputs_by_id
-                or outputs_by_id[span.segment_id][span.start : span.end] != span.span_text
-            )
-        ):
-            rejected += 1
-            log.warning("path=%s line=%d rejected_span reason=offsets_mismatch", path, line_number)
-            continue
+        if outputs_by_id is not None:
+            output = outputs_by_id.get(span.segment_id)
+            reason = None
+            if output is None:
+                reason = "unknown_segment"
+            elif span.start is not None and output[span.start : span.end] != span.span_text:
+                reason = "offsets_mismatch"
+            if reason is not None:
+                rejected += 1
+                log.warning("path=%s line=%d rejected_span reason=%s", path, line_number, reason)
+                continue
         spans.append(span)
     if rejected:
         log.info("path=%s rejected_spans=%d loaded=%d", path, rejected, len(spans))
@@ -189,24 +190,3 @@ def mqm_score(counts: SeverityCounts) -> float:
     if counts.token_total <= 0:
         raise UsageError("token_total must be positive for scoring")
     return 100.0 * (1.0 - counts.penalty / counts.token_total)
-
-
-def mqm_per_segment(
-    spans: Sequence[ErrorSpan],
-    token_counts: Mapping[str, int],
-    scheme: str,
-) -> dict[str, float]:
-    """Secondary per-segment view: one MQM score per segment id in
-    ``token_counts`` (segments without spans score 100)."""
-    by_segment: dict[str, list[ErrorSpan]] = {}
-    for span in spans:
-        if span.segment_id not in token_counts:
-            raise UsageError(f"no token count for annotated segment {span.segment_id!r}")
-        by_segment.setdefault(span.segment_id, []).append(span)
-    scores = {}
-    for segment_id, tokens in token_counts.items():
-        scores[segment_id] = mqm_score(
-            tally(by_segment.get(segment_id, []), tokens, scheme)
-        )
-    return scores
-

@@ -1,4 +1,6 @@
+import argparse
 import json
+import logging
 import os
 import re
 import shutil
@@ -11,7 +13,7 @@ import pytest
 import glossmt
 from glossmt import runner
 from glossmt._jsonl import read_records
-from glossmt.cli import Layout, main
+from glossmt.cli import Layout, build_parser, main
 
 CONFIG_TEMPLATE = """\
 [project]
@@ -73,10 +75,21 @@ def run(*argv):
     return main([str(a) for a in argv])
 
 
+def edit_config(config, old, new):
+    text = config.read_text(encoding="utf-8")
+    assert old in text
+    config.write_text(text.replace(old, new), encoding="utf-8")
+
+
+def add_pair_input(config, key, path):
+    """Name an input in the en-es pair section, as one does once it exists."""
+    edit_config(config, "[pair.en-es]\n", f"[pair.en-es]\n{key} = {path}\n")
+
+
 def project_with(tmp_path, fixtures_dir, old, new):
     """A project config with one piece of text replaced."""
     config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
-    config.write_text(config.read_text(encoding="utf-8").replace(old, new), encoding="utf-8")
+    edit_config(config, old, new)
     return config
 
 
@@ -99,7 +112,6 @@ class TestPipeline:
         config, layout = write_project(
             tmp_path, fixtures_dir, stub_endpoint.url + "/echo"
         )
-        annotations = fixtures_dir / "annotations_en_es.jsonl"
 
         assert run("ingest", "--config", config) == 0
         assert layout.corpus("en-es").is_file()
@@ -123,17 +135,20 @@ class TestPipeline:
         assert manifest["errors"] == 0
         assert manifest["aborted"] is False
 
-        assert run("score", "--config", config, "--annotations", annotations) == 0
+        add_pair_input(config, "annotations", fixtures_dir / "annotations_en_es.jsonl")
+        assert run("score", "--config", config) == 0
         score_path = layout.score_file("stub-model", "en-es")
         assert score_path.is_file()
         data = json.loads(score_path.read_text(encoding="utf-8"))
         assert data["report"]["system"] == "stub-model"
         assert 0.0 <= data["report"]["bleu"] <= 100.0
         assert data["report"]["term_total"] >= 0
-        # threshold 0.5 keeps the 0.52 minor and 0.50 major spans
-        assert data["mqm"]["counts"]["minor"] == 1
-        assert data["mqm"]["counts"]["major"] == 1
-        assert data["mqm"]["counts"]["critical"] == 0
+        # The fixture spans sit on segments 4, 10 and 12, none of which is in
+        # the seed-11 test split, so none of them is counted.
+        counts = data["mqm"]["counts"]
+        assert (counts["minor"], counts["major"], counts["critical"]) == (0, 0, 0)
+        assert counts["token_total"] > 0
+        assert data["mqm"]["score"] == 100.0
 
         assert run("report", "--config", config) == 0
         assert (layout.reports_dir() / "report.md").is_file()
@@ -201,24 +216,62 @@ class TestPipeline:
         assert len(records) == 20
         assert all(r.ok and r.raw_output.endswith(" \ud800") for r in records)
 
+    def test_spans_are_checked_against_the_scored_outputs(
+        self, tmp_path, fixtures_dir, stub_endpoint, caplog
+    ):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        outputs = read_records(layout.outputs("en-es"), dict)
+        first, second = outputs[0], outputs[1]
+        word = second["raw"].split()[0]
+        spans = [
+            {"segment_id": first["segment_id"], "span": "x", "severity": "minor", "confidence": 0.9},
+            {"segment_id": second["segment_id"], "span": word, "severity": "major",
+             "confidence": 0.9, "start": 0, "end": len(word)},
+            # not a test segment: rejected with or without offsets
+            {"segment_id": "unknown", "span": "x", "severity": "critical", "confidence": 0.9},
+            {"segment_id": "unknown", "span": "x", "severity": "critical", "confidence": 0.9,
+             "start": 0, "end": 1},
+            # the offsets slice something other than the span text
+            {"segment_id": second["segment_id"], "span": word + "!", "severity": "critical",
+             "confidence": 0.9, "start": 0, "end": len(word)},
+        ]
+        annotations = tmp_path / "spans.jsonl"
+        annotations.write_text("".join(json.dumps(span) + "\n" for span in spans), encoding="utf-8")
+        add_pair_input(config, "annotations", annotations)
+        with caplog.at_level(logging.WARNING):
+            assert run("score", "--config", config) == 0
+        counts = json.loads(layout.score_file("stub-model", "en-es").read_text(encoding="utf-8"))["mqm"]["counts"]
+        assert (counts["minor"], counts["major"], counts["critical"]) == (1, 1, 0)
+        reasons = [m.split("reason=")[1] for m in caplog.messages if "rejected_span" in m]
+        assert reasons == ["unknown_segment", "unknown_segment", "offsets_mismatch"]
+
+
+def run_fresh_process(config, stages, absent_modules):
+    """Run ``stages`` in one new interpreter; fail if it imported any of ``absent_modules``."""
+    script = (
+        "import sys\n"
+        "import glossmt, glossmt.cli\n"
+        f"for stage in {tuple(stages)!r}:\n"
+        "    assert glossmt.cli.main([stage, '--config', sys.argv[1]]) == 0, stage\n"
+        f"for module in {tuple(absent_modules)!r}:\n"
+        "    assert module not in sys.modules, module + ' was imported'\n"
+    )
+    src = str(Path(glossmt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(config)], env=env, capture_output=True, text=True
+    )
+    assert result.returncode == 0, result.stderr
+
 
 class TestStartup:
     def test_ingest_and_build_never_import_requests(self, tmp_path, fixtures_dir):
         config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9")
-        script = (
-            "import sys\n"
-            "import glossmt, glossmt.cli\n"
-            "for stage in ('ingest', 'build'):\n"
-            "    assert glossmt.cli.main([stage, '--config', sys.argv[1]]) == 0, stage\n"
-            "for module in ('requests', 'xml.etree', 'statistics'):\n"
-            "    assert module not in sys.modules, module + ' was imported'\n"
-        )
-        src = str(Path(glossmt.__file__).resolve().parents[1])
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        result = subprocess.run(
-            [sys.executable, "-c", script, str(config)], env=env, capture_output=True, text=True
-        )
-        assert result.returncode == 0, result.stderr
+        run_fresh_process(config, ("ingest", "build"), ("requests", "xml.etree", "statistics"))
+
+    def test_stages_after_translate_never_import_requests(self, tmp_path, fixtures_dir, stub_endpoint):
+        config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        run_fresh_process(config, ("postprocess", "score", "report"), ("requests",))
 
 
 class TestDeterminism:
@@ -280,13 +333,48 @@ class TestExitCodes:
 
     def test_bad_flag_value_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
-        assert run("postprocess", "--config", config, "--scheme", "bogus") == 1
-        capsys.readouterr()
+        assert run("build", "--config", config, "--seed", "bogus") == 1
+        assert_one_line_error(capsys, "usage", "--seed")
 
-    def test_score_has_no_scheme_option(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+    def test_options_are_the_config_seed_pair_resume_and_system(self):
+        subcommands = next(
+            action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
+        )
+        options = {
+            command: {option for action in parser._actions for option in action.option_strings}
+            - {"-h", "--help"}
+            for command, parser in subcommands.choices.items()
+        }
+        common = {"--config", "--seed", "--pair"}
+        assert options == {
+            "ingest": common,
+            "build": common,
+            "translate": common | {"--resume"},
+            "postprocess": common,
+            "score": common | {"--system"},
+            "report": common,
+        }
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "postprocess --scheme external",
+            "postprocess --counts-file counts.jsonl",
+            "score --scheme whitespace",
+            "score --annotations spans.jsonl",
+            "score --external-scores comet.jsonl",
+            "score --threshold 0.5",
+            "score --mqm-tokens cleaned",
+        ],
+    )
+    def test_removed_flag_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys, argv):
+        # These values are set in the config file, where the config hash covers them.
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
-        assert run("score", "--config", config, "--scheme", "whitespace") == 1
-        assert_one_line_error(capsys, "usage", "--scheme")
+        command, flag, value = argv.split()
+        assert run(command, "--config", config, flag, value) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("glossmt: usage error:") and flag in err
 
     def test_no_truncation_scheme_in_config_is_usage_error(self, tmp_path, fixtures_dir, capsys):
         config = project_with(
@@ -298,11 +386,14 @@ class TestExitCodes:
         assert run("ingest", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "counting_scheme")
 
-    def test_no_truncation_scheme_flag_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+    def test_no_truncation_scheme_at_postprocess_is_usage_error(
+        self, tmp_path, fixtures_dir, stub_endpoint, capsys
+    ):
         config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         capsys.readouterr()
-        assert run("postprocess", "--config", config, "--scheme", "no-truncation") == 1
-        assert_one_line_error(capsys, "usage", "--scheme")
+        edit_config(config, "counting_scheme = whitespace", "counting_scheme = no-truncation")
+        assert run("postprocess", "--config", config) == 1
+        assert_one_line_error(capsys, "usage", "counting_scheme")
 
     def test_unknown_pair_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint):
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
@@ -369,15 +460,15 @@ class TestScoreInputs:
     def test_missing_totals_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         layout.totals("en-es").unlink()
-        annotations = fixtures_dir / "annotations_en_es.jsonl"
-        assert run("score", "--config", config, "--annotations", annotations) == 1
+        add_pair_input(config, "annotations", fixtures_dir / "annotations_en_es.jsonl")
+        assert run("score", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "run `glossmt translate` first")
 
     def test_corrupt_totals_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         layout.totals("en-es").write_text('{"totals": {}}\n', encoding="utf-8")
-        annotations = fixtures_dir / "annotations_en_es.jsonl"
-        assert run("score", "--config", config, "--annotations", annotations) == 2
+        add_pair_input(config, "annotations", fixtures_dir / "annotations_en_es.jsonl")
+        assert run("score", "--config", config) == 2
         assert_one_line_error(capsys, "data", "bad totals file")
 
     def test_missing_candidates_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
@@ -535,41 +626,29 @@ class TestResume:
 
 class TestPostprocessCommand:
     def test_external_counts_scheme(self, tmp_path, fixtures_dir, stub_endpoint):
-        config, layout = write_project(
-            tmp_path, fixtures_dir, stub_endpoint.url + "/echo"
-        )
-        for step in ("ingest", "build", "translate"):
-            assert run(step, "--config", config) == 0
-        generation_rows = [
-            json.loads(line)
-            for line in layout.generations("en-es").read_text(encoding="utf-8").splitlines()[1:]
-        ]
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        whitespace_hash = json.loads(layout.totals("en-es").read_text(encoding="utf-8"))["config_hash"]
         counts_file = tmp_path / "counts.jsonl"
         counts_file.write_text(
             "".join(
                 json.dumps({"segment_id": row["segment_id"], "token_count": 7}) + "\n"
-                for row in generation_rows
+                for row in read_records(layout.generations("en-es"), dict)
             ),
             encoding="utf-8",
         )
-        assert (
-            run(
-                "postprocess",
-                "--config",
-                config,
-                "--scheme",
-                "external",
-                "--counts-file",
-                counts_file,
-            )
-            == 0
-        )
-        totals = json.loads(layout.totals("en-es").read_text(encoding="utf-8"))["totals"]
+        edit_config(config, "counting_scheme = whitespace", "counting_scheme = external")
+        add_pair_input(config, "external_counts", counts_file)
+        assert run("postprocess", "--config", config) == 0
+        data = json.loads(layout.totals("en-es").read_text(encoding="utf-8"))
+        totals = data["totals"]
         assert totals["counting_scheme"] == "external"
         assert totals["token_total_raw"] == totals["token_total_cleaned"] == 7 * 20
+        # The switch is in the config, so the totals carry a new hash.
+        assert data["config_hash"] != whitespace_hash
 
-    def test_external_scheme_requires_counts_file(self, tmp_path, fixtures_dir, stub_endpoint):
-        config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
-        for step in ("ingest", "build", "translate"):
-            assert run(step, "--config", config) == 0
-        assert run("postprocess", "--config", config, "--scheme", "external") == 1
+    def test_external_scheme_requires_counts_file(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        capsys.readouterr()
+        edit_config(config, "counting_scheme = whitespace", "counting_scheme = external")
+        assert run("postprocess", "--config", config) == 1
+        assert_one_line_error(capsys, "usage", "external_counts")

@@ -52,6 +52,13 @@ def write_config(tmp_path, fixtures_dir, extra="", **fields):
     return path
 
 
+def replace_in(path, old, new):
+    text = path.read_text(encoding="utf-8")
+    assert old in text
+    path.write_text(text.replace(old, new), encoding="utf-8")
+    return path
+
+
 class TestLoad:
     def test_full_load(self, tmp_path, fixtures_dir):
         config = load_config(write_config(tmp_path, fixtures_dir))
@@ -116,64 +123,49 @@ class TestLoad:
 
 class TestOverrides:
     def test_seed_override_wins_and_propagates_to_split(self, tmp_path, fixtures_dir):
-        config = load_config(
-            write_config(tmp_path, fixtures_dir), overrides={"seed": 99}
-        )
+        config = load_config(write_config(tmp_path, fixtures_dir), seed=99)
         assert config.seed == 99
         assert config.split.seed == 99
 
-    def test_threshold_and_scheme_overrides(self, tmp_path, fixtures_dir):
-        config = load_config(
-            write_config(tmp_path, fixtures_dir),
-            overrides={"threshold": 0.8, "scheme": "external", "mqm_tokens": "cleaned"},
-        )
-        assert config.confidence_threshold == 0.8
-        assert config.counting_scheme == "external"
-        assert config.mqm_tokens == "cleaned"
-
-    def test_threshold_zero_override_is_respected(self, tmp_path, fixtures_dir):
-        config = load_config(
-            write_config(tmp_path, fixtures_dir), overrides={"threshold": 0.0}
-        )
-        assert config.confidence_threshold == 0.0
+    def test_seed_zero_override_is_respected(self, tmp_path, fixtures_dir):
+        config = load_config(write_config(tmp_path, fixtures_dir), seed=0)
+        assert config.seed == 0
+        assert config.split.seed == 0
 
 
 class TestValidation:
     def test_unknown_scheme_rejected(self, tmp_path, fixtures_dir):
-        with pytest.raises(ConfigurationError):
-            load_config(
-                write_config(tmp_path, fixtures_dir), overrides={"scheme": "bpe"}
-            )
+        path = replace_in(
+            write_config(tmp_path, fixtures_dir), "counting_scheme = whitespace", "counting_scheme = bpe"
+        )
+        with pytest.raises(ConfigurationError, match="counting_scheme"):
+            load_config(path)
 
     def test_unknown_mqm_tokens_rejected(self, tmp_path, fixtures_dir):
-        with pytest.raises(ConfigurationError):
-            load_config(
-                write_config(tmp_path, fixtures_dir),
-                overrides={"mqm_tokens": "subword"},
-            )
+        path = replace_in(write_config(tmp_path, fixtures_dir), "mqm_tokens = raw", "mqm_tokens = subword")
+        with pytest.raises(ConfigurationError, match="mqm_tokens"):
+            load_config(path)
 
     def test_unknown_template_family_rejected(self, tmp_path, fixtures_dir):
-        path = write_config(tmp_path, fixtures_dir)
-        text = path.read_text(encoding="utf-8").replace("family = flan", "family = gpt9")
-        path.write_text(text, encoding="utf-8")
+        path = replace_in(write_config(tmp_path, fixtures_dir), "family = flan", "family = gpt9")
         with pytest.raises(ConfigurationError):
             load_config(path)
 
     def test_template_file_wins_over_family(self, tmp_path, fixtures_dir):
-        path = write_config(tmp_path, fixtures_dir)
-        text = path.read_text(encoding="utf-8").replace(
+        path = replace_in(
+            write_config(tmp_path, fixtures_dir),
             "family = flan",
             f"family = flan\nfile = {fixtures_dir / 'custom_template.txt'}",
         )
-        path.write_text(text, encoding="utf-8")
         config = load_config(path)
         assert config.template().family_id == "demo"
 
     def test_threshold_out_of_range_rejected(self, tmp_path, fixtures_dir):
-        with pytest.raises(ConfigurationError):
-            load_config(
-                write_config(tmp_path, fixtures_dir), overrides={"threshold": 1.5}
-            )
+        path = replace_in(
+            write_config(tmp_path, fixtures_dir), "confidence_threshold = 0.5", "confidence_threshold = 1.5"
+        )
+        with pytest.raises(ConfigurationError, match="confidence_threshold"):
+            load_config(path)
 
 
 class TestHashing:
@@ -183,8 +175,8 @@ class TestHashing:
 
     def test_hash_changes_with_seed(self, tmp_path, fixtures_dir):
         path = write_config(tmp_path, fixtures_dir)
-        first = load_config(path, overrides={"seed": 1}).config_hash()
-        second = load_config(path, overrides={"seed": 2}).config_hash()
+        first = load_config(path, seed=1).config_hash()
+        second = load_config(path, seed=2).config_hash()
         assert first != second
 
     def test_manifest_fields(self, tmp_path, fixtures_dir):

@@ -11,7 +11,6 @@ from glossmt.mqm import (
     SeverityCounts,
     filter_by_confidence,
     load_annotations,
-    mqm_per_segment,
     mqm_score,
     normalize_severity,
     tally,
@@ -200,6 +199,21 @@ class TestLoadAnnotations:
         assert len(spans) == 1
         assert spans[0].start == 0
 
+    def test_unknown_segment_rejected_with_or_without_offsets(self, tmp_path, caplog):
+        path = tmp_path / "annotations.jsonl"
+        path.write_text(
+            '{"segment_id": "0", "span": "luz", "severity": "MIN", "confidence": 0.9}\n'
+            '{"segment_id": "9", "span": "luz", "severity": "MIN", "confidence": 0.9}\n'
+            '{"segment_id": "9", "span": "luz", "severity": "MIN", "confidence": 0.9, "start": 0, "end": 3}\n',
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING):
+            spans = load_annotations(path, outputs_by_id={"0": "luz amarilla"})
+        assert [s.segment_id for s in spans] == ["0"]
+        assert sum("reason=unknown_segment" in m for m in caplog.messages) == 2
+        # Without outputs to check against, every well-formed span loads.
+        assert len(load_annotations(path)) == 3
+
     def test_severity_aliases_accepted(self, tmp_path):
         path = tmp_path / "annotations.jsonl"
         path.write_text(
@@ -209,18 +223,6 @@ class TestLoadAnnotations:
         )
         spans = load_annotations(path)
         assert [s.severity for s in spans] == ["MIN", "CRIT"]
-
-
-class TestPerSegment:
-    def test_unannotated_segments_score_100(self):
-        spans = [span(sid="0", severity="MAJ")]
-        scores = mqm_per_segment(spans, {"0": 10, "1": 10}, scheme="w")
-        assert scores["0"] == pytest.approx(100.0 * (1 - 5 / 10))
-        assert scores["1"] == 100.0
-
-    def test_span_without_token_count_rejected(self):
-        with pytest.raises(UsageError):
-            mqm_per_segment([span(sid="9")], {"0": 10}, scheme="w")
 
 
 class TestRoundTrip:
