@@ -7,51 +7,4 @@ against a completion-style HTTP endpoint, clean the outputs, and score them
 (BLEU, chrF, terminology accuracy, MQM from error-span annotations).
 """
 
-from .corpus import LanguagePair, ParallelSegment, SplitSpec
-from .errors import (
-    AlignmentError,
-    ConfigurationError,
-    DataError,
-    EndpointError,
-    FormatError,
-    GlossmtError,
-    MissingCountError,
-    TemplateError,
-    UsageError,
-)
-from .metrics import ScoreReport
-from .mqm import ErrorSpan, SeverityCounts
-from .postprocess import ModelOutput
-from .promptgen import InstructionExample, TemplateSpec
-from .runner import GenerationRecord, InferenceConfig
-from .terminology import Glossary, GlossaryEntry, TermMatcher, TermPair
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlignmentError",
-    "ConfigurationError",
-    "DataError",
-    "EndpointError",
-    "ErrorSpan",
-    "FormatError",
-    "GenerationRecord",
-    "Glossary",
-    "GlossaryEntry",
-    "GlossmtError",
-    "InferenceConfig",
-    "InstructionExample",
-    "LanguagePair",
-    "MissingCountError",
-    "ModelOutput",
-    "ParallelSegment",
-    "ScoreReport",
-    "SeverityCounts",
-    "SplitSpec",
-    "TemplateError",
-    "TemplateSpec",
-    "TermMatcher",
-    "TermPair",
-    "UsageError",
-    "__version__",
-]

@@ -13,6 +13,9 @@ data goes to files and standard output only. Every artifact carries a
 manifest with the resolved-config hash and the seed, and every subcommand
 is re-runnable: same config and seed give byte-identical artifacts (timing
 lives in a separate sidecar).
+
+Each command imports only the stage modules it calls, so ``ingest`` and
+``build`` never load the runner, the metrics or the report writer.
 """
 
 from __future__ import annotations
@@ -24,9 +27,12 @@ import sys
 from pathlib import Path
 from urllib.parse import quote
 
-from . import _jsonl, corpus, metrics, mqm, postprocess, promptgen, report, runner, terminology
-from .config import PairConfig, PipelineConfig, load_config
-from .errors import ConfigurationError, DataError, EndpointError, FormatError, UsageError
+# Each command imports the stage modules it calls: a stage runs in its own
+# process, and should not pay for loading the others. Calls go through the
+# module (runner.generate_batch), where perfbench/trace_stage.py wraps them.
+from . import _jsonl, corpus, terminology
+from .config import SCHEME_EXTERNAL, PairConfig, PipelineConfig, load_config
+from .errors import DataError, EndpointError, FormatError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -147,6 +153,8 @@ def _load_matcher(layout: Layout, pair_config: PairConfig) -> terminology.TermMa
 
 
 def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
+    from . import promptgen
+
     layout = Layout(config.output_dir)
     template = config.template()
     base_manifest = config.manifest()
@@ -204,8 +212,11 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
     return 0
 
 
-def _external_counts(config: PipelineConfig, pair_config: PairConfig) -> postprocess.ExternalCounts | None:
-    if config.counting_scheme != postprocess.SCHEME_EXTERNAL:
+def _external_counts(config: PipelineConfig, pair_config: PairConfig):
+    """The pair's ExternalCounts under the ``external`` scheme, else None."""
+    from . import postprocess
+
+    if config.counting_scheme != SCHEME_EXTERNAL:
         return None
     if pair_config.external_counts_path is None:
         raise UsageError(
@@ -215,10 +226,11 @@ def _external_counts(config: PipelineConfig, pair_config: PairConfig) -> postpro
     return postprocess.ExternalCounts.load(pair_config.external_counts_path)
 
 
-def _postprocess_pair(config: PipelineConfig, layout: Layout, pair_config: PairConfig, records) -> dict:
+def _postprocess_pair(config: PipelineConfig, layout: Layout, pair_config: PairConfig, records, counts) -> dict:
+    from . import postprocess
+
     code = pair_config.pair.code
     template = config.template()
-    counts = _external_counts(config, pair_config)
     outputs, totals = postprocess.postprocess_batch(records, template, counts)
     base_manifest = config.manifest()
     postprocess.write_outputs(
@@ -229,9 +241,13 @@ def _postprocess_pair(config: PipelineConfig, layout: Layout, pair_config: PairC
 
 
 def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: bool = False) -> int:
+    from . import promptgen, runner
+
     layout = Layout(config.output_dir)
     base_manifest = config.manifest()
-    for pair_config in config.select_pairs(pair_code):
+    selected = config.select_pairs(pair_code)
+    counts_by_pair = [_external_counts(config, p) for p in selected]  # before any request
+    for pair_config, counts in zip(selected, counts_by_pair):
         code = pair_config.pair.code
         examples = promptgen.read_dataset(_require(layout.test_dataset(code), "build"), pair_config.pair)
         completed: dict[str, runner.GenerationRecord] = {}
@@ -269,7 +285,7 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
         if aborted is not None:
             raise aborted
         runner.write_timing_sidecar(layout.timing(code), records)
-        totals = _postprocess_pair(config, layout, pair_config, records)
+        totals = _postprocess_pair(config, layout, pair_config, records, counts)
         errors = sum(1 for r in records if not r.ok)
         print(
             f"{code}: records={len(records)} errors={errors} "
@@ -280,11 +296,14 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
 
 
 def cmd_postprocess(config: PipelineConfig, pair_code: str | None = None) -> int:
+    from . import runner
+
     layout = Layout(config.output_dir)
     for pair_config in config.select_pairs(pair_code):
         code = pair_config.pair.code
+        counts = _external_counts(config, pair_config)
         records = runner.read_records(_require(layout.generations(code), "translate"))
-        totals = _postprocess_pair(config, layout, pair_config, records)
+        totals = _postprocess_pair(config, layout, pair_config, records, counts)
         print(
             f"{code}: outputs={totals['outputs']} truncated={totals['truncated_count']} "
             f"tokens_raw={totals['token_total_raw']} tokens_cleaned={totals['token_total_cleaned']} "
@@ -294,6 +313,8 @@ def cmd_postprocess(config: PipelineConfig, pair_code: str | None = None) -> int
 
 
 def cmd_score(config: PipelineConfig, pair_code: str | None = None, system: str | None = None) -> int:
+    from . import metrics, mqm, postprocess
+
     layout = Layout(config.output_dir)
     system = system or config.inference.model_name
     base_manifest = config.manifest()
@@ -316,9 +337,9 @@ def cmd_score(config: PipelineConfig, pair_code: str | None = None, system: str 
         accuracy, correct, total = metrics.term_accuracy(outputs, candidates)
         external = {}
         if pair_config.external_scores_path is not None:
-            external = metrics.load_external_scores(pair_config.external_scores_path)
+            external = metrics.load_external_scores(pair_config.external_scores_path, outputs_by_id)
         score_report = metrics.ScoreReport(
-            pair=pair_config.pair,
+            pair=code,
             system=system,
             bleu=metrics.bleu(hypotheses, reference_texts),
             chrf=metrics.chrf(hypotheses, reference_texts),
@@ -365,35 +386,27 @@ def cmd_score(config: PipelineConfig, pair_code: str | None = None, system: str 
     return 0
 
 
-def _collect_scores(config: PipelineConfig, layout: Layout):
-    reports = []
-    mqm_entries = []
-    known_pairs = {p.pair.code: p.pair for p in config.pairs}
+def _collect_scores(layout: Layout):
+    from . import metrics, mqm
 
     def read_score_file(data):
-        code = _jsonl.field(data["report"], "pair")
-        pair = known_pairs.get(code)
-        if pair is None:
-            try:
-                pair = corpus.LanguagePair.from_code(code)
-            except ConfigurationError:
-                return code, None, None
         counts = mqm.SeverityCounts.from_dict(data["mqm"]["counts"]) if data.get("mqm") else None
-        return code, metrics.ScoreReport.from_dict(data["report"], pair), counts
+        return metrics.ScoreReport.from_dict(data["report"]), counts
 
+    reports = []
+    mqm_entries = []
     for path in sorted(layout.scores_dir().glob("*.json")):
-        code, score_report, counts = _read_json(path, "score file", read_score_file)
-        if score_report is None:
-            log.warning("score_file=%s unknown_pair=%s skipped", path, code)
-            continue
+        score_report, counts = _read_json(path, "score file", read_score_file)
         reports.append(score_report)
         if counts is not None:
-            mqm_entries.append((score_report.system, code, counts))
+            mqm_entries.append((score_report.system, score_report.pair, counts))
     return reports, mqm_entries
 
 
 def _write_reports(config: PipelineConfig, layout: Layout) -> list[Path]:
-    reports, mqm_entries = _collect_scores(config, layout)
+    from . import report
+
+    reports, mqm_entries = _collect_scores(layout)
     if not reports and not mqm_entries:
         raise UsageError(f"no score files under {layout.scores_dir()}; run `glossmt score` first")
     return report.write_report_files(

@@ -17,6 +17,10 @@ One ``[pair.*]`` section per language pair. The file holds every setting
 and input path; only the seed can be overridden, by ``--seed``. The
 resolved configuration is hashed (sha256 over its canonical JSON) and that
 hash is stamped into every artifact manifest.
+
+Every stage reads its config first, so this module owns the value checks
+(``InferenceConfig`` and the counting-scheme names included) and imports no
+stage module but ``corpus`` and ``promptgen``.
 """
 
 from __future__ import annotations
@@ -26,14 +30,70 @@ import hashlib
 import json
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Any
 
 from .corpus import LanguagePair, SplitSpec
 from .errors import ConfigurationError
-from .postprocess import COUNTING_SCHEMES, SCHEME_WHITESPACE
 from .promptgen import FAMILIES, TemplateSpec, builtin_template, load_template_file
-from .runner import InferenceConfig
 
+SCHEME_WHITESPACE = "whitespace"
+SCHEME_EXTERNAL = "external"
+COUNTING_SCHEMES = (SCHEME_WHITESPACE, SCHEME_EXTERNAL)
 MQM_TOKEN_MODES = ("raw", "cleaned")
+
+
+@dataclass(frozen=True)
+class InferenceConfig:
+    endpoint_url: str
+    model_name: str
+    top_p: float = 0.9
+    temperature: float | None = None
+    max_new_tokens: int = 512
+    request_timeout: float = 60.0
+    max_concurrent_requests: int = 1
+    max_retries: int = 2
+    retry_backoff: float = 0.5
+
+    def __post_init__(self):
+        if not self.endpoint_url:
+            raise ConfigurationError("endpoint_url must be non-empty")
+        if not self.model_name:
+            raise ConfigurationError("model_name must be non-empty")
+        if not 0 < self.top_p <= 1:
+            raise ConfigurationError(f"top_p must be in (0,1], got {self.top_p}")
+        if self.temperature is not None and self.temperature < 0:
+            raise ConfigurationError("temperature must be nonnegative")
+        if self.max_new_tokens < 1:
+            raise ConfigurationError("max_new_tokens must be positive")
+        if self.request_timeout <= 0:
+            raise ConfigurationError("request_timeout must be positive")
+        if self.max_concurrent_requests < 1:
+            raise ConfigurationError("max_concurrent_requests must be >= 1")
+        if self.max_retries < 0:
+            raise ConfigurationError("max_retries must be >= 0")
+        if self.retry_backoff < 0:
+            raise ConfigurationError("retry_backoff must be >= 0")
+
+    def snapshot(self) -> dict[str, Any]:
+        """The request settings stored on every record (token-free)."""
+        return {
+            "endpoint_url": self.endpoint_url,
+            "model": self.model_name,
+            "top_p": self.top_p,
+            "temperature": self.temperature,
+            "max_tokens": self.max_new_tokens,
+        }
+
+    def payload(self, prompt: str) -> dict[str, Any]:
+        body: dict[str, Any] = {
+            "model": self.model_name,
+            "prompt": prompt,
+            "top_p": self.top_p,
+            "max_tokens": self.max_new_tokens,
+        }
+        if self.temperature is not None:
+            body["temperature"] = self.temperature
+        return body
 
 
 @dataclass(frozen=True)

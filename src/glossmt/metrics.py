@@ -15,19 +15,23 @@ ingested from external score files and merged into reports.
 
 from __future__ import annotations
 
+import logging
 import math
 import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Sequence
+from typing import TYPE_CHECKING, Collection, Sequence
 
 from . import _jsonl
-from .corpus import LanguagePair
 from .errors import UsageError
-from .postprocess import ModelOutput
 from .prng import SplitMix64
 from .terminology import TermPair, terms_in_text
+
+if TYPE_CHECKING:
+    from .postprocess import ModelOutput
+
+log = logging.getLogger(__name__)
 
 BLEU_MAX_ORDER = 4
 CHRF_MAX_ORDER = 6
@@ -252,9 +256,9 @@ def significance_test(
 
 @dataclass(frozen=True)
 class ScoreReport:
-    """Per (system, pair) evaluation summary."""
+    """Per (system, pair) evaluation summary; ``pair`` is the pair code."""
 
-    pair: LanguagePair
+    pair: str
     system: str
     bleu: float
     chrf: float
@@ -264,6 +268,8 @@ class ScoreReport:
     external_scores: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.pair, str) or not self.pair:
+            raise UsageError(f"pair must be a non-empty code, got {self.pair!r}")
         if not self.system:
             raise UsageError("system name must be non-empty")
         if not 0.0 <= self.bleu <= 100.0:
@@ -281,7 +287,7 @@ class ScoreReport:
 
     def to_dict(self) -> dict:
         return {
-            "pair": self.pair.code,
+            "pair": self.pair,
             "system": self.system,
             "bleu": self.bleu,
             "chrf": self.chrf,
@@ -292,9 +298,9 @@ class ScoreReport:
         }
 
     @classmethod
-    def from_dict(cls, data: dict, pair: LanguagePair) -> "ScoreReport":
+    def from_dict(cls, data: dict) -> "ScoreReport":
         return cls(
-            pair=pair,
+            pair=data["pair"],
             system=data["system"],
             bleu=data["bleu"],
             chrf=data["chrf"],
@@ -305,21 +311,33 @@ class ScoreReport:
         )
 
 
-def load_external_scores(path) -> dict[str, float]:
-    """Mean per metric name over a JSONL file of {segment_id, name, value}."""
+def load_external_scores(path, segment_ids: Collection[str] | None = None) -> dict[str, float]:
+    """Mean per metric name over a JSONL file of {segment_id, name, value}.
+    Rejected with a logged reason: a repeated (segment_id, name) and, given
+    ``segment_ids`` (the scored segments), a row on any other segment."""
 
-    def build(record) -> tuple[str, float]:
+    def build(record) -> tuple[str, str, float]:
+        segment_id = _jsonl.field(record, "segment_id")
         name = _jsonl.field(record, "name")
         if not name:
             raise ValueError("name must be non-empty")
         value = float(_jsonl.field(record, "value", (int, float)))
         if not math.isfinite(value):
             raise ValueError(f"value must be finite, got {value}")
-        return name, value
+        return segment_id, name, value
 
     values: dict[str, list[float]] = {}
-    for name, value in _jsonl.read_records(path, build):
-        values.setdefault(name, []).append(value)
+    seen: set[tuple[str, str]] = set()
+    for segment_id, name, value in _jsonl.read_records(path, build):
+        if segment_ids is not None and segment_id not in segment_ids:
+            reason = "unknown_segment"
+        elif (segment_id, name) in seen:
+            reason = "duplicate"
+        else:
+            seen.add((segment_id, name))
+            values.setdefault(name, []).append(value)
+            continue
+        log.warning("path=%s segment_id=%r name=%r rejected_score reason=%s", path, segment_id, name, reason)
     return {name: _mean(vals) for name, vals in sorted(values.items())}
 
 

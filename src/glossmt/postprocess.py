@@ -19,16 +19,15 @@ The scheme is recorded on every output so totals are never mixed."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 from . import _jsonl
+from .config import SCHEME_EXTERNAL, SCHEME_WHITESPACE
 from .errors import MissingCountError, UsageError
-from .promptgen import TemplateSpec
-from .runner import GenerationRecord
 
-SCHEME_WHITESPACE = "whitespace"
-SCHEME_EXTERNAL = "external"
-COUNTING_SCHEMES = (SCHEME_WHITESPACE, SCHEME_EXTERNAL)
+if TYPE_CHECKING:
+    from .promptgen import TemplateSpec
+    from .runner import GenerationRecord
 
 
 @dataclass(frozen=True)

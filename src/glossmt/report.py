@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Any, Callable, Sequence
+from typing import TYPE_CHECKING, Any, Callable, Sequence
 
 from . import _jsonl
-from .metrics import ScoreReport
 from .mqm import SeverityCounts, mqm_score
+
+if TYPE_CHECKING:
+    from .metrics import ScoreReport
 
 
 def _fmt(value: float) -> str:
@@ -68,7 +70,7 @@ def _pivot(
 
 
 def _by_report(reports: Sequence[ScoreReport]) -> list[tuple[str, str, ScoreReport]]:
-    return [(r.system, r.pair.code, r) for r in reports]
+    return [(r.system, r.pair, r) for r in reports]
 
 
 def build_metric_table(reports: Sequence[ScoreReport]) -> tuple[list[str], list[list[str]]]:

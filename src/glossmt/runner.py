@@ -25,70 +25,19 @@ import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Sequence
+from typing import TYPE_CHECKING, Any, Sequence
 
 from . import _jsonl
-from .errors import ConfigurationError, EndpointError, UsageError
+from .errors import EndpointError, UsageError
+
+if TYPE_CHECKING:
+    from .config import InferenceConfig
 
 log = logging.getLogger(__name__)
 
 TOKEN_ENV_VAR = "GLOSSMT_API_TOKEN"
 
 _RETRYABLE_STATUS = frozenset({429, *range(500, 600)})
-
-
-@dataclass(frozen=True)
-class InferenceConfig:
-    endpoint_url: str
-    model_name: str
-    top_p: float = 0.9
-    temperature: float | None = None
-    max_new_tokens: int = 512
-    request_timeout: float = 60.0
-    max_concurrent_requests: int = 1
-    max_retries: int = 2
-    retry_backoff: float = 0.5
-
-    def __post_init__(self):
-        if not self.endpoint_url:
-            raise ConfigurationError("endpoint_url must be non-empty")
-        if not self.model_name:
-            raise ConfigurationError("model_name must be non-empty")
-        if not 0 < self.top_p <= 1:
-            raise ConfigurationError(f"top_p must be in (0,1], got {self.top_p}")
-        if self.temperature is not None and self.temperature < 0:
-            raise ConfigurationError("temperature must be nonnegative")
-        if self.max_new_tokens < 1:
-            raise ConfigurationError("max_new_tokens must be positive")
-        if self.request_timeout <= 0:
-            raise ConfigurationError("request_timeout must be positive")
-        if self.max_concurrent_requests < 1:
-            raise ConfigurationError("max_concurrent_requests must be >= 1")
-        if self.max_retries < 0:
-            raise ConfigurationError("max_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ConfigurationError("retry_backoff must be >= 0")
-
-    def snapshot(self) -> dict[str, Any]:
-        """The request settings stored on every record (token-free)."""
-        return {
-            "endpoint_url": self.endpoint_url,
-            "model": self.model_name,
-            "top_p": self.top_p,
-            "temperature": self.temperature,
-            "max_tokens": self.max_new_tokens,
-        }
-
-    def payload(self, prompt: str) -> dict[str, Any]:
-        body: dict[str, Any] = {
-            "model": self.model_name,
-            "prompt": prompt,
-            "top_p": self.top_p,
-            "max_tokens": self.max_new_tokens,
-        }
-        if self.temperature is not None:
-            body["temperature"] = self.temperature
-        return body
 
 
 @dataclass(frozen=True)

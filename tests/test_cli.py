@@ -245,6 +245,40 @@ class TestPipeline:
         reasons = [m.split("reason=")[1] for m in caplog.messages if "rejected_span" in m]
         assert reasons == ["unknown_segment", "unknown_segment", "offsets_mismatch"]
 
+    def test_external_scores_are_checked_against_the_scored_outputs(
+        self, tmp_path, fixtures_dir, stub_endpoint, caplog
+    ):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        first, second = (row["segment_id"] for row in read_records(layout.outputs("en-es"), dict)[:2])
+        rows = [{"segment_id": "no-such-id", "name": "comet22", "value": 0.9}] * 3 + [
+            {"segment_id": first, "name": "xcomet", "value": 0.25},
+            {"segment_id": first, "name": "xcomet", "value": 1.0},
+            {"segment_id": second, "name": "xcomet", "value": 0.75},
+        ]
+        scores = tmp_path / "external.jsonl"
+        scores.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+        add_pair_input(config, "external_scores", scores)
+        with caplog.at_level(logging.WARNING):
+            assert run("score", "--config", config) == 0
+        data = json.loads(layout.score_file("stub-model", "en-es").read_text(encoding="utf-8"))
+        assert data["report"]["external_scores"] == {"xcomet": 0.5}
+        reasons = [m.split("reason=")[1] for m in caplog.messages if "rejected_score" in m]
+        assert reasons == ["unknown_segment"] * 3 + ["duplicate"]
+
+    def test_report_tables_every_score_file(self, tmp_path, fixtures_dir, stub_endpoint, caplog):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        assert run("score", "--config", config, "--system", "sys") == 0
+        en_es = json.loads(layout.score_file("sys", "en-es").read_text(encoding="utf-8"))
+        en_es["report"]["pair"] = en_es["manifest"]["pair"] = "ja-ko"
+        layout.score_file("sys", "ja-ko").write_text(json.dumps(en_es), encoding="utf-8")
+        with caplog.at_level(logging.WARNING):
+            assert run("report", "--config", config) == 0
+        assert not caplog.messages
+        header = (layout.reports_dir() / "metrics.csv").read_text(encoding="utf-8").splitlines()[1]
+        assert header.split(",") == [
+            "system", "en-es BLEU", "en-es chrF", "ja-ko BLEU", "ja-ko chrF"
+        ]
+
 
 def run_fresh_process(config, stages, absent_modules):
     """Run ``stages`` in one new interpreter; fail if it imported any of ``absent_modules``."""
@@ -264,14 +298,42 @@ def run_fresh_process(config, stages, absent_modules):
     assert result.returncode == 0, result.stderr
 
 
+SCORING_MODULES = ("glossmt.metrics", "glossmt.mqm", "glossmt.report")
+
+
 class TestStartup:
     def test_ingest_and_build_never_import_requests(self, tmp_path, fixtures_dir):
         config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9")
-        run_fresh_process(config, ("ingest", "build"), ("requests", "xml.etree", "statistics"))
+        run_fresh_process(
+            config,
+            ("ingest", "build"),
+            ("requests", "xml.etree", "statistics", "concurrent.futures",
+             "glossmt.runner", "glossmt.postprocess", *SCORING_MODULES),
+        )
 
     def test_stages_after_translate_never_import_requests(self, tmp_path, fixtures_dir, stub_endpoint):
         config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         run_fresh_process(config, ("postprocess", "score", "report"), ("requests",))
+
+    def test_ingest_loads_only_its_own_modules(self, tmp_path, fixtures_dir):
+        config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9")
+        own = {"_jsonl", "cli", "config", "corpus", "errors", "prng", "promptgen", "terminology"}
+        others = {path.stem for path in Path(glossmt.__file__).parent.glob("*.py")} - own - {"__init__"}
+        assert others
+        run_fresh_process(config, ("ingest",), tuple(f"glossmt.{name}" for name in sorted(others)))
+
+    def test_translate_loads_no_scoring_module(self, tmp_path, fixtures_dir, stub_endpoint):
+        config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        for step in ("ingest", "build"):
+            assert run(step, "--config", config) == 0
+        run_fresh_process(config, ("translate",), SCORING_MODULES)
+
+    @pytest.mark.parametrize("stage", ["score", "report"])
+    def test_scoring_stages_load_no_runner(self, tmp_path, fixtures_dir, stub_endpoint, stage):
+        config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        if stage == "report":
+            assert run("score", "--config", config) == 0
+        run_fresh_process(config, (stage,), ("glossmt.runner", "concurrent.futures"))
 
 
 class TestDeterminism:
@@ -652,3 +714,17 @@ class TestPostprocessCommand:
         edit_config(config, "counting_scheme = whitespace", "counting_scheme = external")
         assert run("postprocess", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "external_counts")
+
+    def test_translate_checks_counts_file_before_any_request(
+        self, tmp_path, fixtures_dir, stub_endpoint, capsys
+    ):
+        config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        for step in ("ingest", "build"):
+            assert run(step, "--config", config) == 0
+        edit_config(config, "counting_scheme = whitespace", "counting_scheme = external")
+        stub_endpoint.reset()
+        capsys.readouterr()
+        assert run("translate", "--config", config) == 1
+        assert_one_line_error(capsys, "usage", "external_counts")
+        assert stub_endpoint.requests == []
+        assert not layout.generations("en-es").exists()

@@ -1,3 +1,4 @@
+import logging
 import math
 import re
 import sys
@@ -354,9 +355,9 @@ class TestSignificance:
 
 
 class TestScoreReport:
-    def test_round_trip(self, en_es):
+    def test_round_trip(self):
         report = ScoreReport(
-            pair=en_es,
+            pair="en-es",
             system="base",
             bleu=33.3,
             chrf=55.5,
@@ -365,12 +366,12 @@ class TestScoreReport:
             term_total=4,
             external_scores={"comet22": 0.82},
         )
-        assert ScoreReport.from_dict(report.to_dict(), en_es) == report
+        assert ScoreReport.from_dict(report.to_dict()) == report
 
-    def test_inconsistent_accuracy_rejected(self, en_es):
+    def test_inconsistent_accuracy_rejected(self):
         with pytest.raises(UsageError):
             ScoreReport(
-                pair=en_es,
+                pair="en-es",
                 system="base",
                 bleu=10.0,
                 chrf=10.0,
@@ -379,12 +380,25 @@ class TestScoreReport:
                 term_total=4,
             )
 
-    def test_out_of_range_bleu_rejected(self, en_es):
+    def test_out_of_range_bleu_rejected(self):
         with pytest.raises(UsageError):
             ScoreReport(
-                pair=en_es,
+                pair="en-es",
                 system="base",
                 bleu=101.0,
+                chrf=10.0,
+                term_accuracy=0.0,
+                term_correct=0,
+                term_total=0,
+            )
+
+    @pytest.mark.parametrize("pair", ["", None])
+    def test_missing_pair_code_rejected(self, pair):
+        with pytest.raises(UsageError):
+            ScoreReport(
+                pair=pair,
+                system="base",
+                bleu=10.0,
                 chrf=10.0,
                 term_accuracy=0.0,
                 term_correct=0,
@@ -423,3 +437,15 @@ class TestExternalScores:
         with pytest.raises(FormatError) as exc:
             load_external_scores(path)
         assert exc.value.line == 1
+
+    def test_duplicate_row_counts_once(self, tmp_path, caplog):
+        path = tmp_path / "scores.jsonl"
+        path.write_text(
+            '{"segment_id": "0", "name": "comet22", "value": 0.8}\n'
+            '{"segment_id": "0", "name": "comet22", "value": 0.2}\n'
+            '{"segment_id": "1", "name": "comet22", "value": 0.6}\n',
+            encoding="utf-8",
+        )
+        with caplog.at_level(logging.WARNING):
+            assert load_external_scores(path) == {"comet22": pytest.approx(0.7)}
+        assert [m.split("reason=")[1] for m in caplog.messages] == ["duplicate"]

@@ -16,7 +16,7 @@ from glossmt.report import (
 
 def report(pair, system, bleu=30.0, chrf=50.0, correct=3, total=4, external=None):
     return ScoreReport(
-        pair=pair,
+        pair=pair.code,
         system=system,
         bleu=bleu,
         chrf=chrf,

@@ -4,10 +4,10 @@ import json
 import pytest
 import requests
 
+from glossmt.config import InferenceConfig
 from glossmt.errors import ConfigurationError, EndpointError, UsageError
 from glossmt.runner import (
     TOKEN_ENV_VAR,
-    InferenceConfig,
     generate_batch,
     read_records,
     write_records,
