@@ -395,8 +395,17 @@ def _collect_scores(layout: Layout):
 
     reports = []
     mqm_entries = []
+    # The report keys its cells by (system, pair), so a second file for one
+    # would replace or hide the first.
+    read_from: dict[tuple[str, str], Path] = {}
     for path in sorted(layout.scores_dir().glob("*.json")):
         score_report, counts = _read_json(path, "score file", read_score_file)
+        key = (score_report.system, score_report.pair)
+        if key in read_from:
+            raise UsageError(
+                f"score files {read_from[key]} and {path} both hold system {key[0]} on pair {key[1]}; remove one"
+            )
+        read_from[key] = path
         reports.append(score_report)
         if counts is not None:
             mqm_entries.append((score_report.system, score_report.pair, counts))

@@ -28,9 +28,11 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
+from urllib.parse import urlsplit
 
 from .corpus import LanguagePair, SplitSpec
 from .errors import ConfigurationError
@@ -55,14 +57,16 @@ class InferenceConfig:
     retry_backoff: float = 0.5
 
     def __post_init__(self):
-        if not self.endpoint_url:
-            raise ConfigurationError("endpoint_url must be non-empty")
+        url = urlsplit(self.endpoint_url)
+        if url.scheme not in ("http", "https") or not url.netloc:
+            raise ConfigurationError(f"endpoint_url must be an http or https URL, got {self.endpoint_url!r}")
         if not self.model_name:
             raise ConfigurationError("model_name must be non-empty")
         if not 0 < self.top_p <= 1:
             raise ConfigurationError(f"top_p must be in (0,1], got {self.top_p}")
-        if self.temperature is not None and self.temperature < 0:
-            raise ConfigurationError("temperature must be nonnegative")
+        # NaN and infinity have no JSON form, so no request could carry them.
+        if self.temperature is not None and not (math.isfinite(self.temperature) and self.temperature >= 0):
+            raise ConfigurationError(f"temperature must be finite and nonnegative, got {self.temperature}")
         if self.max_new_tokens < 1:
             raise ConfigurationError("max_new_tokens must be positive")
         if self.request_timeout <= 0:

@@ -1,17 +1,22 @@
 """Batch client for completion-style JSON-over-HTTP inference endpoints.
 
 The outbound request is ``{model, prompt, top_p, temperature?, max_tokens}``
-(temperature included only when set); the response must be a JSON object
-carrying the generated text either as ``{"text": ...}`` or OpenAI-style as
+(temperature included only when set), sent with the standard library's
+``urllib.request``: one opener per batch, shared by the worker threads, and
+one connection per request. The opener honours the ``http_proxy``,
+``https_proxy`` and ``no_proxy`` variables and verifies TLS against the
+system CA store. The response must be a JSON object carrying the generated
+text either as ``{"text": ...}`` or OpenAI-style as
 ``{"choices": [{"text": ...}]}``.
 
 Failure policy: connection errors, timeouts, other request failures (e.g.
-a broken chunked body), HTTP 429 and 5xx are retried with exponential
-backoff. A request that still cannot *connect* after its retries marks the
-endpoint unreachable and aborts the whole batch (EndpointError, carrying
-the records completed so far); every other exhausted failure — timeout,
-request failure, HTTP error status, malformed response body — becomes a
-per-record error record so no prompt is ever silently dropped.
+a body cut off mid-way), HTTP 429 and 5xx are retried with exponential
+backoff. A request that still fails before any status line arrives, other
+than by timing out, marks the endpoint unreachable and aborts the whole
+batch (EndpointError, carrying the records completed so far); every other
+exhausted failure — timeout, request failure, HTTP error status, malformed
+response body — becomes a per-record error record so no prompt is ever
+silently dropped.
 
 Credentials come from the ``GLOSSMT_API_TOKEN`` environment variable (sent
 as a bearer token) and are never written to records or manifests.
@@ -19,6 +24,7 @@ as a bearer token) and are never written to records or manifests.
 
 from __future__ import annotations
 
+import json
 import logging
 import os
 import threading
@@ -64,18 +70,18 @@ class GenerationRecord:
         return self.error is None
 
 
-def _read_response(response) -> tuple[str, str | None]:
+def _read_response(status: int, body: bytes) -> tuple[str, str | None]:
     """(text, None) for a usable reply, ("", error) for a final failure."""
-    if response.status_code != 200:
-        return "", f"HTTP {response.status_code}"
+    if status != 200:
+        return "", f"HTTP {status}"
     try:
-        body = response.json()
+        reply = json.loads(body)
     except ValueError as exc:
         return "", f"malformed response: {exc}"
-    if isinstance(body, dict):
-        if isinstance(body.get("text"), str):
-            return body["text"], None
-        choices = body.get("choices")
+    if isinstance(reply, dict):
+        if isinstance(reply.get("text"), str):
+            return reply["text"], None
+        choices = reply.get("choices")
         if (
             isinstance(choices, list)
             and choices
@@ -86,18 +92,20 @@ def _read_response(response) -> tuple[str, str | None]:
     return "", "malformed response: no text field in response body"
 
 
-def _exhausted_error(failure, response, attempts: int) -> str:
-    """The error of a request whose every attempt failed retryably:
-    ``failure`` is the last request exception, or None when the last
-    response had a retryable status."""
-    import requests
+class _Unreachable(Exception):
+    """An attempt that failed, other than by timing out, before a status
+    line arrived: the endpoint could not be reached or would not answer."""
 
+
+def _exhausted_error(failure: Exception | None, status: int | None, attempts: int) -> str:
+    """The error of a request whose every attempt failed retryably:
+    ``failure`` is the last attempt's exception, or None when the last
+    reply had a retryable ``status``."""
     if failure is None:
-        return f"HTTP {response.status_code} after {attempts} attempts"
-    # ConnectTimeout is both a ConnectionError and a Timeout: unreachable.
-    if isinstance(failure, requests.exceptions.ConnectionError):
+        return f"HTTP {status} after {attempts} attempts"
+    if isinstance(failure, _Unreachable):
         return f"endpoint unreachable after {attempts} attempts: {failure}"
-    if isinstance(failure, requests.exceptions.Timeout):
+    if isinstance(failure, TimeoutError):
         return f"timed out after {attempts} attempts"
     return f"request failed after {attempts} attempts: {failure}"
 
@@ -106,8 +114,10 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
     """Send one request per test example; results come back in input order
     regardless of completion order or concurrency level."""
     # Imported here, not at module level: no other stage sends a request,
-    # and importing requests is most of their start-up time.
-    import requests
+    # and postprocess imports this module for read_records.
+    import http.client
+    import urllib.error
+    import urllib.request
 
     for example in examples:
         if example.mode != "test":
@@ -115,9 +125,34 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
                 f"generate_batch takes test prompts only; segment {example.segment_id} is {example.mode}"
             )
     token = os.environ.get(TOKEN_ENV_VAR)
-    headers = {"Authorization": f"Bearer {token}"} if token else {}
+    # One opener for the batch, shared by every worker; it reads the proxy
+    # variables now. Each request still opens its own connection.
+    opener = urllib.request.build_opener()
     snapshot = cfg.snapshot()
     abort = threading.Event()
+
+    def send(data: bytes) -> tuple[int, bytes | None]:
+        """One attempt: the reply's status and body, with a None body when
+        the status is retryable. Raises _Unreachable, TimeoutError, or
+        another OSError or HTTPException from reading the body."""
+        request = urllib.request.Request(
+            cfg.endpoint_url, data=data, headers={"Content-Type": "application/json"}
+        )
+        if token:
+            # urllib copies the other headers onto a redirect, to any host.
+            request.add_unredirected_header("Authorization", f"Bearer {token}")
+        try:
+            response = opener.open(request, timeout=cfg.request_timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc  # a non-2xx reply, with its status and body
+        except TimeoutError:
+            raise
+        except (OSError, http.client.HTTPException) as exc:
+            raise _Unreachable(exc) from exc
+        with response:
+            if response.status in _RETRYABLE_STATUS:
+                return response.status, None
+            return response.status, response.read()
 
     def make_record(example, output: str, attempts: int, error: str | None, started: float):
         return GenerationRecord(
@@ -135,31 +170,26 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
         started = time.monotonic()
         if abort.is_set():
             return "skipped", None
-        payload = cfg.payload(example.rendered_text)
+        data = json.dumps(cfg.payload(example.rendered_text), allow_nan=False).encode("utf-8")
         attempts = 0
         while True:
             attempts += 1
-            failure = response = None
+            failure = status = None
             try:
-                response = requests.post(
-                    cfg.endpoint_url,
-                    json=payload,
-                    headers=headers,
-                    timeout=cfg.request_timeout,
-                )
-            except requests.exceptions.RequestException as exc:
+                status, body = send(data)
+            except (_Unreachable, OSError, http.client.HTTPException) as exc:
                 failure = exc
             else:
-                if response.status_code not in _RETRYABLE_STATUS:
-                    text, error = _read_response(response)
+                if body is not None:
+                    text, error = _read_response(status, body)
                     return "done", make_record(example, text, attempts, error, started)
             if attempts <= cfg.max_retries:
                 time.sleep(cfg.retry_backoff * 2 ** (attempts - 1))
                 continue
             record = make_record(
-                example, "", attempts, _exhausted_error(failure, response, attempts), started
+                example, "", attempts, _exhausted_error(failure, status, attempts), started
             )
-            if isinstance(failure, requests.exceptions.ConnectionError):
+            if isinstance(failure, _Unreachable):
                 abort.set()
                 log.error("segment=%s endpoint_unreachable attempts=%d", example.segment_id, attempts)
                 return "unreachable", record

@@ -10,6 +10,12 @@ Routes (select behaviour by path):
   /slow         -> sleeps longer than short client timeouts, then echoes
   /empty        -> 200 JSON without text/choices keys
   /surrogate    -> echoes with a lone surrogate appended ("\\ud800" in JSON)
+  /truncated    -> 200 announcing a 100-byte body, sends 10 bytes, then closes
+  /hangup       -> reads the request, then closes without a status line
+  /redirect     -> 303 to /echo, which a client follows with a GET
+  (any GET)     -> 405, recorded with a None payload
+
+Any other path echoes, including the absolute URI a client sends to a proxy.
 
 Every request is recorded on server.requests as (path, payload, headers)
 so tests can assert on bodies and on what was *not* sent.
@@ -37,6 +43,11 @@ class _Handler(BaseHTTPRequestHandler):
     def log_message(self, fmt, *args):  # keep pytest output clean
         pass
 
+    def do_GET(self):
+        with self.server.lock:
+            self.server.requests.append((self.path, None, {key: value for key, value in self.headers.items()}))
+        self._send(405, b'{"error": "POST only"}')
+
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = self.rfile.read(length)
@@ -55,6 +66,20 @@ class _Handler(BaseHTTPRequestHandler):
             return
         if self.path == "/malformed":
             self._send(200, b"this is not json")
+            return
+        if self.path == "/truncated":
+            self.send_response(200)
+            self.send_header("Content-Length", "100")
+            self.end_headers()
+            self.wfile.write(b'{"text": "')
+            return
+        if self.path == "/hangup":
+            return
+        if self.path == "/redirect":
+            self.send_response(303)
+            self.send_header("Location", "/echo")
+            self.send_header("Content-Length", "0")
+            self.end_headers()
             return
         if self.path == "/empty":
             self._send(200, json.dumps({"unexpected": True}).encode("utf-8"))

@@ -279,6 +279,20 @@ class TestPipeline:
             "system", "en-es BLEU", "en-es chrF", "ja-ko BLEU", "ja-ko chrF"
         ]
 
+    def test_report_rejects_two_score_files_for_one_system_and_pair(
+        self, tmp_path, fixtures_dir, stub_endpoint, capsys
+    ):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        assert run("score", "--config", config, "--system", "a") == 0
+        original = layout.score_file("a", "en-es")
+        copy = original.with_name("a-copy.en-es.json")
+        copy.write_bytes(original.read_bytes())
+        capsys.readouterr()
+        assert run("report", "--config", config) == 1
+        first, second = sorted([original, copy])
+        assert_one_line_error(capsys, "usage", f"score files {first} and {second} both hold system a on pair en-es")
+
+
 
 def run_fresh_process(config, stages, absent_modules):
     """Run ``stages`` in one new interpreter; fail if it imported any of ``absent_modules``."""
@@ -299,21 +313,22 @@ def run_fresh_process(config, stages, absent_modules):
 
 
 SCORING_MODULES = ("glossmt.metrics", "glossmt.mqm", "glossmt.report")
+HTTP_CLIENT_MODULES = ("urllib.request", "http.client", "ssl")
 
 
 class TestStartup:
-    def test_ingest_and_build_never_import_requests(self, tmp_path, fixtures_dir):
+    def test_ingest_and_build_load_no_http_client(self, tmp_path, fixtures_dir):
         config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9")
         run_fresh_process(
             config,
             ("ingest", "build"),
-            ("requests", "xml.etree", "statistics", "concurrent.futures",
+            (*HTTP_CLIENT_MODULES, "xml.etree", "statistics", "concurrent.futures",
              "glossmt.runner", "glossmt.postprocess", *SCORING_MODULES),
         )
 
-    def test_stages_after_translate_never_import_requests(self, tmp_path, fixtures_dir, stub_endpoint):
+    def test_stages_after_translate_load_no_http_client(self, tmp_path, fixtures_dir, stub_endpoint):
         config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        run_fresh_process(config, ("postprocess", "score", "report"), ("requests",))
+        run_fresh_process(config, ("postprocess", "score", "report"), HTTP_CLIENT_MODULES)
 
     def test_ingest_loads_only_its_own_modules(self, tmp_path, fixtures_dir):
         config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9")
@@ -326,7 +341,7 @@ class TestStartup:
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
         for step in ("ingest", "build"):
             assert run(step, "--config", config) == 0
-        run_fresh_process(config, ("translate",), SCORING_MODULES)
+        run_fresh_process(config, ("translate",), ("requests", *SCORING_MODULES))
 
     @pytest.mark.parametrize("stage", ["score", "report"])
     def test_scoring_stages_load_no_runner(self, tmp_path, fixtures_dir, stub_endpoint, stage):

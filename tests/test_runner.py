@@ -2,7 +2,6 @@ import dataclasses
 import json
 
 import pytest
-import requests
 
 from glossmt.config import InferenceConfig
 from glossmt.errors import ConfigurationError, EndpointError, UsageError
@@ -51,8 +50,12 @@ class TestConfig:
             config("http://x", max_new_tokens=0)
         with pytest.raises(ConfigurationError):
             config("http://x", max_concurrent_requests=0)
-        with pytest.raises(ConfigurationError):
-            config("", model_name="m")
+        for url in ("", "no-scheme/echo", "ftp://127.0.0.1/echo", "http://"):
+            with pytest.raises(ConfigurationError, match="endpoint_url"):
+                config(url)
+        for temperature in (float("nan"), float("inf"), -0.1):
+            with pytest.raises(ConfigurationError):
+                config("http://x", temperature=temperature)
 
     def test_payload_omits_unset_temperature(self):
         cfg = config("http://x")
@@ -114,12 +117,37 @@ class TestGeneration:
         (_, _, headers) = stub_endpoint.requests[-1]
         assert headers.get("Authorization") == "Bearer tok-123"
 
+    def test_bearer_token_not_sent_on_redirect(self, stub_endpoint, monkeypatch):
+        stub_endpoint.reset()
+        monkeypatch.setenv(TOKEN_ENV_VAR, "tok-123")
+        (record,) = generate_batch(prompts(1), config(stub_endpoint.url + "/redirect"))
+        assert record.error == "HTTP 405"
+        (first, redirected) = stub_endpoint.requests
+        assert first[0] == "/redirect" and first[2].get("Authorization") == "Bearer tok-123"
+        assert redirected[0] == "/echo" and "Authorization" not in redirected[2]
+
     def test_no_auth_header_without_env(self, stub_endpoint, monkeypatch):
         stub_endpoint.reset()
         monkeypatch.delenv(TOKEN_ENV_VAR, raising=False)
         generate_batch(prompts(1), config(stub_endpoint.url + "/echo"))
         (_, _, headers) = stub_endpoint.requests[-1]
         assert "Authorization" not in headers
+
+    def test_request_is_json(self, stub_endpoint):
+        stub_endpoint.reset()
+        generate_batch(prompts(1), config(stub_endpoint.url + "/echo"))
+        (_, _, headers) = stub_endpoint.requests[-1]
+        assert {key.lower(): value for key, value in headers.items()}["content-type"] == "application/json"
+
+    def test_proxy_from_environment(self, stub_endpoint, monkeypatch):
+        stub_endpoint.reset()
+        for name in ("no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        monkeypatch.setenv("http_proxy", stub_endpoint.url)
+        (record,) = generate_batch(prompts(1), config("http://glossmt-proxy.invalid/echo"))
+        assert record.ok
+        assert record.raw_output == echo_text("translate this 0")
+        assert [path for path, _, _ in stub_endpoint.requests] == ["http://glossmt-proxy.invalid/echo"]
 
     def test_request_body_matches_config(self, stub_endpoint):
         stub_endpoint.reset()
@@ -191,20 +219,14 @@ class TestRetries:
         assert not records[0].ok
         assert records[0].attempts == 2
 
-
-    def test_other_request_failures_retry_then_error(self, monkeypatch):
-        calls = []
-
-        def broken_body(*args, **kwargs):
-            calls.append(1)
-            raise requests.exceptions.ChunkedEncodingError("connection broken mid-body")
-
-        monkeypatch.setattr(requests, "post", broken_body)
-        cfg = config("http://127.0.0.1:9/echo", max_retries=2)
+    def test_other_request_failures_retry_then_error(self, stub_endpoint):
+        # /truncated closes the connection 10 bytes into a 100-byte body.
+        stub_endpoint.reset()
+        cfg = config(stub_endpoint.url + "/truncated", max_retries=2)
         records = generate_batch(prompts(1, prefix="chunked"), cfg)
         assert len(records) == 1
         assert not records[0].ok
-        assert records[0].attempts == cfg.max_retries + 1 == len(calls)
+        assert records[0].attempts == cfg.max_retries + 1 == len(stub_endpoint.requests)
         assert "request failed after 3 attempts" in records[0].error
 
 
@@ -219,6 +241,15 @@ class TestUnreachable:
         partial = exc.value.partial_records
         assert 1 <= len(partial) <= 4
         assert any(not r.ok for r in partial)
+
+    def test_hangup_without_a_status_line_aborts_batch(self, stub_endpoint):
+        stub_endpoint.reset()
+        cfg = config(stub_endpoint.url + "/hangup", max_retries=1)
+        with pytest.raises(EndpointError) as exc:
+            generate_batch(prompts(1, prefix="hangup"), cfg)
+        (record,) = exc.value.partial_records
+        assert record.attempts == 2 == len(stub_endpoint.requests)
+        assert record.error.startswith("endpoint unreachable after 2 attempts")
 
 
 class TestRecordIO:
