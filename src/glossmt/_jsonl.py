@@ -87,6 +87,15 @@ def field(record, key: str, kind=str, default=_REQUIRED):
     return value
 
 
+def unique_field(record, key: str, seen: set) -> str:
+    """``field(record, key)``, which must not be in ``seen``; it is added."""
+    value = field(record, key)
+    if value in seen:
+        raise ValueError(f"duplicate {key} {value!r}")
+    seen.add(value)
+    return value
+
+
 def read_records(path, build: Callable[[dict[str, Any]], T]) -> list[T]:
     """``[build(record) for each data record]``; a record whose ``build``
     raises KeyError, TypeError, ValueError, OverflowError or UsageError is a

@@ -7,7 +7,11 @@ exactly 100.0. chrF is the character n-gram F-score (orders 1..6, beta=2)
 with all whitespace removed before n-gram extraction, likewise unsmoothed.
 Both are corpus scores computed, as in sacreBLEU, from the sums of
 per-segment integer statistics (:func:`bleu_statistics`,
-:func:`chrf_statistics`): n-gram matches and totals per order.
+:func:`chrf_statistics`): n-gram matches and totals per order. Each order's
+clipped match count (:func:`_clipped_matches`) takes the cheapest of three
+paths: a set intersection once a lower order showed one side without repeated
+n-grams, a set intersection when the hypothesis Counter shows none, and
+otherwise one Counter per side clipped at C speed.
 
 Neural metric scores (COMET and friends) are never computed here; they are
 ingested from external score files and merged into reports.
@@ -21,6 +25,7 @@ import operator
 import re
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import repeat
 from typing import TYPE_CHECKING, Collection, Sequence
 
 from . import _jsonl
@@ -73,19 +78,39 @@ def _check_paired(hypotheses: Sequence[str], references: Sequence[str]) -> None:
         raise UsageError("need at least one hypothesis/reference pair")
 
 
-def _clipped_matches(hypothesis_ngrams: list, reference_ngrams: list) -> int:
+def _clipped_matches(hypothesis_ngrams, reference_ngrams, both_repeat: bool) -> tuple[int, bool]:
     """Sum over distinct n-grams of min(hypothesis count, reference count).
 
-    When either side has no repeated n-gram every count on that side is 1,
-    so the sum is the size of the intersection of the two sets.
+    Returns the sum and whether both sides may still repeat an n-gram, which
+    the caller passes back as ``both_repeat`` for the next order: once the
+    n-grams of one side are distinct, so are its longer n-grams, since each
+    extends a distinct shorter one. The count takes one of three paths:
+
+    - ``both_repeat`` is false: every count on one side is 1, so the sum is
+      the size of the intersection of the two sets, with no Counter built.
+    - The hypothesis Counter has one key per n-gram: the same intersection,
+      from its keys.
+    - The hypothesis repeats: with the reference Counter too, the sum is
+      |H| - sum of max(h - r, 0), counted by C-level iterators rather than
+      by ``Counter.__and__``'s Python loop.
     """
-    hypothesis_set = set(hypothesis_ngrams)
-    if len(hypothesis_set) == len(hypothesis_ngrams):
-        return len(hypothesis_set.intersection(reference_ngrams))
-    reference_set = set(reference_ngrams)
-    if len(reference_set) == len(reference_ngrams):
-        return len(reference_set.intersection(hypothesis_ngrams))
-    return sum((Counter(hypothesis_ngrams) & Counter(reference_ngrams)).values())
+    if not both_repeat:
+        return len(set(hypothesis_ngrams).intersection(reference_ngrams)), False
+    hypothesis_counts = Counter(hypothesis_ngrams)
+    if len(hypothesis_counts) == len(hypothesis_ngrams):
+        return len(hypothesis_counts.keys() & reference_ngrams), False
+    reference_counts = Counter(reference_ngrams)
+    excess = sum(
+        filter(
+            (0).__lt__,
+            map(
+                operator.sub,
+                hypothesis_counts.values(),
+                map(reference_counts.get, hypothesis_counts, repeat(0)),
+            ),
+        )
+    )
+    return len(hypothesis_ngrams) - excess, len(reference_counts) < len(reference_ngrams)
 
 
 def _summed(rows) -> list[int]:
@@ -100,13 +125,15 @@ def bleu_statistics(hypothesis: str, reference: str) -> tuple[int, ...]:
     ref_tokens = tokenize_13a(reference)
     matches = []
     totals = []
+    both_repeat = True
     for n in range(1, BLEU_MAX_ORDER + 1):
         if n == 1:
             hyp_ngrams, ref_ngrams = hyp_tokens, ref_tokens
         else:
             hyp_ngrams = list(zip(*[hyp_tokens[i:] for i in range(n)]))
             ref_ngrams = list(zip(*[ref_tokens[i:] for i in range(n)]))
-        matches.append(_clipped_matches(hyp_ngrams, ref_ngrams))
+        match, both_repeat = _clipped_matches(hyp_ngrams, ref_ngrams, both_repeat)
+        matches.append(match)
         totals.append(len(hyp_ngrams))
     return (*matches, *totals, len(hyp_tokens), len(ref_tokens))
 
@@ -141,11 +168,13 @@ def chrf_statistics(hypothesis: str, reference: str) -> tuple[int, ...]:
     matches = []
     hyp_totals = []
     ref_totals = []
+    both_repeat = True
     for n in range(1, CHRF_MAX_ORDER + 1):
         if n > 1:
             hyp_ngrams = list(map(operator.add, hyp_ngrams, hyp_chars[n - 1 :]))
             ref_ngrams = list(map(operator.add, ref_ngrams, ref_chars[n - 1 :]))
-        matches.append(_clipped_matches(hyp_ngrams, ref_ngrams))
+        match, both_repeat = _clipped_matches(hyp_ngrams, ref_ngrams, both_repeat)
+        matches.append(match)
         hyp_totals.append(len(hyp_ngrams))
         ref_totals.append(len(ref_ngrams))
     return (*matches, *hyp_totals, *ref_totals)
@@ -272,6 +301,14 @@ class ScoreReport:
             raise UsageError(f"pair must be a non-empty code, got {self.pair!r}")
         if not self.system:
             raise UsageError("system name must be non-empty")
+        # A file read back may hold any JSON value; a bool is no number.
+        for name in ("bleu", "chrf", "term_accuracy"):
+            _jsonl.field(self.__dict__, name, (int, float))
+        for name in ("term_correct", "term_total"):
+            _jsonl.field(self.__dict__, name, int)
+        for name in self.external_scores:
+            if not math.isfinite(_jsonl.field(self.external_scores, name, (int, float))):
+                raise UsageError(f"external score {name!r} must be finite")
         if not 0.0 <= self.bleu <= 100.0:
             raise UsageError(f"bleu out of range: {self.bleu}")
         if not 0.0 <= self.chrf <= 100.0:
@@ -280,7 +317,7 @@ class ScoreReport:
             raise UsageError("term_correct must be in 0..term_total")
         if self.term_total > 0:
             expected = self.term_correct / self.term_total
-            if abs(self.term_accuracy - expected) > 1e-9:
+            if not abs(self.term_accuracy - expected) <= 1e-9:  # NaN fails too
                 raise UsageError("term_accuracy does not equal term_correct/term_total")
         elif self.term_accuracy != 0.0:
             raise UsageError("term_accuracy must be 0.0 when term_total is 0")

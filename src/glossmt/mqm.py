@@ -80,8 +80,8 @@ class SeverityCounts:
     def __post_init__(self):
         if min(self.minor, self.major, self.critical) < 0:
             raise UsageError("severity counts must be nonnegative")
-        if self.token_total < 0:
-            raise UsageError("token_total must be nonnegative")
+        if self.token_total <= 0:
+            raise UsageError(f"token_total must be positive, got {self.token_total}")
 
     @property
     def penalty(self) -> int:
@@ -174,8 +174,6 @@ def filter_by_confidence(spans: Sequence[ErrorSpan], threshold: float) -> list[E
 
 def tally(spans: Sequence[ErrorSpan], token_total: int, scheme: str) -> SeverityCounts:
     """Count spans by severity against a token denominator."""
-    if token_total <= 0:
-        raise UsageError(f"token_total must be positive, got {token_total}")
     counts = Counter(span.severity for span in spans)
     return SeverityCounts(
         minor=counts[SEVERITY_MINOR],
@@ -187,6 +185,4 @@ def tally(spans: Sequence[ErrorSpan], token_total: int, scheme: str) -> Severity
 
 
 def mqm_score(counts: SeverityCounts) -> float:
-    if counts.token_total <= 0:
-        raise UsageError("token_total must be positive for scoring")
     return 100.0 * (1.0 - counts.penalty / counts.token_total)

@@ -79,14 +79,13 @@ class ExternalCounts:
     @classmethod
     def load(cls, path) -> "ExternalCounts":
         counts: dict[str, int] = {}
+        seen: set[str] = set()
 
         def build(record) -> None:
-            segment_id = _jsonl.field(record, "segment_id")
+            segment_id = _jsonl.unique_field(record, "segment_id", seen)
             token_count = _jsonl.field(record, "token_count", int)
             if token_count < 0:
                 raise ValueError(f"token_count must be nonnegative, got {token_count}")
-            if segment_id in counts:
-                raise ValueError(f"duplicate segment_id {segment_id!r}")
             counts[segment_id] = token_count
 
         _jsonl.read_records(path, build)
@@ -168,10 +167,11 @@ def write_outputs(path, outputs: Sequence[ModelOutput], manifest: dict | None = 
 
 
 def read_outputs(path) -> list[ModelOutput]:
+    seen: set[str] = set()
     return _jsonl.read_records(
         path,
         lambda record: ModelOutput(
-            segment_id=_jsonl.field(record, "segment_id"),
+            segment_id=_jsonl.unique_field(record, "segment_id", seen),
             raw_text=_jsonl.field(record, "raw"),
             cleaned_text=_jsonl.field(record, "cleaned"),
             truncated=_jsonl.field(record, "truncated", bool),

@@ -359,10 +359,11 @@ def write_candidates(
 
 
 def read_candidates(path) -> list[tuple[str, list[TermPair]]]:
+    seen: set[str] = set()
     return _jsonl.read_records(
         path,
         lambda record: (
-            _jsonl.field(record, "segment_id"),
+            _jsonl.unique_field(record, "segment_id", seen),
             [TermPair.from_record(p) for p in _jsonl.field(record, "pairs", list)],
         ),
     )

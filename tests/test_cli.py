@@ -554,11 +554,13 @@ class TestScoreInputs:
         assert run("score", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "run `glossmt build` first")
 
-    def test_duplicate_candidate_ids_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+    def test_duplicate_candidate_ids_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         self.rewrite_candidates(layout, lambda lines: lines + [lines[1]])
-        assert run("score", "--config", config) == 1
-        assert_one_line_error(capsys, "usage", "duplicate segment ids in candidates")
+        assert run("score", "--config", config) == 2
+        assert_one_line_error(
+            capsys, "data", f"{layout.candidates('en-es', 'test')}: bad record: duplicate segment_id"
+        )
 
     def test_candidate_ids_differing_from_references_is_usage_error(
         self, tmp_path, fixtures_dir, stub_endpoint, capsys
@@ -602,6 +604,48 @@ class TestReportInputs:
         capsys.readouterr()
         assert run("report", "--config", config) == 2
         assert_one_line_error(capsys, "data", "bad score file")
+
+    @pytest.mark.parametrize(
+        "corrupt",
+        [
+            lambda data: data["report"].update(external_scores={"comet": "high"}),
+            lambda data: data["report"].update(bleu=True),
+            lambda data: data["report"].update(term_total=float(data["report"]["term_total"])),
+            lambda data: data.update(
+                mqm={
+                    "counts": {
+                        "minor": 0, "major": 0, "critical": 0,
+                        "token_total": 0, "counting_scheme": "whitespace:cleaned",
+                    },
+                    "score": 100.0,
+                }
+            ),
+        ],
+        ids=["external-score-not-a-number", "bleu-is-bool", "term-total-not-int", "zero-token-total"],
+    )
+    def test_mistyped_score_file_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys, corrupt):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        assert run("score", "--config", config) == 0
+        data = json.loads(layout.score_file("stub-model", "en-es").read_text(encoding="utf-8"))
+        corrupt(data)
+        data["report"]["system"] = "other"
+        bad = layout.score_file("other", "en-es")
+        bad.write_text(json.dumps(data), encoding="utf-8")
+        capsys.readouterr()
+        assert run("report", "--config", config) == 2
+        assert_one_line_error(capsys, "data", f"{bad}: bad score file")
+        # score rewrites the reports from every score file, so it fails alike.
+        assert run("score", "--config", config) == 2
+        assert_one_line_error(capsys, "data", f"{bad}: bad score file")
+
+    def test_duplicate_output_record_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        outputs = layout.outputs("en-es")
+        lines = outputs.read_text(encoding="utf-8").splitlines(keepends=True)
+        outputs.write_text("".join([*lines, lines[1]]), encoding="utf-8")
+        capsys.readouterr()
+        assert run("score", "--config", config) == 2
+        assert_one_line_error(capsys, "data", f"{outputs}: bad record: duplicate segment_id")
 
 
 class TestMatchOnce:

@@ -88,9 +88,41 @@ def _oracle_statistics(hyp_units, ref_units, max_order):
     return matches, hyp_totals, ref_totals
 
 
+_ALPHABET = "ab ß,."
 # Lengths 0..20 over a tiny alphabet: n-grams repeat often on one side, both
 # or neither, so every path of the clipped-match count runs.
-_TINY_TEXT = st.text(alphabet="ab ß,.", max_size=20)
+_TINY_TEXT = st.text(alphabet=_ALPHABET, max_size=20)
+# Up to 80 characters, free or a repeated chunk plus a tail: chrF orders
+# 4..6 repeat on both sides in some draws and on neither in others, so the
+# high orders take the Counter path and the set path too.
+_LONG_TEXT = st.one_of(
+    st.text(alphabet=_ALPHABET, max_size=80),
+    st.builds(
+        lambda chunk, times, tail: (chunk * times + tail)[:80],
+        st.text(alphabet=_ALPHABET, min_size=1, max_size=12),
+        st.integers(2, 8),
+        st.text(alphabet=_ALPHABET, max_size=12),
+    ),
+)
+
+
+def _check_bleu_statistics(hypothesis, reference):
+    hyp = reference_tokenize(hypothesis)
+    ref = reference_tokenize(reference)
+    matches, totals, _ = _oracle_statistics(hyp, ref, 4)
+    assert bleu_statistics(hypothesis, reference) == (
+        *matches,
+        *totals,
+        len(hyp),
+        len(ref),
+    )
+
+
+def _check_chrf_statistics(hypothesis, reference):
+    matches, hyp_totals, ref_totals = _oracle_statistics(
+        list("".join(hypothesis.split())), list("".join(reference.split())), 6
+    )
+    assert chrf_statistics(hypothesis, reference) == (*matches, *hyp_totals, *ref_totals)
 
 
 class TestSegmentStatistics:
@@ -103,16 +135,17 @@ class TestSegmentStatistics:
     @example("a b , .", "a a b b")  # only the hypothesis without repeats
     @example("a a b b", "a b , .")  # only the reference without repeats
     @example("a a a b", "a a b b b")  # both sides repeat
+    # The sides stop repeating at different orders: the hypothesis after
+    # order 1, the reference after order 3, and the mirror case.
+    @example("a b a ß", "a b ß , a b ß")
+    @example("a b ß , a b ß", "a b a ß")
     def test_bleu_statistics_equal_oracle_counts(self, hypothesis, reference):
-        hyp = reference_tokenize(hypothesis)
-        ref = reference_tokenize(reference)
-        matches, totals, _ = _oracle_statistics(hyp, ref, 4)
-        assert bleu_statistics(hypothesis, reference) == (
-            *matches,
-            *totals,
-            len(hyp),
-            len(ref),
-        )
+        _check_bleu_statistics(hypothesis, reference)
+
+    @given(_LONG_TEXT, _LONG_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_bleu_statistics_equal_oracle_counts_on_longer_texts(self, hypothesis, reference):
+        _check_bleu_statistics(hypothesis, reference)
 
     @given(_TINY_TEXT, _TINY_TEXT)
     @settings(max_examples=400, deadline=None)
@@ -123,11 +156,17 @@ class TestSegmentStatistics:
     @example("abß,.", "aabb")  # only the hypothesis without repeats
     @example("aabb", "abß,.")  # only the reference without repeats
     @example("aaab", "aabbb")  # both sides repeat
+    # The sides stop repeating at different orders: the hypothesis after
+    # order 1, the reference after order 3, and the mirror case.
+    @example("abaß", "abß,abß")
+    @example("abß,abß", "abaß")
     def test_chrf_statistics_equal_oracle_counts(self, hypothesis, reference):
-        matches, hyp_totals, ref_totals = _oracle_statistics(
-            list("".join(hypothesis.split())), list("".join(reference.split())), 6
-        )
-        assert chrf_statistics(hypothesis, reference) == (*matches, *hyp_totals, *ref_totals)
+        _check_chrf_statistics(hypothesis, reference)
+
+    @given(_LONG_TEXT, _LONG_TEXT)
+    @settings(max_examples=200, deadline=None)
+    def test_chrf_statistics_equal_oracle_counts_on_longer_texts(self, hypothesis, reference):
+        _check_chrf_statistics(hypothesis, reference)
 
 
 class TestBleu:

@@ -188,6 +188,15 @@ class TestOutputIO:
         loaded = read_outputs(path)
         assert loaded == outputs
 
+    def test_duplicate_segment_rejected(self, tmp_path):
+        template = builtin_template("chatml")
+        outputs, _ = postprocess_batch([record("0", "hola"), record("1", "adiós")], template)
+        path = tmp_path / "outputs.jsonl"
+        write_outputs(path, [*outputs, outputs[0]], manifest={})
+        with pytest.raises(FormatError, match="duplicate segment_id '0'") as exc:
+            read_outputs(path)
+        assert (exc.value.path, exc.value.line) == (path, 4)
+
     def test_dump_schema(self, tmp_path):
         template = builtin_template("chatml")
         outputs, _ = postprocess_batch([record("0", "hola<|im_end|>x")], template)

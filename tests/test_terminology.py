@@ -458,6 +458,14 @@ class TestCandidateIO:
             TermPair(source_term="x", target_term="y"),
         ])]
 
+    def test_duplicate_segment_rejected(self, tmp_path):
+        pairs = [TermPair(source_term="a", target_term="b")]
+        path = tmp_path / "candidates.jsonl"
+        write_candidates(path, [("7", pairs), ("8", []), ("7", [])], manifest={})
+        with pytest.raises(FormatError, match="duplicate segment_id '7'") as exc:
+            read_candidates(path)
+        assert (exc.value.path, exc.value.line) == (path, 4)
+
     def test_dump_uses_src_tgt_keys(self, tmp_path):
         import json
 
