@@ -37,67 +37,50 @@ from .errors import DataError, EndpointError, FormatError, UsageError
 log = logging.getLogger(__name__)
 
 
+# Artifact -> (path under the output directory, the command that writes it).
+ARTIFACTS = {
+    "corpus": ("corpus/{pair}.jsonl", "ingest"),
+    "glossary": ("glossary/{pair}.tsv", "ingest"),
+    "splits": ("splits/{pair}.jsonl", "build"),
+    "train_dataset": ("datasets/train-{pair}.jsonl", "build"),
+    "test_dataset": ("datasets/test-{pair}.jsonl", "build"),
+    "train_merged": ("datasets/train-merged.jsonl", "build"),
+    "train_merged_text": ("datasets/train-merged.txt", "build"),
+    "candidates": ("candidates/{pair}.{mode}.jsonl", "build"),
+    "generations": ("generations/{pair}.jsonl", "translate"),
+    "generation_manifest": ("generations/{pair}.manifest.json", "translate"),
+    "timing": ("generations/{pair}.timing.jsonl", "translate"),
+    "outputs": ("outputs/{pair}.jsonl", "translate"),
+    "totals": ("outputs/{pair}.totals.json", "translate"),
+    "score_file": ("scores/{system}.{pair}.json", "score"),
+}
+
+
 class Layout:
     """Artifact paths under the configured output directory."""
 
     def __init__(self, root: Path):
         self.root = Path(root)
 
-    def corpus(self, code: str) -> Path:
-        return self.root / "corpus" / f"{code}.jsonl"
-
-    def glossary(self, code: str) -> Path:
-        return self.root / "glossary" / f"{code}.tsv"
-
-    def splits(self, code: str) -> Path:
-        return self.root / "splits" / f"{code}.jsonl"
-
-    def train_dataset(self, code: str) -> Path:
-        return self.root / "datasets" / f"train-{code}.jsonl"
-
-    def test_dataset(self, code: str) -> Path:
-        return self.root / "datasets" / f"test-{code}.jsonl"
-
-    def train_merged(self) -> Path:
-        return self.root / "datasets" / "train-merged.jsonl"
-
-    def train_merged_text(self) -> Path:
-        return self.root / "datasets" / "train-merged.txt"
-
-    def candidates(self, code: str, mode: str) -> Path:
-        return self.root / "candidates" / f"{code}.{mode}.jsonl"
-
-    def generations(self, code: str) -> Path:
-        return self.root / "generations" / f"{code}.jsonl"
-
-    def generation_manifest(self, code: str) -> Path:
-        return self.root / "generations" / f"{code}.manifest.json"
-
-    def timing(self, code: str) -> Path:
-        return self.root / "generations" / f"{code}.timing.jsonl"
-
-    def outputs(self, code: str) -> Path:
-        return self.root / "outputs" / f"{code}.jsonl"
-
-    def totals(self, code: str) -> Path:
-        return self.root / "outputs" / f"{code}.totals.json"
-
-    def score_file(self, system: str, code: str) -> Path:
+    def path(self, name: str, code: str | None = None, *, mode: str | None = None,
+             system: str | None = None) -> Path:
         # Names like "org/model" must stay one file in scores/; the JSON
         # keeps the real name.
-        return self.root / "scores" / f"{quote(system, safe='')}.{code}.json"
+        system = quote(system, safe="") if system is not None else None
+        return self.root / ARTIFACTS[name][0].format(pair=code, mode=mode, system=system)
+
+    def require(self, name: str, code: str | None = None, **names) -> Path:
+        """The artifact's path, which must hold a file."""
+        path = self.path(name, code, **names)
+        if not path.is_file():
+            raise UsageError(f"missing artifact {path}; run `glossmt {ARTIFACTS[name][1]}` first")
+        return path
 
     def scores_dir(self) -> Path:
         return self.root / "scores"
 
     def reports_dir(self) -> Path:
         return self.root / "reports"
-
-
-def _require(path: Path, produced_by: str) -> Path:
-    if not path.is_file():
-        raise UsageError(f"missing artifact {path}; run `glossmt {produced_by}` first")
-    return path
 
 
 def _read_json(path: Path, what: str, read):
@@ -121,14 +104,14 @@ def cmd_ingest(config: PipelineConfig, pair_code: str | None = None) -> int:
             pair_config.source_path, pair_config.target_path, pair_config.pair
         )
         corpus.write_segments(
-            layout.corpus(code),
+            layout.path("corpus", code),
             {"": segments},
             manifest={**base_manifest, "pair": code, "segments": len(segments)},
         )
         glossary = terminology.load_glossary(pair_config.glossary_path, pair_config.pair)
         filtered = terminology.filter_by_reliability(glossary, config.min_stars)
         terminology.write_glossary_tsv(
-            layout.glossary(code),
+            layout.path("glossary", code),
             filtered.entries,
             manifest={
                 **base_manifest,
@@ -147,7 +130,7 @@ def cmd_ingest(config: PipelineConfig, pair_code: str | None = None) -> int:
 
 
 def _load_matcher(layout: Layout, pair_config: PairConfig) -> terminology.TermMatcher:
-    glossary_path = _require(layout.glossary(pair_config.pair.code), "ingest")
+    glossary_path = layout.require("glossary", pair_config.pair.code)
     glossary = terminology.load_glossary(glossary_path, pair_config.pair)
     return terminology.build_matcher(glossary)
 
@@ -164,10 +147,10 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
     merged_pairs: dict[str, tuple[terminology.TermPair, ...]] = {}
     for pair_config in selected:
         code = pair_config.pair.code
-        segments = corpus.read_segments(_require(layout.corpus(code), "ingest"), pair_config.pair)
+        segments = corpus.read_segments(layout.require("corpus", code), pair_config.pair)
         tuning, validation, test = corpus.split_corpus(segments, config.split)
         corpus.write_segments(
-            layout.splits(code),
+            layout.path("splits", code),
             {"tuning": tuning, "validation": validation, "test": test},
             manifest={**base_manifest, "pair": code},
         )
@@ -175,8 +158,8 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
         train = promptgen.build_dataset(tuning, matcher, template, "train")
         test_prompts = promptgen.build_dataset(test, matcher, template, "test")
         for mode, examples, path in (
-            ("train", train, layout.train_dataset(code)),
-            ("test", test_prompts, layout.test_dataset(code)),
+            ("train", train, layout.path("train_dataset", code)),
+            ("test", test_prompts, layout.path("test_dataset", code)),
         ):
             promptgen.write_dataset(
                 path,
@@ -184,7 +167,7 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
                 manifest={**base_manifest, "pair": code, "family": template.family_id, "mode": mode},
             )
             terminology.write_candidates(
-                layout.candidates(code, mode),
+                layout.path("candidates", code, mode=mode),
                 [(e.segment_id, e.term_pairs) for e in examples],
                 manifest={**base_manifest, "pair": code, "mode": mode},
             )
@@ -203,11 +186,11 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
         for segment in merged_segments
     ]
     promptgen.write_dataset(
-        layout.train_merged(),
+        layout.path("train_merged"),
         merged,
         manifest={**base_manifest, "family": template.family_id, "mode": "train", "merged": True},
     )
-    promptgen.write_dataset_rawtext(layout.train_merged_text(), merged)
+    promptgen.write_dataset_rawtext(layout.path("train_merged_text"), merged)
     print(f"merged: train={len(merged)}")
     return 0
 
@@ -234,9 +217,9 @@ def _postprocess_pair(config: PipelineConfig, layout: Layout, pair_config: PairC
     outputs, totals = postprocess.postprocess_batch(records, template, counts)
     base_manifest = config.manifest()
     postprocess.write_outputs(
-        layout.outputs(code), outputs, manifest={**base_manifest, "pair": code}
+        layout.path("outputs", code), outputs, manifest={**base_manifest, "pair": code}
     )
-    _jsonl.write_json(layout.totals(code), {**base_manifest, "pair": code, "totals": totals})
+    _jsonl.write_json(layout.path("totals", code), {**base_manifest, "pair": code, "totals": totals})
     return totals
 
 
@@ -249,15 +232,15 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
     counts_by_pair = [_external_counts(config, p) for p in selected]  # before any request
     for pair_config, counts in zip(selected, counts_by_pair):
         code = pair_config.pair.code
-        examples = promptgen.read_dataset(_require(layout.test_dataset(code), "build"), pair_config.pair)
+        examples = promptgen.read_dataset(layout.require("test_dataset", code), pair_config.pair)
         completed: dict[str, runner.GenerationRecord] = {}
-        if resume and layout.generations(code).is_file():
+        if resume and layout.path("generations", code).is_file():
             # Keep only records this configuration would produce again.
             snapshot = config.inference.snapshot()
             prompts = {e.segment_id: e.rendered_text for e in examples}
             completed = {
                 record.segment_id: record
-                for record in runner.read_records(layout.generations(code))
+                for record in runner.read_records(layout.path("generations", code))
                 if record.ok
                 and record.config == snapshot
                 and record.prompt_text == prompts.get(record.segment_id)
@@ -272,10 +255,10 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
         by_id = {**completed, **{r.segment_id: r for r in new_records}}
         records = [by_id[e.segment_id] for e in examples if e.segment_id in by_id]
         runner.write_records(
-            layout.generations(code), records, manifest={**base_manifest, "pair": code}
+            layout.path("generations", code), records, manifest={**base_manifest, "pair": code}
         )
         runner.write_run_manifest(
-            layout.generation_manifest(code),
+            layout.path("generation_manifest", code),
             config.inference,
             records,
             config_hash=base_manifest["config_hash"],
@@ -284,7 +267,7 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
         )
         if aborted is not None:
             raise aborted
-        runner.write_timing_sidecar(layout.timing(code), records)
+        runner.write_timing_sidecar(layout.path("timing", code), records)
         totals = _postprocess_pair(config, layout, pair_config, records, counts)
         errors = sum(1 for r in records if not r.ok)
         print(
@@ -302,7 +285,7 @@ def cmd_postprocess(config: PipelineConfig, pair_code: str | None = None) -> int
     for pair_config in config.select_pairs(pair_code):
         code = pair_config.pair.code
         counts = _external_counts(config, pair_config)
-        records = runner.read_records(_require(layout.generations(code), "translate"))
+        records = runner.read_records(layout.require("generations", code))
         totals = _postprocess_pair(config, layout, pair_config, records, counts)
         print(
             f"{code}: outputs={totals['outputs']} truncated={totals['truncated_count']} "
@@ -320,10 +303,8 @@ def cmd_score(config: PipelineConfig, pair_code: str | None = None, system: str 
     base_manifest = config.manifest()
     for pair_config in config.select_pairs(pair_code):
         code = pair_config.pair.code
-        references = corpus.read_segments(
-            _require(layout.splits(code), "build"), pair_config.pair, split="test"
-        )
-        outputs = postprocess.read_outputs(_require(layout.outputs(code), "translate"))
+        references = corpus.read_segments(layout.require("splits", code), pair_config.pair, split="test")
+        outputs = postprocess.read_outputs(layout.require("outputs", code))
         outputs_by_id = {o.segment_id: o for o in outputs}
         if {r.id for r in references} != set(outputs_by_id):
             raise UsageError(
@@ -331,9 +312,7 @@ def cmd_score(config: PipelineConfig, pair_code: str | None = None, system: str 
             )
         hypotheses = [outputs_by_id[r.id].cleaned_text for r in references]
         reference_texts = [r.target_text for r in references]
-        candidates = terminology.read_candidates(
-            _require(layout.candidates(code, "test"), "build")
-        )
+        candidates = terminology.read_candidates(layout.require("candidates", code, mode="test"))
         accuracy, correct, total = metrics.term_accuracy(outputs, candidates)
         external = {}
         if pair_config.external_scores_path is not None:
@@ -358,7 +337,7 @@ def cmd_score(config: PipelineConfig, pair_code: str | None = None, system: str 
             )
             spans = mqm.filter_by_confidence(spans, config.confidence_threshold)
             token_total, scheme = _read_json(
-                _require(layout.totals(code), "translate"),
+                layout.require("totals", code),
                 "totals file",
                 lambda data: (
                     _jsonl.field(data["totals"], f"token_total_{config.mqm_tokens}", int),
@@ -368,7 +347,7 @@ def cmd_score(config: PipelineConfig, pair_code: str | None = None, system: str 
             counts = mqm.tally(spans, token_total, scheme=f"{scheme}:{config.mqm_tokens}")
             mqm_block = {"counts": counts.to_dict(), "score": mqm.mqm_score(counts)}
         _jsonl.write_json(
-            layout.score_file(system, code),
+            layout.path("score_file", code, system=system),
             {
                 "manifest": {**base_manifest, "pair": code, "system": system},
                 "report": score_report.to_dict(),

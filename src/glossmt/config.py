@@ -1,22 +1,13 @@
 """Pipeline configuration: one declarative INI-style file.
 
-Sections::
-
-    [project]     output_dir, seed
-    [split]       tuning, validation, test     (per-pair sizes)
-    [terminology] min_stars
-    [template]    family (flan|llama3|chatml) or file = <template file>
-    [inference]   endpoint_url, model_name, top_p, temperature,
-                  max_new_tokens, request_timeout, max_concurrent_requests,
-                  max_retries, retry_backoff
-    [scoring]     counting_scheme, confidence_threshold, mqm_tokens
-    [pair.en-es]  source, target, glossary, (source_name, target_name,
-                  annotations, external_scores, external_counts)
-
-One ``[pair.*]`` section per language pair. The file holds every setting
-and input path; only the seed can be overridden, by ``--seed``. The
-resolved configuration is hashed (sha256 over its canonical JSON) and that
-hash is stamped into every artifact manifest.
+``_KEYS`` lists every section the file may hold, each key it may set and
+how the key's text is read; any other section or key is a
+ConfigurationError that names it. A key the file leaves out takes the
+default of the dataclass field it fills. There is one ``[pair.*]`` section
+per language pair, e.g. ``[pair.en-es]``. The file holds every setting and
+input path; only the seed can be overridden, by ``--seed``. The resolved
+configuration is hashed (sha256 over its canonical JSON) and that hash is
+stamped into every artifact manifest.
 
 Every stage reads its config first, so this module owns the value checks
 (``InferenceConfig`` and the counting-scheme names included) and imports no
@@ -43,11 +34,33 @@ SCHEME_EXTERNAL = "external"
 COUNTING_SCHEMES = (SCHEME_WHITESPACE, SCHEME_EXTERNAL)
 MQM_TOKEN_MODES = ("raw", "cleaned")
 
+# [section] -> key -> how its text is read. A key fills the dataclass field
+# of its name, except that [split] keys gain "_size", [template] keys a
+# "template_" prefix, and a pair's paths "_path". A ``Path`` is resolved
+# against the config file's directory and must name a file; left empty, it
+# is unset. The output directory is made, not read, so it is text.
+_KEYS: dict[str, dict[str, type]] = {
+    "project": {"output_dir": str, "seed": int},
+    "split": {"tuning": int, "validation": int, "test": int},
+    "terminology": {"min_stars": int},
+    "template": {"family": str, "file": Path},
+    "inference": {
+        "endpoint_url": str, "model_name": str, "top_p": float, "temperature": float,
+        "max_new_tokens": int, "request_timeout": float, "max_concurrent_requests": int,
+        "max_retries": int, "retry_backoff": float,
+    },
+    "scoring": {"counting_scheme": str, "confidence_threshold": float, "mqm_tokens": str},
+    "pair": {  # every [pair.*] section
+        "source": Path, "target": Path, "glossary": Path, "source_name": str, "target_name": str,
+        "annotations": Path, "external_scores": Path, "external_counts": Path,
+    },
+}
+
 
 @dataclass(frozen=True)
 class InferenceConfig:
-    endpoint_url: str
-    model_name: str
+    endpoint_url: str = "http://127.0.0.1:8000/completions"
+    model_name: str = "default-model"
     top_p: float = 0.9
     temperature: float | None = None
     max_new_tokens: int = 512
@@ -117,13 +130,13 @@ class PipelineConfig:
     seed: int
     pairs: tuple[PairConfig, ...]
     split: SplitSpec
-    min_stars: int
-    template_family: str
-    template_file: Path | None
     inference: InferenceConfig
-    counting_scheme: str
-    confidence_threshold: float
-    mqm_tokens: str
+    min_stars: int = 3
+    template_family: str = "flan"
+    template_file: Path | None = None
+    counting_scheme: str = SCHEME_WHITESPACE
+    confidence_threshold: float = 0.0
+    mqm_tokens: str = "raw"
 
     def __post_init__(self):
         if not self.pairs:
@@ -204,16 +217,6 @@ class PipelineConfig:
         return {"config_hash": self.config_hash(), "seed": self.seed}
 
 
-def _get(parser: configparser.ConfigParser, section: str, option: str, kind, default):
-    if not parser.has_option(section, option):
-        return default
-    raw = parser.get(section, option)
-    try:
-        return kind(raw)
-    except ValueError as exc:
-        raise ConfigurationError(f"[{section}] {option} = {raw!r}: {exc}") from exc
-
-
 def load_config(path, seed: int | None = None) -> PipelineConfig:
     """Parse a config file; ``seed``, when given, replaces the file's seed.
 
@@ -230,98 +233,61 @@ def load_config(path, seed: int | None = None) -> PipelineConfig:
     except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
 
-    base = path.parent
-
-    def resolve(raw: str) -> Path:
-        candidate = Path(raw)
-        return candidate if candidate.is_absolute() else base / candidate
-
+    sections = _read_sections(parser, path.parent)
+    # The seed fills two dataclasses and the output directory is resolved
+    # here, so these two defaults live here; every other one on its field.
+    project = sections.get("project", {})
     if seed is None:
-        seed = _get(parser, "project", "seed", int, 0)
-    output_dir = resolve(_get(parser, "project", "output_dir", str, "out"))
+        seed = project.get("seed", 0)
+    pairs = tuple(
+        _pair_config(section[len("pair.") :], values)
+        for section, values in sections.items()
+        if section.startswith("pair.")
+    )
+    return PipelineConfig(
+        output_dir=path.parent / project.get("output_dir", "out"),
+        seed=seed,
+        pairs=pairs,
+        split=SplitSpec(seed=seed, **{f"{key}_size": size for key, size in sections.get("split", {}).items()}),
+        inference=InferenceConfig(**sections.get("inference", {})),
+        **sections.get("terminology", {}),
+        **{f"template_{key}": value for key, value in sections.get("template", {}).items()},
+        **sections.get("scoring", {}),
+    )
 
-    pairs = []
+
+def _read_sections(parser: configparser.ConfigParser, base: Path) -> dict[str, dict[str, Any]]:
+    """The keys each section sets, read as ``_KEYS`` says."""
+    if parser.defaults():
+        raise ConfigurationError("unknown section [DEFAULT]")
+    sections: dict[str, dict[str, Any]] = {}
+    missing = set()
     for section in parser.sections():
-        if not section.startswith("pair."):
-            continue
-        code = section[len("pair.") :]
-        pair = LanguagePair.from_code(
-            code,
-            source_name=_get(parser, section, "source_name", str, None),
-            target_name=_get(parser, section, "target_name", str, None),
-        )
-        for option in ("source", "target", "glossary"):
-            if not parser.has_option(section, option):
-                raise ConfigurationError(f"[{section}] is missing {option!r}")
-
-        def optional_path(option: str) -> Path | None:
-            raw = _get(parser, section, option, str, None)
-            return resolve(raw) if raw else None
-
-        pairs.append(
-            PairConfig(
-                pair=pair,
-                source_path=resolve(parser.get(section, "source")),
-                target_path=resolve(parser.get(section, "target")),
-                glossary_path=resolve(parser.get(section, "glossary")),
-                annotations_path=optional_path("annotations"),
-                external_scores_path=optional_path("external_scores"),
-                external_counts_path=optional_path("external_counts"),
-            )
-        )
-
-    split = SplitSpec(
-        tuning_size=_get(parser, "split", "tuning", int, 1600),
-        validation_size=_get(parser, "split", "validation", int, 200),
-        test_size=_get(parser, "split", "test", int, 200),
-        seed=seed,
-    )
-
-    temperature = _get(parser, "inference", "temperature", float, None)
-    inference = InferenceConfig(
-        endpoint_url=_get(parser, "inference", "endpoint_url", str, "http://127.0.0.1:8000/completions"),
-        model_name=_get(parser, "inference", "model_name", str, "default-model"),
-        top_p=_get(parser, "inference", "top_p", float, 0.9),
-        temperature=temperature,
-        max_new_tokens=_get(parser, "inference", "max_new_tokens", int, 512),
-        request_timeout=_get(parser, "inference", "request_timeout", float, 60.0),
-        max_concurrent_requests=_get(parser, "inference", "max_concurrent_requests", int, 1),
-        max_retries=_get(parser, "inference", "max_retries", int, 2),
-        retry_backoff=_get(parser, "inference", "retry_backoff", float, 0.5),
-    )
-
-    template_file_raw = _get(parser, "template", "file", str, None)
-    config = PipelineConfig(
-        output_dir=output_dir,
-        seed=seed,
-        pairs=tuple(pairs),
-        split=split,
-        min_stars=_get(parser, "terminology", "min_stars", int, 3),
-        template_family=_get(parser, "template", "family", str, "flan"),
-        template_file=resolve(template_file_raw) if template_file_raw else None,
-        inference=inference,
-        counting_scheme=_get(parser, "scoring", "counting_scheme", str, SCHEME_WHITESPACE),
-        confidence_threshold=_get(parser, "scoring", "confidence_threshold", float, 0.0),
-        mqm_tokens=_get(parser, "scoring", "mqm_tokens", str, "raw"),
-    )
-    _check_paths(config)
-    return config
-
-
-def _check_paths(config: PipelineConfig) -> None:
-    missing = []
-    for pair_config in config.pairs:
-        for candidate in (
-            pair_config.source_path,
-            pair_config.target_path,
-            pair_config.glossary_path,
-            pair_config.annotations_path,
-            pair_config.external_scores_path,
-            pair_config.external_counts_path,
-        ):
-            if candidate is not None and not candidate.is_file():
-                missing.append(str(candidate))
-    if config.template_file is not None and not config.template_file.is_file():
-        missing.append(str(config.template_file))
+        kinds = _KEYS.get("pair" if section.startswith("pair.") else section)
+        if kinds is None:
+            raise ConfigurationError(f"unknown section [{section}]")
+        values = sections[section] = {}
+        for key, raw in parser.items(section):
+            kind = kinds.get(key)
+            if kind is None:
+                raise ConfigurationError(f"unknown key {key!r} in [{section}]")
+            if kind is not Path:
+                try:
+                    values[key] = kind(raw)
+                except ValueError as exc:
+                    raise ConfigurationError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+            elif raw:
+                values[key] = base / raw  # an absolute path stays as it is
+                if not values[key].is_file():
+                    missing.add(str(values[key]))
     if missing:
-        raise ConfigurationError("missing input files: " + ", ".join(sorted(set(missing))))
+        raise ConfigurationError("missing input files: " + ", ".join(sorted(missing)))
+    return sections
+
+
+def _pair_config(code: str, values: dict[str, Any]) -> PairConfig:
+    pair = LanguagePair.from_code(code, values.pop("source_name", None), values.pop("target_name", None))
+    for key in ("source", "target", "glossary"):
+        if key not in values:
+            raise ConfigurationError(f"[pair.{code}] is missing {key!r}")
+    return PairConfig(pair=pair, **{f"{key}_path": value for key, value in values.items()})

@@ -126,10 +126,10 @@ class ParallelSegment:
 class SplitSpec:
     """Per-pair split sizes plus the seed that fixes the assignment."""
 
-    tuning_size: int
-    validation_size: int
-    test_size: int
     seed: int
+    tuning_size: int = 1600
+    validation_size: int = 200
+    test_size: int = 200
 
     def __post_init__(self):
         for name in ("tuning_size", "validation_size", "test_size"):

@@ -78,6 +78,10 @@ class SeverityCounts:
     counting_scheme: str
 
     def __post_init__(self):
+        # A file read back may hold any JSON value; a bool is no count.
+        for name in ("minor", "major", "critical", "token_total"):
+            _jsonl.field(self.__dict__, name, int)
+        _jsonl.field(self.__dict__, "counting_scheme")
         if min(self.minor, self.major, self.critical) < 0:
             raise UsageError("severity counts must be nonnegative")
         if self.token_total <= 0:

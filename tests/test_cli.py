@@ -114,30 +114,30 @@ class TestPipeline:
         )
 
         assert run("ingest", "--config", config) == 0
-        assert layout.corpus("en-es").is_file()
-        assert layout.glossary("en-es").is_file()
+        assert layout.path("corpus", "en-es").is_file()
+        assert layout.path("glossary", "en-es").is_file()
 
         assert run("build", "--config", config) == 0
-        assert layout.splits("en-es").is_file()
-        assert layout.train_dataset("en-es").is_file()
-        assert layout.test_dataset("en-es").is_file()
-        assert layout.train_merged().is_file()
-        assert layout.train_merged_text().is_file()
-        assert layout.candidates("en-es", "train").is_file()
-        assert layout.candidates("en-es", "test").is_file()
+        assert layout.path("splits", "en-es").is_file()
+        assert layout.path("train_dataset", "en-es").is_file()
+        assert layout.path("test_dataset", "en-es").is_file()
+        assert layout.path("train_merged").is_file()
+        assert layout.path("train_merged_text").is_file()
+        assert layout.path("candidates", "en-es", mode="train").is_file()
+        assert layout.path("candidates", "en-es", mode="test").is_file()
 
         assert run("translate", "--config", config) == 0
-        assert layout.generations("en-es").is_file()
-        assert layout.timing("en-es").is_file()
-        assert layout.outputs("en-es").is_file()
-        manifest = json.loads(layout.generation_manifest("en-es").read_text())
+        assert layout.path("generations", "en-es").is_file()
+        assert layout.path("timing", "en-es").is_file()
+        assert layout.path("outputs", "en-es").is_file()
+        manifest = json.loads(layout.path("generation_manifest", "en-es").read_text())
         assert manifest["records"] == 20
         assert manifest["errors"] == 0
         assert manifest["aborted"] is False
 
         add_pair_input(config, "annotations", fixtures_dir / "annotations_en_es.jsonl")
         assert run("score", "--config", config) == 0
-        score_path = layout.score_file("stub-model", "en-es")
+        score_path = layout.path("score_file", "en-es", system="stub-model")
         assert score_path.is_file()
         data = json.loads(score_path.read_text(encoding="utf-8"))
         assert data["report"]["system"] == "stub-model"
@@ -166,7 +166,7 @@ class TestPipeline:
         assert "[scoring]" not in config.read_text(encoding="utf-8")
         for step in ("ingest", "build", "translate", "score"):
             assert run(step, "--config", config) == 0
-        rows = read_records(layout.outputs("en-es"), lambda row: row)
+        rows = read_records(layout.path("outputs", "en-es"), lambda row: row)
         assert len(rows) == 20
         assert all(row["truncated"] is False and row["scheme"] == "whitespace" for row in rows)
 
@@ -176,7 +176,7 @@ class TestPipeline:
         )
         assert run("ingest", "--config", config) == 0
         assert run("build", "--config", config) == 0
-        lines = layout.splits("en-es").read_text(encoding="utf-8").splitlines()
+        lines = layout.path("splits", "en-es").read_text(encoding="utf-8").splitlines()
         rows = [json.loads(line) for line in lines[1:]]
         by_split = {}
         for row in rows:
@@ -194,15 +194,15 @@ class TestPipeline:
         for step in ("ingest", "build", "translate"):
             assert run(step, "--config", config) == 0
         assert run("score", "--config", config, "--system", "run-a") == 0
-        assert layout.score_file("run-a", "en-es").is_file()
+        assert layout.path("score_file", "en-es", system="run-a").is_file()
 
     def test_system_name_with_slash_reaches_report(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         assert run("score", "--config", config, "--system", "org/model") == 0
-        score_path = layout.score_file("org/model", "en-es")
+        score_path = layout.path("score_file", "en-es", system="org/model")
         assert score_path.parent == layout.scores_dir()
         assert json.loads(score_path.read_text(encoding="utf-8"))["report"]["system"] == "org/model"
-        assert layout.score_file("stub-model", "en-es").name == "stub-model.en-es.json"
+        assert layout.path("score_file", "en-es", system="stub-model").name == "stub-model.en-es.json"
         assert run("report", "--config", config) == 0
         assert "org/model" in (layout.reports_dir() / "metrics.csv").read_text(encoding="utf-8")
 
@@ -210,9 +210,9 @@ class TestPipeline:
         config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/surrogate")
         for step in ("ingest", "build", "translate", "score"):
             assert run(step, "--config", config) == 0
-        text = layout.generations("en-es").read_text(encoding="utf-8")
+        text = layout.path("generations", "en-es").read_text(encoding="utf-8")
         assert "\\ud800" in text
-        records = runner.read_records(layout.generations("en-es"))
+        records = runner.read_records(layout.path("generations", "en-es"))
         assert len(records) == 20
         assert all(r.ok and r.raw_output.endswith(" \ud800") for r in records)
 
@@ -220,7 +220,7 @@ class TestPipeline:
         self, tmp_path, fixtures_dir, stub_endpoint, caplog
     ):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        outputs = read_records(layout.outputs("en-es"), dict)
+        outputs = read_records(layout.path("outputs", "en-es"), dict)
         first, second = outputs[0], outputs[1]
         word = second["raw"].split()[0]
         spans = [
@@ -240,7 +240,7 @@ class TestPipeline:
         add_pair_input(config, "annotations", annotations)
         with caplog.at_level(logging.WARNING):
             assert run("score", "--config", config) == 0
-        counts = json.loads(layout.score_file("stub-model", "en-es").read_text(encoding="utf-8"))["mqm"]["counts"]
+        counts = json.loads(layout.path("score_file", "en-es", system="stub-model").read_text(encoding="utf-8"))["mqm"]["counts"]
         assert (counts["minor"], counts["major"], counts["critical"]) == (1, 1, 0)
         reasons = [m.split("reason=")[1] for m in caplog.messages if "rejected_span" in m]
         assert reasons == ["unknown_segment", "unknown_segment", "offsets_mismatch"]
@@ -249,7 +249,7 @@ class TestPipeline:
         self, tmp_path, fixtures_dir, stub_endpoint, caplog
     ):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        first, second = (row["segment_id"] for row in read_records(layout.outputs("en-es"), dict)[:2])
+        first, second = (row["segment_id"] for row in read_records(layout.path("outputs", "en-es"), dict)[:2])
         rows = [{"segment_id": "no-such-id", "name": "comet22", "value": 0.9}] * 3 + [
             {"segment_id": first, "name": "xcomet", "value": 0.25},
             {"segment_id": first, "name": "xcomet", "value": 1.0},
@@ -260,7 +260,7 @@ class TestPipeline:
         add_pair_input(config, "external_scores", scores)
         with caplog.at_level(logging.WARNING):
             assert run("score", "--config", config) == 0
-        data = json.loads(layout.score_file("stub-model", "en-es").read_text(encoding="utf-8"))
+        data = json.loads(layout.path("score_file", "en-es", system="stub-model").read_text(encoding="utf-8"))
         assert data["report"]["external_scores"] == {"xcomet": 0.5}
         reasons = [m.split("reason=")[1] for m in caplog.messages if "rejected_score" in m]
         assert reasons == ["unknown_segment"] * 3 + ["duplicate"]
@@ -268,9 +268,9 @@ class TestPipeline:
     def test_report_tables_every_score_file(self, tmp_path, fixtures_dir, stub_endpoint, caplog):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         assert run("score", "--config", config, "--system", "sys") == 0
-        en_es = json.loads(layout.score_file("sys", "en-es").read_text(encoding="utf-8"))
+        en_es = json.loads(layout.path("score_file", "en-es", system="sys").read_text(encoding="utf-8"))
         en_es["report"]["pair"] = en_es["manifest"]["pair"] = "ja-ko"
-        layout.score_file("sys", "ja-ko").write_text(json.dumps(en_es), encoding="utf-8")
+        layout.path("score_file", "ja-ko", system="sys").write_text(json.dumps(en_es), encoding="utf-8")
         with caplog.at_level(logging.WARNING):
             assert run("report", "--config", config) == 0
         assert not caplog.messages
@@ -284,7 +284,7 @@ class TestPipeline:
     ):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         assert run("score", "--config", config, "--system", "a") == 0
-        original = layout.score_file("a", "en-es")
+        original = layout.path("score_file", "en-es", system="a")
         copy = original.with_name("a-copy.en-es.json")
         copy.write_bytes(original.read_bytes())
         capsys.readouterr()
@@ -354,16 +354,16 @@ class TestStartup:
 class TestDeterminism:
     def collect(self, layout):
         names = [
-            layout.splits("en-es"),
-            layout.train_dataset("en-es"),
-            layout.test_dataset("en-es"),
-            layout.train_merged(),
-            layout.train_merged_text(),
-            layout.candidates("en-es", "test"),
-            layout.generations("en-es"),
-            layout.outputs("en-es"),
-            layout.totals("en-es"),
-            layout.score_file("stub-model", "en-es"),
+            layout.path("splits", "en-es"),
+            layout.path("train_dataset", "en-es"),
+            layout.path("test_dataset", "en-es"),
+            layout.path("train_merged"),
+            layout.path("train_merged_text"),
+            layout.path("candidates", "en-es", mode="test"),
+            layout.path("generations", "en-es"),
+            layout.path("outputs", "en-es"),
+            layout.path("totals", "en-es"),
+            layout.path("score_file", "en-es", system="stub-model"),
             layout.reports_dir() / "metrics.csv",
             layout.reports_dir() / "report.md",
         ]
@@ -398,9 +398,9 @@ class TestDeterminism:
         )
         assert run("ingest", "--config", config) == 0
         assert run("build", "--config", config) == 0
-        first = layout.splits("en-es").read_bytes()
+        first = layout.path("splits", "en-es").read_bytes()
         assert run("build", "--config", config, "--seed", "999") == 0
-        assert layout.splits("en-es").read_bytes() != first
+        assert layout.path("splits", "en-es").read_bytes() != first
 
 
 class TestExitCodes:
@@ -453,6 +453,26 @@ class TestExitCodes:
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("glossmt: usage error:") and flag in err
 
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("max_concurrent_requests = 4", "max_concurent_requests = 8", "'max_concurent_requests' in [inference]"),
+            ("mqm_tokens = raw", "mqm_token = cleaned", "'mqm_token' in [scoring]"),
+            ("glossary =", "glosary =", "'glosary' in [pair.en-es]"),
+            ("[scoring]", "[scoreing]", "unknown section [scoreing]"),
+            ("[project]", "[DEFAULT]\nseed = 3\n\n[project]", "unknown section [DEFAULT]"),
+        ],
+        ids=["unknown-key", "unknown-scoring-key", "unknown-pair-key", "unknown-section", "default-section"],
+    )
+    def test_unknown_config_key_or_section_is_usage_error(self, tmp_path, fixtures_dir, capsys, old, new, named):
+        # A typo would otherwise run with the default it meant to replace.
+        config = project_with(tmp_path, fixtures_dir, old, new)
+        assert run("ingest", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("glossmt: usage error:") and named in err
+        assert not (tmp_path / "out").exists()
+
     def test_no_truncation_scheme_in_config_is_usage_error(self, tmp_path, fixtures_dir, capsys):
         config = project_with(
             tmp_path,
@@ -483,14 +503,14 @@ class TestExitCodes:
         config, layout = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9")
         config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
         assert run("ingest", "--config", config) == 0
-        assert layout.glossary("en-es").is_file()
+        assert layout.path("glossary", "en-es").is_file()
 
     def test_corrupt_artifact_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = write_project(
             tmp_path, fixtures_dir, stub_endpoint.url + "/echo"
         )
         assert run("ingest", "--config", config) == 0
-        layout.corpus("en-es").write_text("not json at all\n", encoding="utf-8")
+        layout.path("corpus", "en-es").write_text("not json at all\n", encoding="utf-8")
         assert run("build", "--config", config) == 2
 
     def test_invalid_utf8_corpus_is_data_error(self, tmp_path, fixtures_dir, capsys):
@@ -515,42 +535,42 @@ class TestExitCodes:
         assert run("ingest", "--config", config) == 0
         assert run("build", "--config", config) == 0
         assert run("translate", "--config", config) == 3
-        manifest = json.loads(layout.generation_manifest("en-es").read_text())
+        manifest = json.loads(layout.path("generation_manifest", "en-es").read_text())
         assert manifest["aborted"] is True
         # The partial records match the manifest (their number depends on
         # thread timing) and are all errors; nothing past the abort is written.
-        records = runner.read_records(layout.generations("en-es"))
+        records = runner.read_records(layout.path("generations", "en-es"))
         assert len(records) == manifest["records"]
         assert all(not r.ok for r in records)
-        assert not layout.timing("en-es").exists()
-        assert not layout.outputs("en-es").exists()
+        assert not layout.path("timing", "en-es").exists()
+        assert not layout.path("outputs", "en-es").exists()
 
 
 class TestScoreInputs:
     """``score`` maps missing and broken inputs onto the exit codes."""
 
     def rewrite_candidates(self, layout, edit):
-        path = layout.candidates("en-es", "test")
+        path = layout.path("candidates", "en-es", mode="test")
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
 
     def test_missing_totals_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        layout.totals("en-es").unlink()
+        layout.path("totals", "en-es").unlink()
         add_pair_input(config, "annotations", fixtures_dir / "annotations_en_es.jsonl")
         assert run("score", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "run `glossmt translate` first")
 
     def test_corrupt_totals_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        layout.totals("en-es").write_text('{"totals": {}}\n', encoding="utf-8")
+        layout.path("totals", "en-es").write_text('{"totals": {}}\n', encoding="utf-8")
         add_pair_input(config, "annotations", fixtures_dir / "annotations_en_es.jsonl")
         assert run("score", "--config", config) == 2
         assert_one_line_error(capsys, "data", "bad totals file")
 
     def test_missing_candidates_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        layout.candidates("en-es", "test").unlink()
+        layout.path("candidates", "en-es", mode="test").unlink()
         assert run("score", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "run `glossmt build` first")
 
@@ -559,7 +579,7 @@ class TestScoreInputs:
         self.rewrite_candidates(layout, lambda lines: lines + [lines[1]])
         assert run("score", "--config", config) == 2
         assert_one_line_error(
-            capsys, "data", f"{layout.candidates('en-es', 'test')}: bad record: duplicate segment_id"
+            capsys, "data", f"{layout.path('candidates', 'en-es', mode='test')}: bad record: duplicate segment_id"
         )
 
     def test_candidate_ids_differing_from_references_is_usage_error(
@@ -589,6 +609,13 @@ class TestScoreInputs:
         assert_one_line_error(capsys, "data", "(line 3)")
 
 
+def with_mqm_counts(**changes):
+    """A change to a score file that gives it an MQM block of valid counts
+    but for ``changes``."""
+    counts = {"minor": 0, "major": 0, "critical": 0, "token_total": 100, "counting_scheme": "whitespace:raw"}
+    return lambda data: data.update(mqm={"counts": {**counts, **changes}, "score": 100.0})
+
+
 class TestReportInputs:
     """``report`` turns a broken score file into one line and exit code 2."""
 
@@ -600,7 +627,7 @@ class TestReportInputs:
     def test_broken_score_file_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys, content):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         assert run("score", "--config", config) == 0
-        layout.score_file("stub-model", "en-es").write_text(content + "\n", encoding="utf-8")
+        layout.path("score_file", "en-es", system="stub-model").write_text(content + "\n", encoding="utf-8")
         capsys.readouterr()
         assert run("report", "--config", config) == 2
         assert_one_line_error(capsys, "data", "bad score file")
@@ -620,16 +647,25 @@ class TestReportInputs:
                     "score": 100.0,
                 }
             ),
+            with_mqm_counts(minor=1.5),
+            with_mqm_counts(major=True),
+            with_mqm_counts(token_total=True),
+            with_mqm_counts(counting_scheme=7),
+            with_mqm_counts(minor=1.5, major=True, token_total=True, counting_scheme=7),
         ],
-        ids=["external-score-not-a-number", "bleu-is-bool", "term-total-not-int", "zero-token-total"],
+        ids=[
+            "external-score-not-a-number", "bleu-is-bool", "term-total-not-int", "zero-token-total",
+            "mqm-minor-not-int", "mqm-major-is-bool", "mqm-token-total-is-bool", "mqm-scheme-not-str",
+            "mqm-all-mistyped",
+        ],
     )
     def test_mistyped_score_file_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys, corrupt):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         assert run("score", "--config", config) == 0
-        data = json.loads(layout.score_file("stub-model", "en-es").read_text(encoding="utf-8"))
+        data = json.loads(layout.path("score_file", "en-es", system="stub-model").read_text(encoding="utf-8"))
         corrupt(data)
         data["report"]["system"] = "other"
-        bad = layout.score_file("other", "en-es")
+        bad = layout.path("score_file", "en-es", system="other")
         bad.write_text(json.dumps(data), encoding="utf-8")
         capsys.readouterr()
         assert run("report", "--config", config) == 2
@@ -640,7 +676,7 @@ class TestReportInputs:
 
     def test_duplicate_output_record_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        outputs = layout.outputs("en-es")
+        outputs = layout.path("outputs", "en-es")
         lines = outputs.read_text(encoding="utf-8").splitlines(keepends=True)
         outputs.write_text("".join([*lines, lines[1]]), encoding="utf-8")
         capsys.readouterr()
@@ -654,10 +690,10 @@ class TestMatchOnce:
     def test_score_does_not_need_the_glossary(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         assert run("score", "--config", config) == 0
-        with_glossary = layout.score_file("stub-model", "en-es").read_bytes()
-        layout.glossary("en-es").unlink()
+        with_glossary = layout.path("score_file", "en-es", system="stub-model").read_bytes()
+        layout.path("glossary", "en-es").unlink()
         assert run("score", "--config", config) == 0
-        assert layout.score_file("stub-model", "en-es").read_bytes() == with_glossary
+        assert layout.path("score_file", "en-es", system="stub-model").read_bytes() == with_glossary
 
     def test_merged_train_records_carry_per_pair_terms(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
@@ -665,9 +701,9 @@ class TestMatchOnce:
         assert run("build", "--config", config) == 0
         per_pair = {
             f"en-es:{record['segment_id']}": record["terms"]
-            for record in read_records(layout.train_dataset("en-es"), dict)
+            for record in read_records(layout.path("train_dataset", "en-es"), dict)
         }
-        merged = read_records(layout.train_merged(), dict)
+        merged = read_records(layout.path("train_merged"), dict)
         assert sorted(record["segment_id"] for record in merged) == sorted(per_pair)
         for record in merged:
             assert record["terms"] == per_pair[record["segment_id"]]
@@ -686,7 +722,7 @@ class TestResume:
         assert run("translate", "--config", config) == 0
         rows = [
             json.loads(line)
-            for line in layout.generations("en-es").read_text(encoding="utf-8").splitlines()[1:]
+            for line in layout.path("generations", "en-es").read_text(encoding="utf-8").splitlines()[1:]
         ]
         failed = [row["segment_id"] for row in rows if row["error"]]
         assert len(failed) == 20
@@ -695,7 +731,7 @@ class TestResume:
         assert run("translate", "--config", config, "--resume") == 0
         rows = [
             json.loads(line)
-            for line in layout.generations("en-es").read_text(encoding="utf-8").splitlines()[1:]
+            for line in layout.path("generations", "en-es").read_text(encoding="utf-8").splitlines()[1:]
         ]
         assert all(row["error"] is None for row in rows)
         assert len(stub_endpoint.requests) - requests_before == len(failed)
@@ -709,7 +745,7 @@ class TestResume:
         before = len(stub_endpoint.requests)
         assert run("translate", "--config", config, "--resume") == 0
         assert len(stub_endpoint.requests) - before == 20
-        rows = read_records(layout.generations("en-es"), dict)
+        rows = read_records(layout.path("generations", "en-es"), dict)
         assert len(rows) == 20
         assert {row["model"] for row in rows} == {"other-model"}
         assert {row["config"]["model"] for row in rows} == {"other-model"}
@@ -731,12 +767,12 @@ class TestResume:
         )
         for step in ("ingest", "build", "translate"):
             assert run(step, "--config", config) == 0
-        rows = read_records(layout.generations("en-es"), dict)
+        rows = read_records(layout.path("generations", "en-es"), dict)
         completed = {row["segment_id"] for row in rows if row["error"] is None}
         assert 0 < len(completed) < len(rows)
 
         assert run("translate", "--config", config, "--resume") == 0
-        timing = read_records(layout.timing("en-es"), dict)
+        timing = read_records(layout.path("timing", "en-es"), dict)
         assert len(timing) == len(rows)
         carried = [row for row in timing if row["segment_id"] in completed]
         fresh = [row for row in timing if row["segment_id"] not in completed]
@@ -748,19 +784,19 @@ class TestResume:
 class TestPostprocessCommand:
     def test_external_counts_scheme(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        whitespace_hash = json.loads(layout.totals("en-es").read_text(encoding="utf-8"))["config_hash"]
+        whitespace_hash = json.loads(layout.path("totals", "en-es").read_text(encoding="utf-8"))["config_hash"]
         counts_file = tmp_path / "counts.jsonl"
         counts_file.write_text(
             "".join(
                 json.dumps({"segment_id": row["segment_id"], "token_count": 7}) + "\n"
-                for row in read_records(layout.generations("en-es"), dict)
+                for row in read_records(layout.path("generations", "en-es"), dict)
             ),
             encoding="utf-8",
         )
         edit_config(config, "counting_scheme = whitespace", "counting_scheme = external")
         add_pair_input(config, "external_counts", counts_file)
         assert run("postprocess", "--config", config) == 0
-        data = json.loads(layout.totals("en-es").read_text(encoding="utf-8"))
+        data = json.loads(layout.path("totals", "en-es").read_text(encoding="utf-8"))
         totals = data["totals"]
         assert totals["counting_scheme"] == "external"
         assert totals["token_total_raw"] == totals["token_total_cleaned"] == 7 * 20
@@ -786,4 +822,4 @@ class TestPostprocessCommand:
         assert run("translate", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "external_counts")
         assert stub_endpoint.requests == []
-        assert not layout.generations("en-es").exists()
+        assert not layout.path("generations", "en-es").exists()

@@ -1,9 +1,14 @@
+import importlib.util
+import sys
 import textwrap
+from pathlib import Path
 
 import pytest
 
-from glossmt.config import load_config
+from glossmt.config import InferenceConfig, load_config
 from glossmt.errors import ConfigurationError
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 BASE_CONFIG = """\
 [project]
@@ -90,6 +95,19 @@ class TestLoad:
         config = load_config(path)
         assert config.pairs[0].source_path == tmp_path / "data" / "emea.en"
 
+    def test_absolute_path_stays_absolute(self, tmp_path, fixtures_dir):
+        config = load_config(write_config(tmp_path, fixtures_dir))
+        assert config.pairs[0].source_path == fixtures_dir / "emea.en"
+        assert config.output_dir == tmp_path / "out"
+
+    def test_empty_optional_path_is_unset(self, tmp_path, fixtures_dir):
+        path = write_config(tmp_path, fixtures_dir, extra="annotations =\nexternal_counts =\n")
+        replace_in(path, "family = flan", "family = flan\nfile =")
+        config = load_config(path)
+        assert config.pairs[0].annotations_path is None
+        assert config.pairs[0].external_counts_path is None
+        assert config.template_file is None
+
     def test_missing_input_file_rejected(self, tmp_path, fixtures_dir):
         path = write_config(tmp_path, fixtures_dir, src=tmp_path / "absent.en")
         with pytest.raises(ConfigurationError) as exc:
@@ -166,6 +184,42 @@ class TestValidation:
         )
         with pytest.raises(ConfigurationError, match="confidence_threshold"):
             load_config(path)
+
+    def test_left_out_keys_take_the_field_defaults(self, tmp_path, fixtures_dir):
+        path = tmp_path / "pipeline.ini"
+        path.write_text(
+            f"[pair.en-es]\nsource = {fixtures_dir / 'emea.en'}\ntarget = {fixtures_dir / 'emea.es'}\n"
+            f"glossary = {fixtures_dir / 'glossary_en_es.tsv'}\n",
+            encoding="utf-8",
+        )
+        config = load_config(path)
+        assert config.output_dir == tmp_path / "out"
+        assert (config.seed, config.split.seed, config.split.total) == (0, 0, 2000)
+        assert config.inference == InferenceConfig()
+        assert config.inference.model_name == "default-model"
+        assert (config.min_stars, config.template_family, config.counting_scheme) == (3, "flan", "whitespace")
+
+
+class TestBenchmarkConfig:
+    """The benchmark's generated config must keep loading; a key the loader
+    stops accepting fails here before it breaks the benchmark."""
+
+    @pytest.fixture(scope="class")
+    def workloads(self):
+        spec = importlib.util.spec_from_file_location("perfbench_workloads", PERFBENCH / "workloads.py")
+        module = importlib.util.module_from_spec(spec)
+        sys.modules[spec.name] = module  # dataclasses look their module up
+        spec.loader.exec_module(module)
+        yield module
+        del sys.modules[spec.name]
+
+    @pytest.mark.parametrize("name", ["big-glossary", "dense-multipair", "endpoint-latency"])
+    def test_generated_config_loads(self, tmp_path, workloads, name):
+        workload = workloads.WORKLOADS[name].sized(smoke=True)
+        workloads.generate(workload, 1, tmp_path)
+        config = load_config(tmp_path / "exp.ini")
+        assert [p.pair.code for p in config.pairs] == list(workload.pairs)
+        assert config.counting_scheme == "whitespace"
 
 
 class TestHashing:
