@@ -1,12 +1,18 @@
 """JSON Lines helpers shared by the artifact writers and readers, plus the
-writer of the pretty-printed JSON artifacts (totals, score files, run
-manifests).
+writer and reader of the pretty-printed JSON artifacts (totals, score
+files, run manifests).
 
-Every artifact file starts with a manifest record (``record_type:
-"manifest"``) carrying at least the config hash and seed, so a file can be
-traced back to the run that produced it. Readers skip the manifest
-transparently. A reader reads its fields with :func:`field` in a ``build``
-function that :func:`read_records` applies to every record.
+Every JSONL artifact but the timing sidecar starts with a manifest record
+(``record_type: "manifest"``) carrying at least the config hash and seed,
+so a file can be traced back to the run that produced it. Readers skip the
+manifest transparently. A reader reads its fields with :func:`field` in a
+``build`` function that :func:`read_records` applies to every record, or
+:func:`read_json` to a whole JSON file; both turn what ``build`` rejects
+into a FormatError the same way.
+
+A record type with flat fields declares its artifact keys once, in a table
+mapping each key to ``(attribute, kind)`` or ``(attribute, kind, default)``;
+:func:`to_record` and :func:`from_record` derive both directions from it.
 """
 
 from __future__ import annotations
@@ -96,16 +102,40 @@ def unique_field(record, key: str, seen: set) -> str:
     return value
 
 
+def to_record(obj, keys: dict[str, tuple]) -> dict[str, Any]:
+    """Each key of ``keys`` -> ``obj``'s value of the attribute it names."""
+    return {key: getattr(obj, spec[0]) for key, spec in keys.items()}
+
+
+def from_record(record, keys: dict[str, tuple]) -> dict[str, Any]:
+    """Each attribute named in ``keys`` -> its key's value, read by :func:`field`."""
+    return {spec[0]: field(record, key, *spec[1:]) for key, spec in keys.items()}
+
+
+def _build(build: Callable[[Any], T], data, path, what: str, line: int | None = None) -> T:
+    """``build(data)``, with a KeyError, TypeError, ValueError, OverflowError,
+    RecursionError or UsageError it raises turned into a FormatError."""
+    try:
+        return build(data)
+    except KeyError as exc:
+        raise FormatError(f"bad {what}: missing field {exc}", path=path, line=line) from exc
+    except (TypeError, ValueError, OverflowError, RecursionError, UsageError) as exc:
+        raise FormatError(f"bad {what}: {exc}", path=path, line=line) from exc
+
+
 def read_records(path, build: Callable[[dict[str, Any]], T]) -> list[T]:
-    """``[build(record) for each data record]``; a record whose ``build``
-    raises KeyError, TypeError, ValueError, OverflowError or UsageError is a
-    FormatError with its line number."""
-    results = []
-    for line_number, record in iter_jsonl(path):
-        try:
-            results.append(build(record))
-        except KeyError as exc:
-            raise FormatError(f"missing field {exc}", path=path, line=line_number) from exc
-        except (TypeError, ValueError, OverflowError, UsageError) as exc:
-            raise FormatError(f"bad record: {exc}", path=path, line=line_number) from exc
-    return results
+    """``[build(record) for each data record]``; a rejection names its line."""
+    return [_build(build, record, path, "record", line) for line, record in iter_jsonl(path)]
+
+
+def read_json(path, what: str, build: Callable[[dict[str, Any]], T]) -> T:
+    """``build(data)`` for the JSON object in the file at ``path``, which is
+    rejected as a ``what`` with the error map of :func:`read_records`."""
+
+    def parse(raw: bytes) -> T:
+        data = json.loads(raw.decode("utf-8"))
+        if not isinstance(data, dict):
+            raise TypeError("not a JSON object")
+        return build(data)
+
+    return _build(parse, Path(path).read_bytes(), path, what)

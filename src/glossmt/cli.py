@@ -9,10 +9,10 @@ score files).
 
 Exit codes: 0 success; 1 usage or configuration error; 2 broken input data
 or I/O failure; 3 inference endpoint failure. Logs go to standard error;
-data goes to files and standard output only. Every artifact carries a
-manifest with the resolved-config hash and the seed, and every subcommand
-is re-runnable: same config and seed give byte-identical artifacts (timing
-lives in a separate sidecar).
+data goes to files and standard output only. Every artifact but the timing
+sidecar and ``datasets/train-merged.txt`` carries a manifest with the
+resolved-config hash and the seed. Every subcommand is re-runnable: same
+config and seed give byte-identical artifacts, with timing in its sidecar.
 
 Each command imports only the stage modules it calls, so ``ingest`` and
 ``build`` never load the runner, the metrics or the report writer.
@@ -21,7 +21,6 @@ Each command imports only the stage modules it calls, so ``ingest`` and
 from __future__ import annotations
 
 import argparse
-import json
 import logging
 import sys
 from pathlib import Path
@@ -32,7 +31,7 @@ from urllib.parse import quote
 # module (runner.generate_batch), where perfbench/trace_stage.py wraps them.
 from . import _jsonl, corpus, terminology
 from .config import SCHEME_EXTERNAL, PairConfig, PipelineConfig, load_config
-from .errors import DataError, EndpointError, FormatError, UsageError
+from .errors import DataError, EndpointError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -81,15 +80,6 @@ class Layout:
 
     def reports_dir(self) -> Path:
         return self.root / "reports"
-
-
-def _read_json(path: Path, what: str, read):
-    """``read(data)`` for the JSON file at ``path``; a file that does not
-    parse, or lacks or mistypes what ``read`` looks up, is a FormatError."""
-    try:
-        return read(json.loads(path.read_text(encoding="utf-8")))
-    except (ValueError, KeyError, TypeError, UsageError) as exc:
-        raise FormatError(f"bad {what}: {exc!r}", path=path) from exc
 
 
 # ---------------------------------------------------------------------------
@@ -336,7 +326,7 @@ def cmd_score(config: PipelineConfig, pair_code: str | None = None, system: str 
                 {o.segment_id: o.raw_text if raw else o.cleaned_text for o in outputs},
             )
             spans = mqm.filter_by_confidence(spans, config.confidence_threshold)
-            token_total, scheme = _read_json(
+            token_total, scheme = _jsonl.read_json(
                 layout.require("totals", code),
                 "totals file",
                 lambda data: (
@@ -369,7 +359,7 @@ def _collect_scores(layout: Layout):
     from . import metrics, mqm
 
     def read_score_file(data):
-        counts = mqm.SeverityCounts.from_dict(data["mqm"]["counts"]) if data.get("mqm") else None
+        counts = mqm.SeverityCounts.from_dict(data["mqm"]["counts"]) if data.get("mqm") is not None else None
         return metrics.ScoreReport.from_dict(data["report"]), counts
 
     reports = []
@@ -378,7 +368,7 @@ def _collect_scores(layout: Layout):
     # would replace or hide the first.
     read_from: dict[tuple[str, str], Path] = {}
     for path in sorted(layout.scores_dir().glob("*.json")):
-        score_report, counts = _read_json(path, "score file", read_score_file)
+        score_report, counts = _jsonl.read_json(path, "score file", read_score_file)
         key = (score_report.system, score_report.pair)
         if key in read_from:
             raise UsageError(
@@ -419,6 +409,15 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _text(value: str) -> str:
+    # Linux hands undecodable argv bytes over as lone surrogates.
+    try:
+        value.encode("utf-8")
+    except UnicodeEncodeError:
+        raise argparse.ArgumentTypeError(f"{value!r} is not valid UTF-8 text") from None
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="glossmt", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
@@ -437,7 +436,7 @@ def build_parser() -> argparse.ArgumentParser:
     subparsers.add_parser("postprocess", parents=[common], help="re-run cleaning and token counting")
 
     score = subparsers.add_parser("score", parents=[common], help="compute metrics and write score files")
-    score.add_argument("--system", help="system name for score files (default: model name)")
+    score.add_argument("--system", type=_text, help="system name for score files (default: model name)")
 
     subparsers.add_parser("report", parents=[common], help="regenerate report tables from score files")
     return parser

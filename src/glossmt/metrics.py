@@ -297,15 +297,10 @@ class ScoreReport:
     external_scores: dict[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        if not isinstance(self.pair, str) or not self.pair:
+        if not self.pair:
             raise UsageError(f"pair must be a non-empty code, got {self.pair!r}")
         if not self.system:
             raise UsageError("system name must be non-empty")
-        # A file read back may hold any JSON value; a bool is no number.
-        for name in ("bleu", "chrf", "term_accuracy"):
-            _jsonl.field(self.__dict__, name, (int, float))
-        for name in ("term_correct", "term_total"):
-            _jsonl.field(self.__dict__, name, int)
         for name in self.external_scores:
             if not math.isfinite(_jsonl.field(self.external_scores, name, (int, float))):
                 raise UsageError(f"external score {name!r} must be finite")
@@ -323,29 +318,20 @@ class ScoreReport:
             raise UsageError("term_accuracy must be 0.0 when term_total is 0")
 
     def to_dict(self) -> dict:
-        return {
-            "pair": self.pair,
-            "system": self.system,
-            "bleu": self.bleu,
-            "chrf": self.chrf,
-            "term_accuracy": self.term_accuracy,
-            "term_correct": self.term_correct,
-            "term_total": self.term_total,
-            "external_scores": dict(self.external_scores),
-        }
+        return _jsonl.to_record(self, _REPORT_KEYS)
 
     @classmethod
     def from_dict(cls, data: dict) -> "ScoreReport":
-        return cls(
-            pair=data["pair"],
-            system=data["system"],
-            bleu=data["bleu"],
-            chrf=data["chrf"],
-            term_accuracy=data["term_accuracy"],
-            term_correct=data["term_correct"],
-            term_total=data["term_total"],
-            external_scores=dict(data.get("external_scores", {})),
-        )
+        return cls(**_jsonl.from_record(data, _REPORT_KEYS))
+
+
+# Score-file key -> (attribute, kind[, default]); a bool is no number.
+_REPORT_KEYS = {
+    "pair": ("pair", str), "system": ("system", str), "bleu": ("bleu", (int, float)),
+    "chrf": ("chrf", (int, float)), "term_accuracy": ("term_accuracy", (int, float)),
+    "term_correct": ("term_correct", int), "term_total": ("term_total", int),
+    "external_scores": ("external_scores", dict, {}),
+}
 
 
 def load_external_scores(path, segment_ids: Collection[str] | None = None) -> dict[str, float]:

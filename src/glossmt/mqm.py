@@ -78,14 +78,12 @@ class SeverityCounts:
     counting_scheme: str
 
     def __post_init__(self):
-        # A file read back may hold any JSON value; a bool is no count.
-        for name in ("minor", "major", "critical", "token_total"):
-            _jsonl.field(self.__dict__, name, int)
-        _jsonl.field(self.__dict__, "counting_scheme")
         if min(self.minor, self.major, self.critical) < 0:
             raise UsageError("severity counts must be nonnegative")
         if self.token_total <= 0:
             raise UsageError(f"token_total must be positive, got {self.token_total}")
+        if self.penalty > self.token_total * 10**306:  # so the score stays above -10**308
+            raise UsageError("severity counts too large for an MQM score in a float")
 
     @property
     def penalty(self) -> int:
@@ -96,23 +94,18 @@ class SeverityCounts:
         )
 
     def to_dict(self) -> dict:
-        return {
-            "minor": self.minor,
-            "major": self.major,
-            "critical": self.critical,
-            "token_total": self.token_total,
-            "counting_scheme": self.counting_scheme,
-        }
+        return _jsonl.to_record(self, _COUNTS_KEYS)
 
     @classmethod
     def from_dict(cls, data: dict) -> "SeverityCounts":
-        return cls(
-            minor=data["minor"],
-            major=data["major"],
-            critical=data["critical"],
-            token_total=data["token_total"],
-            counting_scheme=data["counting_scheme"],
-        )
+        return cls(**_jsonl.from_record(data, _COUNTS_KEYS))
+
+
+# Score-file key -> (attribute, kind); a bool is no count.
+_COUNTS_KEYS = {
+    "minor": ("minor", int), "major": ("major", int), "critical": ("critical", int),
+    "token_total": ("token_total", int), "counting_scheme": ("counting_scheme", str),
+}
 
 
 def load_annotations(path, outputs_by_id: Mapping[str, str] | None = None) -> list[ErrorSpan]:

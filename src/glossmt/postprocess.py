@@ -147,36 +147,23 @@ def postprocess_batch(
 # ---------------------------------------------------------------------------
 # Serialization
 
+# Artifact key -> (attribute, kind).
+_OUTPUT_KEYS = {
+    "segment_id": ("segment_id", str), "raw": ("raw_text", str), "cleaned": ("cleaned_text", str),
+    "truncated": ("truncated", bool), "tokens_raw": ("token_count_raw", int),
+    "tokens_cleaned": ("token_count_cleaned", int), "scheme": ("counting_scheme", str),
+}
+
+
 def write_outputs(path, outputs: Sequence[ModelOutput], manifest: dict | None = None) -> None:
-    _jsonl.write_jsonl(
-        path,
-        (
-            {
-                "segment_id": o.segment_id,
-                "raw": o.raw_text,
-                "cleaned": o.cleaned_text,
-                "truncated": o.truncated,
-                "tokens_raw": o.token_count_raw,
-                "tokens_cleaned": o.token_count_cleaned,
-                "scheme": o.counting_scheme,
-            }
-            for o in outputs
-        ),
-        manifest=manifest,
-    )
+    _jsonl.write_jsonl(path, (_jsonl.to_record(o, _OUTPUT_KEYS) for o in outputs), manifest=manifest)
 
 
 def read_outputs(path) -> list[ModelOutput]:
     seen: set[str] = set()
-    return _jsonl.read_records(
-        path,
-        lambda record: ModelOutput(
-            segment_id=_jsonl.unique_field(record, "segment_id", seen),
-            raw_text=_jsonl.field(record, "raw"),
-            cleaned_text=_jsonl.field(record, "cleaned"),
-            truncated=_jsonl.field(record, "truncated", bool),
-            token_count_raw=_jsonl.field(record, "tokens_raw", int),
-            token_count_cleaned=_jsonl.field(record, "tokens_cleaned", int),
-            counting_scheme=_jsonl.field(record, "scheme"),
-        ),
-    )
+
+    def build(record) -> ModelOutput:
+        _jsonl.unique_field(record, "segment_id", seen)
+        return ModelOutput(**_jsonl.from_record(record, _OUTPUT_KEYS))
+
+    return _jsonl.read_records(path, build)

@@ -214,39 +214,21 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
 # ---------------------------------------------------------------------------
 # Serialization
 
+# Artifact key -> (attribute, kind[, default]); duration_s goes to the sidecar only.
+_RECORD_KEYS = {
+    "segment_id": ("segment_id", str), "prompt": ("prompt_text", str), "output": ("raw_output", str),
+    "model": ("model_name", str), "config": ("config", dict), "attempts": ("attempts", int),
+    "error": ("error", str, None),
+}
+
+
 def write_records(path, records: Sequence[GenerationRecord], manifest: dict | None = None) -> None:
     """Records as JSONL (timing excluded; see write_timing_sidecar)."""
-    _jsonl.write_jsonl(
-        path,
-        (
-            {
-                "segment_id": r.segment_id,
-                "prompt": r.prompt_text,
-                "output": r.raw_output,
-                "model": r.model_name,
-                "config": r.config,
-                "attempts": r.attempts,
-                "error": r.error,
-            }
-            for r in records
-        ),
-        manifest=manifest,
-    )
+    _jsonl.write_jsonl(path, (_jsonl.to_record(r, _RECORD_KEYS) for r in records), manifest=manifest)
 
 
 def read_records(path) -> list[GenerationRecord]:
-    return _jsonl.read_records(
-        path,
-        lambda record: GenerationRecord(
-            segment_id=_jsonl.field(record, "segment_id"),
-            prompt_text=_jsonl.field(record, "prompt"),
-            raw_output=_jsonl.field(record, "output"),
-            model_name=_jsonl.field(record, "model"),
-            config=_jsonl.field(record, "config", dict),
-            attempts=_jsonl.field(record, "attempts", int),
-            error=_jsonl.field(record, "error", default=None),
-        ),
-    )
+    return _jsonl.read_records(path, lambda record: GenerationRecord(**_jsonl.from_record(record, _RECORD_KEYS)))
 
 
 def _timing(record: GenerationRecord) -> dict[str, Any]:

@@ -206,6 +206,14 @@ class TestPipeline:
         assert run("report", "--config", config) == 0
         assert "org/model" in (layout.reports_dir() / "metrics.csv").read_text(encoding="utf-8")
 
+    def test_system_name_that_is_not_text_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        # Linux hands the undecodable argv byte 0xff over as "\udcff".
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        capsys.readouterr()
+        assert run("score", "--config", config, "--system", "\udcff") == 1
+        assert_one_line_error(capsys, "usage", "--system")
+        assert not layout.scores_dir().exists()
+
     def test_lone_surrogate_in_reply_round_trips(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/surrogate")
         for step in ("ingest", "build", "translate", "score"):
@@ -621,8 +629,8 @@ class TestReportInputs:
 
     @pytest.mark.parametrize(
         "content",
-        ['{"report": {"pair": "en-es"', '{"manifest": {}}', '{"report": {"system": "stub-model"}}'],
-        ids=["corrupt", "keyless", "pairless"],
+        ['{"report": {"pair": "en-es"', '{"manifest": {}}', '{"report": {"system": "stub-model"}}', "[]"],
+        ids=["corrupt", "keyless", "pairless", "not-an-object"],
     )
     def test_broken_score_file_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys, content):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
@@ -652,11 +660,15 @@ class TestReportInputs:
             with_mqm_counts(token_total=True),
             with_mqm_counts(counting_scheme=7),
             with_mqm_counts(minor=1.5, major=True, token_total=True, counting_scheme=7),
+            lambda data: data["report"].update(external_scores={"comet": 10**400}),
+            with_mqm_counts(critical=10**400, token_total=1),
+            lambda data: data.update(mqm=0),
         ],
         ids=[
             "external-score-not-a-number", "bleu-is-bool", "term-total-not-int", "zero-token-total",
             "mqm-minor-not-int", "mqm-major-is-bool", "mqm-token-total-is-bool", "mqm-scheme-not-str",
-            "mqm-all-mistyped",
+            "mqm-all-mistyped", "external-score-too-large-for-a-float", "mqm-score-too-large-for-a-float",
+            "mqm-block-not-an-object",
         ],
     )
     def test_mistyped_score_file_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys, corrupt):

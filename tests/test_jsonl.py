@@ -132,3 +132,58 @@ class TestReadRecords:
 
         with pytest.raises(AlignmentError):
             _jsonl.read_records(path, build)
+
+
+class TestKeyTables:
+    KEYS = {"id": ("segment_id", str), "n": ("count", int), "note": ("note", str, None)}
+
+    def test_to_record_names_each_key(self):
+        class Row:
+            segment_id, count, note = "7", 2, None
+
+        assert _jsonl.to_record(Row(), self.KEYS) == {"id": "7", "n": 2, "note": None}
+
+    def test_from_record_checks_kinds_and_fills_defaults(self):
+        assert _jsonl.from_record({"id": "7", "n": 2}, self.KEYS) == {"segment_id": "7", "count": 2, "note": None}
+        with pytest.raises(TypeError, match="'n' must be int"):
+            _jsonl.from_record({"id": "7", "n": True}, self.KEYS)
+        with pytest.raises(KeyError):
+            _jsonl.from_record({"n": 2}, self.KEYS)
+
+
+class TestReadJson:
+    def read(self, tmp_path, text, build=lambda data: data["a"]):
+        path = tmp_path / "data.json"
+        path.write_text(text, encoding="utf-8")
+        return _jsonl.read_json(path, "data file", build)
+
+    def test_builds_the_object(self, tmp_path):
+        assert self.read(tmp_path, '{"a": [1, 2]}') == [1, 2]
+
+    @pytest.mark.parametrize(
+        "text", ['{"a": 1', "[1]", '{"b": 1}', "[" * 100000 + "]" * 100000],
+        ids=["truncated", "not-an-object", "missing-key", "too-deep"],
+    )
+    def test_broken_file_is_format_error(self, tmp_path, text):
+        with pytest.raises(FormatError, match="data.json: bad data file: "):
+            self.read(tmp_path, text)
+
+    def test_not_utf8_is_format_error(self, tmp_path):
+        path = tmp_path / "data.json"
+        path.write_bytes(b'{"a": "\xff"}')
+        with pytest.raises(FormatError, match="bad data file"):
+            _jsonl.read_json(path, "data file", dict)
+
+    @pytest.mark.parametrize(
+        "error", [KeyError("a"), TypeError("t"), ValueError("v"), OverflowError("o"), UsageError("u")]
+    )
+    def test_build_errors_map_as_in_read_records(self, tmp_path, error):
+        def build(data):
+            raise error
+
+        with pytest.raises(FormatError, match="bad data file"):
+            self.read(tmp_path, "{}", build)
+
+    def test_number_too_large_for_a_float_is_format_error(self, tmp_path):
+        with pytest.raises(FormatError, match="bad data file"):
+            self.read(tmp_path, '{"a": 1' + "0" * 400 + "}", lambda data: float(data["a"]))
