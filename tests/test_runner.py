@@ -1,5 +1,10 @@
 import dataclasses
 import json
+import logging
+import socket
+import sys
+import time
+from pathlib import Path
 
 import pytest
 
@@ -13,7 +18,9 @@ from glossmt.runner import (
     write_run_manifest,
     write_timing_sidecar,
 )
-from stub_server import echo_text
+from stub_server import StubEndpoint, echo_text
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @dataclasses.dataclass(frozen=True)
@@ -306,3 +313,129 @@ class TestRecordIO:
         )
         assert "super-secret" not in record_path.read_text(encoding="utf-8")
         assert "super-secret" not in manifest_path.read_text(encoding="utf-8")
+
+
+def connection_counts(caplog) -> dict[str, int]:
+    """The counts from the batch's one connection log line."""
+    (line,) = [r.getMessage() for r in caplog.records if r.getMessage().startswith("batch_connections ")]
+    return {name: int(value) for name, value in (field.split("=") for field in line.split()[1:])}
+
+
+class TestConnections:
+    def test_each_worker_keeps_one_connection(self):
+        with StubEndpoint() as stub:
+            records = generate_batch(prompts(40, prefix="pooled"), config(stub.url + "/echo", max_concurrent_requests=2))
+            assert all(r.ok and r.attempts == 1 for r in records)
+            assert 1 <= stub.connections_opened <= 2
+            assert stub.open_connections() == 0
+
+    def test_retry_after_a_drained_error_reply_uses_the_same_connection(self):
+        with StubEndpoint() as stub:
+            records = generate_batch(prompts(3, prefix="drained"), config(stub.url + "/flaky"))
+            assert all(r.ok and r.attempts == 2 for r in records)
+            assert len(stub.requests) == 6
+            assert stub.connections_opened == 1
+
+    def test_late_reply_after_a_timeout_is_not_the_next_records_output(self):
+        # /slow-once answers the first request 0.3 s late, within the next
+        # request's timeout had it gone out on the same connection.
+        with StubEndpoint() as stub:
+            batch = prompts(3, prefix="late")
+            records = generate_batch(batch, config(stub.url + "/slow-once", request_timeout=0.2, max_retries=0))
+            assert records[0].error == "timed out after 1 attempts"
+            assert [r.raw_output for r in records[1:]] == [echo_text(p.rendered_text) for p in batch[1:]]
+            assert stub.connections_opened == 2
+            # The late reply went to a closed connection: counted, not printed.
+            assert stub.open_connections() == 0
+            assert stub.clients_gone == 1
+
+    def test_connection_whose_reply_was_cut_short_is_not_reused(self, caplog):
+        # The rest of the first reply's body arrives after the timeout; on a
+        # reused connection it would be read as the next reply's status line.
+        with StubEndpoint() as stub, caplog.at_level(logging.INFO, logger="glossmt.runner"):
+            batch = prompts(3, prefix="stalled")
+            records = generate_batch(batch, config(stub.url + "/slow-body", request_timeout=0.2, max_retries=0))
+            assert records[0].error == "timed out after 1 attempts"
+            assert [r.raw_output for r in records[1:]] == [echo_text(p.rendered_text) for p in batch[1:]]
+        assert connection_counts(caplog) == {"opened": 2, "reopened": 0, "requests_sent": 3}
+
+    def test_connection_closed_after_each_reply_is_resent_not_retried(self, caplog):
+        with StubEndpoint() as stub, caplog.at_level(logging.INFO, logger="glossmt.runner"):
+            batch = prompts(5, prefix="dropped")
+            records = generate_batch(batch, config(stub.url + "/drop", max_retries=0))
+            assert all(r.ok and r.attempts == 1 for r in records)
+            assert [r.raw_output for r in records] == [echo_text(p.rendered_text) for p in batch]
+            assert len(stub.requests) == 5
+            assert stub.connections_opened == 5
+        counts = connection_counts(caplog)
+        assert (counts["opened"], counts["reopened"]) == (5, 4)
+        assert 5 <= counts["requests_sent"] <= 9
+
+    def test_no_connection_left_open_after_an_aborted_batch(self):
+        with StubEndpoint() as stub:
+            with pytest.raises(EndpointError):
+                generate_batch(prompts(6, prefix="hangup"), config(stub.url + "/hangup", max_concurrent_requests=3))
+            assert stub.connections_opened >= 1
+            assert stub.open_connections() == 0
+
+    def test_no_connection_left_open_after_a_batch_that_raises(self):
+        with StubEndpoint() as stub:
+            batch = prompts(6) + [Prompt("unsendable", {"not", "text"})] + prompts(6, prefix="after")
+            with pytest.raises(TypeError):
+                generate_batch(batch, config(stub.url + "/echo", max_concurrent_requests=2))
+            assert stub.connections_opened >= 1
+            assert stub.open_connections() == 0
+
+    def test_counts_hold_with_more_workers_than_cores(self, caplog):
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with StubEndpoint() as stub, caplog.at_level(logging.INFO, logger="glossmt.runner"):
+                records = generate_batch(prompts(200, prefix="stress"), config(stub.url + "/echo", max_concurrent_requests=8))
+                assert all(r.ok for r in records)
+                assert len(stub.requests) == 200
+                opened = stub.connections_opened
+        finally:
+            sys.setswitchinterval(interval)
+        counts = connection_counts(caplog)
+        assert counts == {"opened": opened, "reopened": 0, "requests_sent": 200}
+        assert opened <= 8
+
+    @pytest.mark.skipif(not hasattr(socket, "TCP_QUICKACK"), reason="the platform has no TCP_QUICKACK")
+    def test_kept_alive_replies_do_not_wait_for_the_delayed_ack(self, stub_endpoint):
+        # The stub writes each reply's headers and body in two sends with
+        # Nagle's algorithm on. Unless the client ACKs the headers at once,
+        # the body waits for its delayed ACK, about 40 ms: 2 s or more here.
+        started = time.monotonic()
+        records = generate_batch(prompts(50, prefix="quickack"), config(stub_endpoint.url + "/echo"))
+        elapsed = time.monotonic() - started
+        assert all(r.ok for r in records)
+        assert elapsed < 1.0
+
+
+class TestTLS:
+    CERTIFICATE = FIXTURES / "localhost-cert.pem"
+
+    @pytest.fixture
+    def https_stub(self, monkeypatch):
+        for name in ("https_proxy", "HTTPS_PROXY", "all_proxy", "ALL_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with StubEndpoint(self.CERTIFICATE, FIXTURES / "localhost-key.pem") as stub:
+            yield stub
+
+    def test_untrusted_certificate_makes_endpoint_unreachable(self, https_stub):
+        with pytest.raises(EndpointError) as exc:
+            generate_batch(prompts(2, prefix="untrusted"), config(https_stub.url + "/echo", max_retries=0))
+        (record,) = exc.value.partial_records
+        assert record.error.startswith("endpoint unreachable after 1 attempts")
+        assert "CERTIFICATE_VERIFY_FAILED" in record.error
+        assert https_stub.requests == []
+
+    def test_trusted_certificate_keeps_one_connection_per_worker(self, https_stub, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(self.CERTIFICATE))
+        batch = prompts(20, prefix="trusted")
+        records = generate_batch(batch, config(https_stub.url + "/echo", max_concurrent_requests=2))
+        assert [r.raw_output for r in records] == [echo_text(p.rendered_text) for p in batch]
+        assert all(r.attempts == 1 for r in records)
+        assert 1 <= https_stub.connections_opened <= 2
+        assert https_stub.open_connections() == 0
