@@ -285,11 +285,11 @@ def cmd_postprocess(config: PipelineConfig, pair_code: str | None = None) -> int
     return 0
 
 
-def cmd_score(config: PipelineConfig, pair_code: str | None = None, system: str | None = None) -> int:
+def cmd_score(config: PipelineConfig, pair_code: str | None = None) -> int:
     from . import metrics, mqm, postprocess
 
     layout = Layout(config.output_dir)
-    system = system or config.inference.model_name
+    system = config.inference.model_name
     base_manifest = config.manifest()
     for pair_config in config.select_pairs(pair_code):
         code = pair_config.pair.code
@@ -409,15 +409,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _text(value: str) -> str:
-    # Linux hands undecodable argv bytes over as lone surrogates.
-    try:
-        value.encode("utf-8")
-    except UnicodeEncodeError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not valid UTF-8 text") from None
-    return value
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="glossmt", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
@@ -435,8 +426,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("postprocess", parents=[common], help="re-run cleaning and token counting")
 
-    score = subparsers.add_parser("score", parents=[common], help="compute metrics and write score files")
-    score.add_argument("--system", type=_text, help="system name for score files (default: model name)")
+    subparsers.add_parser("score", parents=[common], help="compute metrics and write score files")
 
     subparsers.add_parser("report", parents=[common], help="regenerate report tables from score files")
     return parser
@@ -453,7 +443,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "postprocess":
         return cmd_postprocess(config, pair_code=args.pair)
     if args.command == "score":
-        return cmd_score(config, pair_code=args.pair, system=args.system)
+        return cmd_score(config, pair_code=args.pair)
     if args.command == "report":
         return cmd_report(config)
     raise UsageError(f"unknown command {args.command!r}")

@@ -73,6 +73,10 @@ class InferenceConfig:
         url = urlsplit(self.endpoint_url)
         if url.scheme not in ("http", "https") or not url.netloc:
             raise ConfigurationError(f"endpoint_url must be an http or https URL, got {self.endpoint_url!r}")
+        # Every record, manifest and the config hash copy the URL; the token
+        # goes in GLOSSMT_API_TOKEN. The URL is not echoed, for the same reason.
+        if "@" in url.netloc:
+            raise ConfigurationError("endpoint_url must not carry credentials (user:password@host)")
         if not self.model_name:
             raise ConfigurationError("model_name must be non-empty")
         if not 0 < self.top_p <= 1:

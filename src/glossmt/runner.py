@@ -1,24 +1,29 @@
 """Batch client for completion-style JSON-over-HTTP inference endpoints.
 
 The outbound request is ``{model, prompt, top_p, temperature?, max_tokens}``
-(temperature included only when set), sent with the standard library's
-``urllib.request``: one opener per batch, shared by the worker threads. The
-opener honours the ``http_proxy``, ``https_proxy`` and ``no_proxy``
-variables and verifies TLS against the system CA store. The response must be
-a JSON object carrying the generated text either as ``{"text": ...}`` or
-OpenAI-style as ``{"choices": [{"text": ...}]}``.
+(temperature included only when set), POSTed with the standard library's
+``http.client`` to ``endpoint_url`` itself. The route is worked out once per
+batch: straight to the endpoint, or through the proxy that ``http_proxy`` or
+``https_proxy`` names and ``no_proxy`` does not bypass (an ``http`` request
+with an absolute URI, an ``https`` one through a CONNECT tunnel, credentials
+in the proxy URL to the proxy alone). TLS is verified through the default
+context, so against the system CA store or ``SSL_CERT_FILE``. The response
+must be a JSON object carrying the generated text either as
+``{"text": ...}`` or OpenAI-style as ``{"choices": [{"text": ...}]}``.
+Redirects are not followed: a 3xx reply is final, like a 404.
 
-Connections: each worker thread keeps one connection per host and proxy
-tunnel open across its requests, and the batch closes every one of them when
-it ends, also when it aborts or raises. No ``Connection: close`` is sent; a
-reply that closes the connection makes the next request open a new one.
-``http.client`` turns Nagle's algorithm off at connect (TCP_NODELAY), and
-TCP_QUICKACK is set before each reply is read, where the platform has it: a
-server that writes a reply's headers and body in two sends with Nagle on, as
-``http.server`` does, would otherwise hold the body back until the client's
-delayed ACK, some 40 ms per request on a kept-alive connection. Every reply
-body is read to its end, retryable ones included; a connection whose last
-reply was not is closed, never reused.
+Connections: each worker thread keeps one connection open across its
+requests, and the batch closes every one of them when it ends, also when it
+aborts or raises. No ``Connection: close`` is sent; a reply that closes the
+connection makes the next request open a new one. ``http.client`` turns
+Nagle's algorithm off at connect (TCP_NODELAY), and TCP_QUICKACK is set
+before each reply is read, where the platform has it: a server that writes
+a reply's headers and body in two sends with Nagle on, as ``http.server``
+does, would otherwise hold the body back until the client's delayed ACK,
+some 40 ms per request on a kept-alive connection. Every reply body is read
+to its end, retryable ones included; a failure anywhere in an exchange
+closes its connection, so what is left of a reply is never read as the
+next one.
 
 Failure policy: connection errors, timeouts, other request failures (e.g.
 a body cut off mid-way), HTTP 429 and 5xx are retried with exponential
@@ -26,11 +31,11 @@ backoff. A kept-alive connection that fails, other than by timing out,
 before a status line arrives (the peer closed it while idle) is closed and
 the request is sent once more on a new connection; that resend is not an
 attempt. A request that still fails before any status line arrives, other
-than by timing out, marks the endpoint unreachable and aborts the whole
-batch (EndpointError, carrying the records completed so far); every other
-exhausted failure — timeout, request failure, HTTP error status, malformed
-response body — becomes a per-record error record so no prompt is ever
-silently dropped.
+than by timing out while waiting for it, marks the endpoint unreachable and
+aborts the whole batch (EndpointError, carrying the records completed so
+far); every other exhausted failure — timeout, request failure, HTTP error
+status, malformed response body — becomes a per-record error record so no
+prompt is ever silently dropped.
 
 Credentials come from the ``GLOSSMT_API_TOKEN`` environment variable (sent
 as a bearer token) and are never written to records or manifests.
@@ -47,6 +52,7 @@ from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
+from urllib.parse import unquote, urlsplit
 
 from . import _jsonl
 from .errors import EndpointError, UsageError
@@ -125,117 +131,45 @@ def _exhausted_error(failure: Exception | None, status: int | None, attempts: in
     return f"request failed after {attempts} attempts: {failure}"
 
 
-def _keep_alive_handler():
-    """An opener handler that sends each thread's requests over that thread's
-    own connection to each host and proxy tunnel, kept open across requests.
-    It replaces ``urllib.request``'s HTTP and HTTPS handlers; the proxy,
-    redirect and error handlers and the default TLS context work as before.
-    ``close()`` closes every connection it opened."""
+def _route(cfg: InferenceConfig, token: str | None):
+    """How a batch reaches ``cfg.endpoint_url``, directly or through a proxy
+    as the module docstring says: a function that makes a new, unopened
+    connection, the request target and the request headers."""
     # Imported here for the reason given in generate_batch.
+    import base64
     import http.client
-    import socket
-    import urllib.error
     import urllib.request
 
-    quickack = getattr(socket, "TCP_QUICKACK", None)
+    url = urlsplit(cfg.endpoint_url)
+    target = url.path + (f"?{url.query}" if url.query else "") or "/"
+    headers = {"Content-Type": "application/json"}
+    if token:
+        headers["Authorization"] = f"Bearer {token}"
+    host, tunnel, tunnel_headers, tls = url.netloc, None, {}, url.scheme == "https"
+    proxy = urllib.request.getproxies().get(url.scheme)
+    if proxy and not urllib.request.proxy_bypass(url.netloc):
+        proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+        host = unquote(proxy.netloc.rpartition("@")[2])
+        if proxy.username and proxy.password:
+            credentials = f"{unquote(proxy.username)}:{unquote(proxy.password)}".encode()
+            # On a tunnel, they go with the CONNECT only, never to the endpoint.
+            (tunnel_headers if tls else headers)["Proxy-Authorization"] = (
+                "Basic " + base64.b64encode(credentials).decode("ascii")
+            )
+        if tls:
+            tunnel = url.netloc
+        else:
+            target, tls = cfg.endpoint_url.partition("#")[0], proxy.scheme == "https"
+    connection_class = http.client.HTTPSConnection if tls else http.client.HTTPConnection
 
-    class Response(http.client.HTTPResponse):
-        """Notes whether a read reached the end of the body: only then may
-        the connection carry another request."""
+    def new_connection() -> http.client.HTTPConnection:
+        # An HTTPS connection verifies against the default TLS context.
+        conn = connection_class(host, timeout=cfg.request_timeout)
+        if tunnel:
+            conn.set_tunnel(tunnel, headers=tunnel_headers)
+        return conn
 
-        read_to_end = False
-
-        def read(self, amt=None):
-            data = super().read(amt)
-            self.read_to_end = self.isclosed()
-            return data
-
-    class KeepAlive(urllib.request.HTTPHandler, urllib.request.HTTPSHandler):
-        def __init__(self):
-            super().__init__()
-            self._local = threading.local()
-            self._lock = threading.Lock()
-            self._connections = []
-            self.counts = Counter()  # opened, reopened, sent
-
-        def http_open(self, req):
-            return self._open(req, http.client.HTTPConnection)
-
-        def https_open(self, req):
-            return self._open(req, http.client.HTTPSConnection, context=self._context)
-
-        def close(self):
-            for conn in self._connections:
-                conn.close()
-
-        def _count(self, event: str) -> None:
-            with self._lock:
-                self.counts[event] += 1
-
-        def _open(self, req, conn_class, **conn_args):
-            if not req.host:
-                raise urllib.error.URLError("no host given")
-            headers = dict(req.unredirected_hdrs)
-            headers.update((k, v) for k, v in req.headers.items() if k not in headers)
-            headers = {name.title(): value for name, value in headers.items()}
-            tunnel_headers = {}
-            if req._tunnel_host and "Proxy-Authorization" in headers:
-                # for the proxy only, never the origin server
-                tunnel_headers["Proxy-Authorization"] = headers.pop("Proxy-Authorization")
-            if not hasattr(self._local, "held"):
-                self._local.held = {}  # (class, host, tunnel) -> (connection, its last reply)
-            key = (conn_class, req.host, req._tunnel_host)
-            conn, last = self._local.held.get(key, (None, None))
-            if conn is None:
-                conn = conn_class(req.host, timeout=req.timeout, **conn_args)
-                conn.response_class = Response
-                if req._tunnel_host:
-                    conn.set_tunnel(req._tunnel_host, headers=tunnel_headers)
-                with self._lock:
-                    self._connections.append(conn)
-            elif last is not None and not last.read_to_end:
-                conn.close()  # what is left of that reply would be read as the next one
-            reused = conn.sock is not None
-            try:
-                response = self._exchange(conn, req, headers)
-            except TimeoutError:
-                raise
-            except (OSError, http.client.HTTPException):
-                if not reused:
-                    raise
-                # The peer closed the idle connection: send once more on a new one.
-                self._count("reopened")
-                response = self._exchange(conn, req, headers)
-            self._local.held[key] = (conn, response)
-            response.url = req.get_full_url()
-            response.msg = response.reason  # as urllib's own handlers set it
-            return response
-
-        def _exchange(self, conn, req, headers):
-            """Send ``req`` on ``conn``, opening it first if it is closed, and
-            read the reply's status line and headers; close ``conn`` on failure."""
-            try:
-                try:
-                    if conn.sock is None:
-                        conn.connect()
-                        self._count("opened")
-                    conn.request(
-                        req.get_method(), req.selector, req.data, headers,
-                        encode_chunked=req.has_header("Transfer-encoding"),
-                    )
-                except OSError as exc:
-                    raise urllib.error.URLError(exc) from exc
-                self._count("sent")
-                if quickack is not None:
-                    # ACK the reply's first segment at once, so that a server with
-                    # Nagle on does not hold the rest until the delayed ACK.
-                    conn.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
-                return conn.getresponse()
-            except BaseException:
-                conn.close()
-                raise
-
-    return KeepAlive()
+    return new_connection, target, headers
 
 
 def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationRecord]:
@@ -244,44 +178,77 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
     # Imported here, not at module level: no other stage sends a request,
     # and postprocess imports this module for read_records.
     import http.client
-    import urllib.error
-    import urllib.request
+    import socket
 
     for example in examples:
         if example.mode != "test":
             raise UsageError(
                 f"generate_batch takes test prompts only; segment {example.segment_id} is {example.mode}"
             )
-    token = os.environ.get(TOKEN_ENV_VAR)
-    # One opener for the batch, shared by every worker; it reads the proxy
-    # variables now. Each worker sends over its own kept-alive connection.
-    connections = _keep_alive_handler()
-    opener = urllib.request.build_opener(connections)
+    # The route, and so the proxy variables, are read once, at batch start.
+    new_connection, target, headers = _route(cfg, os.environ.get(TOKEN_ENV_VAR))
+    quickack = getattr(socket, "TCP_QUICKACK", None)
     snapshot = cfg.snapshot()
     abort = threading.Event()
+    held = threading.local()  # each worker's one connection
+    connections = []
+    lock = threading.Lock()
+    counts = Counter()  # opened, reopened, sent
 
-    def send(data: bytes) -> tuple[int, bytes | None]:
-        """One attempt: the reply's status and body, with a None body when
-        the status is retryable. Raises _Unreachable, TimeoutError, or
-        another OSError or HTTPException from reading the body. The body is
-        read to its end either way, so the connection can carry the next
-        request."""
-        request = urllib.request.Request(
-            cfg.endpoint_url, data=data, headers={"Content-Type": "application/json"}
-        )
-        if token:
-            # urllib copies the other headers onto a redirect, to any host.
-            request.add_unredirected_header("Authorization", f"Bearer {token}")
+    def count(event: str) -> None:
+        with lock:
+            counts[event] += 1
+
+    def exchange(conn, data: bytes):
+        """Send ``data`` on ``conn``, opening it first if it is closed, and
+        read the reply's status line and headers. A failure before the
+        status line is _Unreachable, but for a timeout waiting for it."""
         try:
-            response = opener.open(request, timeout=cfg.request_timeout)
-        except urllib.error.HTTPError as exc:
-            response = exc  # a non-2xx reply, with its status and body
+            if conn.sock is None:
+                conn.connect()
+                count("opened")
+            conn.request("POST", target, data, headers)
+        except (OSError, http.client.HTTPException) as exc:
+            raise _Unreachable(exc) from exc
+        count("sent")
+        try:
+            if quickack is not None:
+                # ACK the reply's first segment at once, so that a server with
+                # Nagle on does not hold the rest until the delayed ACK.
+                conn.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
+            return conn.getresponse()
         except TimeoutError:
             raise
         except (OSError, http.client.HTTPException) as exc:
             raise _Unreachable(exc) from exc
-        with response:
-            body = response.read()
+
+    def send(data: bytes) -> tuple[int, bytes | None]:
+        """One attempt: the reply's status and body, with a None body when
+        the status is retryable. Raises _Unreachable, TimeoutError, or
+        another OSError or HTTPException from reading the body. Any failure
+        closes the worker's connection, so the next request opens a new one
+        and never reads what is left of this reply."""
+        conn = getattr(held, "conn", None)
+        if conn is None:
+            conn = held.conn = new_connection()
+            with lock:
+                connections.append(conn)
+        reused = conn.sock is not None
+        try:
+            try:
+                response = exchange(conn, data)
+            except _Unreachable:
+                if not reused:
+                    raise
+                # The peer closed the idle connection: send once more on a new one.
+                count("reopened")
+                conn.close()
+                response = exchange(conn, data)
+            with response:
+                body = response.read()
+        except BaseException:
+            conn.close()
+            raise
         return response.status, None if response.status in _RETRYABLE_STATUS else body
 
     def make_record(example, output: str, attempts: int, error: str | None, started: float):
@@ -329,8 +296,8 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
         with ThreadPoolExecutor(max_workers=cfg.max_concurrent_requests) as pool:
             outcomes = list(pool.map(worker, examples))
     finally:
-        connections.close()
-        counts = connections.counts
+        for conn in connections:
+            conn.close()
         log.info(
             "batch_connections opened=%d reopened=%d requests_sent=%d",
             counts["opened"], counts["reopened"], counts["sent"],

@@ -16,8 +16,8 @@ Routes (select behaviour by path):
   /truncated    -> 200 announcing a 100-byte body, sends 10 bytes, then closes
   /hangup       -> reads the request, then closes without a status line
   /drop         -> echoes, then closes the connection without saying so
-  /redirect     -> 303 to /echo, which a client follows with a GET
-  (any GET)     -> 405, recorded with a None payload
+  /redirect     -> 303 to /echo
+  (any CONNECT) -> 403, recorded as ("CONNECT host:port", None, headers)
 
 Any other path echoes, including the absolute URI a client sends to a proxy.
 
@@ -68,10 +68,10 @@ class _Handler(BaseHTTPRequestHandler):
             with self.server.lock:
                 self.server.connections_open -= 1
 
-    def do_GET(self):
+    def do_CONNECT(self):
         with self.server.lock:
-            self.server.requests.append((self.path, None, {key: value for key, value in self.headers.items()}))
-        self._send(405, b'{"error": "POST only"}')
+            self.server.requests.append((f"CONNECT {self.path}", None, {key: value for key, value in self.headers.items()}))
+        self._send(403, b'{"error": "no tunnels"}')
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))

@@ -93,8 +93,10 @@ def project_with(tmp_path, fixtures_dir, old, new):
     return config
 
 
-def translated_project(tmp_path, fixtures_dir, stub_endpoint):
+def translated_project(tmp_path, fixtures_dir, stub_endpoint, model_name="stub-model"):
     config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+    if model_name != "stub-model":
+        edit_config(config, "model_name = stub-model\n", f"model_name = {model_name}\n")
     for step in ("ingest", "build", "translate"):
         assert run(step, "--config", config) == 0
     return config, layout
@@ -187,32 +189,20 @@ class TestPipeline:
         all_ids = [i for ids in by_split.values() for i in ids]
         assert len(set(all_ids)) == 100
 
-    def test_system_name_override(self, tmp_path, fixtures_dir, stub_endpoint):
-        config, layout = write_project(
-            tmp_path, fixtures_dir, stub_endpoint.url + "/echo"
-        )
-        for step in ("ingest", "build", "translate"):
-            assert run(step, "--config", config) == 0
-        assert run("score", "--config", config, "--system", "run-a") == 0
+    def test_system_name_is_the_model_name(self, tmp_path, fixtures_dir, stub_endpoint):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint, model_name="run-a")
+        assert run("score", "--config", config) == 0
         assert layout.path("score_file", "en-es", system="run-a").is_file()
 
     def test_system_name_with_slash_reaches_report(self, tmp_path, fixtures_dir, stub_endpoint):
-        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        assert run("score", "--config", config, "--system", "org/model") == 0
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint, model_name="org/model")
+        assert run("score", "--config", config) == 0
         score_path = layout.path("score_file", "en-es", system="org/model")
         assert score_path.parent == layout.scores_dir()
         assert json.loads(score_path.read_text(encoding="utf-8"))["report"]["system"] == "org/model"
         assert layout.path("score_file", "en-es", system="stub-model").name == "stub-model.en-es.json"
         assert run("report", "--config", config) == 0
         assert "org/model" in (layout.reports_dir() / "metrics.csv").read_text(encoding="utf-8")
-
-    def test_system_name_that_is_not_text_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
-        # Linux hands the undecodable argv byte 0xff over as "\udcff".
-        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        capsys.readouterr()
-        assert run("score", "--config", config, "--system", "\udcff") == 1
-        assert_one_line_error(capsys, "usage", "--system")
-        assert not layout.scores_dir().exists()
 
     def test_lone_surrogate_in_reply_round_trips(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/surrogate")
@@ -274,8 +264,8 @@ class TestPipeline:
         assert reasons == ["unknown_segment"] * 3 + ["duplicate"]
 
     def test_report_tables_every_score_file(self, tmp_path, fixtures_dir, stub_endpoint, caplog):
-        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        assert run("score", "--config", config, "--system", "sys") == 0
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint, model_name="sys")
+        assert run("score", "--config", config) == 0
         en_es = json.loads(layout.path("score_file", "en-es", system="sys").read_text(encoding="utf-8"))
         en_es["report"]["pair"] = en_es["manifest"]["pair"] = "ja-ko"
         layout.path("score_file", "ja-ko", system="sys").write_text(json.dumps(en_es), encoding="utf-8")
@@ -290,8 +280,8 @@ class TestPipeline:
     def test_report_rejects_two_score_files_for_one_system_and_pair(
         self, tmp_path, fixtures_dir, stub_endpoint, capsys
     ):
-        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        assert run("score", "--config", config, "--system", "a") == 0
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint, model_name="a")
+        assert run("score", "--config", config) == 0
         original = layout.path("score_file", "en-es", system="a")
         copy = original.with_name("a-copy.en-es.json")
         copy.write_bytes(original.read_bytes())
@@ -421,7 +411,7 @@ class TestExitCodes:
         assert run("build", "--config", config, "--seed", "bogus") == 1
         assert_one_line_error(capsys, "usage", "--seed")
 
-    def test_options_are_the_config_seed_pair_resume_and_system(self):
+    def test_options_are_the_config_seed_pair_and_resume(self):
         subcommands = next(
             action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
         )
@@ -436,7 +426,7 @@ class TestExitCodes:
             "build": common,
             "translate": common | {"--resume"},
             "postprocess": common,
-            "score": common | {"--system"},
+            "score": common,
             "report": common,
         }
 
@@ -450,6 +440,7 @@ class TestExitCodes:
             "score --external-scores comet.jsonl",
             "score --threshold 0.5",
             "score --mqm-tokens cleaned",
+            "score --system run-a",
         ],
     )
     def test_removed_flag_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys, argv):
