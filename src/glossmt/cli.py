@@ -8,11 +8,13 @@ postprocess (re-run cleaning/counting from stored generations), score
 score files).
 
 Exit codes: 0 success; 1 usage or configuration error; 2 broken input data
-or I/O failure; 3 inference endpoint failure. Logs go to standard error;
-data goes to files and standard output only. Every artifact but the timing
-sidecar and ``datasets/train-merged.txt`` carries a manifest with the
-resolved-config hash and the seed. Every subcommand is re-runnable: same
-config and seed give byte-identical artifacts, with timing in its sidecar.
+or I/O failure; 3 inference endpoint failure; 130 interrupted (Ctrl-C; an
+interrupted ``translate`` keeps no records of its batch). Logs go to
+standard error; data goes to files and standard output only. Every
+artifact but the timing sidecar and ``datasets/train-merged.txt`` carries a
+manifest with the resolved-config hash and the seed. Every subcommand is
+re-runnable: same config and seed give byte-identical artifacts, with
+timing in its sidecar.
 
 Each command imports only the stage modules it calls, so ``ingest`` and
 ``build`` never load the runner, the metrics or the report writer.
@@ -465,6 +467,9 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"glossmt: data error: {exc}", file=sys.stderr)
         return 2
+    except KeyboardInterrupt:
+        print("glossmt: interrupted", file=sys.stderr)
+        return 130
 
 
 if __name__ == "__main__":

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import glossmt
-from glossmt import runner
+from glossmt import cli, runner
 from glossmt._jsonl import read_records
 from glossmt.cli import Layout, build_parser, main
 
@@ -402,6 +402,16 @@ class TestDeterminism:
 
 
 class TestExitCodes:
+    def test_interrupt_exits_130_with_one_line(self, tmp_path, fixtures_dir, monkeypatch, capsys):
+        config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(cli, "cmd_ingest", interrupted)
+        assert run("ingest", "--config", config) == 130
+        assert capsys.readouterr().err == "glossmt: interrupted\n"
+
     def test_missing_artifact_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint):
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
         assert run("build", "--config", config) == 1
