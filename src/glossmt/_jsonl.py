@@ -1,6 +1,6 @@
 """JSON Lines helpers shared by the artifact writers and readers, plus the
-writer and reader of the pretty-printed JSON artifacts (totals, score
-files, run manifests).
+writer and reader of the pretty-printed JSON artifacts (score files, run
+manifests).
 
 Every JSONL artifact but the timing sidecar starts with a manifest record
 (``record_type: "manifest"``) carrying at least the config hash and seed,

@@ -32,8 +32,8 @@ from urllib.parse import quote
 # process, and should not pay for loading the others. Calls go through the
 # module (runner.generate_batch), where perfbench/trace_stage.py wraps them.
 from . import _jsonl, corpus, terminology
-from .config import SCHEME_EXTERNAL, PairConfig, PipelineConfig, load_config
-from .errors import DataError, EndpointError, UsageError
+from .config import PairConfig, PipelineConfig, load_config
+from .errors import DataError, EndpointError, MissingCountError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -52,7 +52,6 @@ ARTIFACTS = {
     "generation_manifest": ("generations/{pair}.manifest.json", "translate"),
     "timing": ("generations/{pair}.timing.jsonl", "translate"),
     "outputs": ("outputs/{pair}.jsonl", "translate"),
-    "totals": ("outputs/{pair}.totals.json", "translate"),
     "score_file": ("scores/{system}.{pair}.json", "score"),
 }
 
@@ -121,12 +120,6 @@ def cmd_ingest(config: PipelineConfig, pair_code: str | None = None) -> int:
     return 0
 
 
-def _load_matcher(layout: Layout, pair_config: PairConfig) -> terminology.TermMatcher:
-    glossary_path = layout.require("glossary", pair_config.pair.code)
-    glossary = terminology.load_glossary(glossary_path, pair_config.pair)
-    return terminology.build_matcher(glossary)
-
-
 def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
     from . import promptgen
 
@@ -146,7 +139,8 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
             {"tuning": tuning, "validation": validation, "test": test},
             manifest={**base_manifest, "pair": code},
         )
-        matcher = _load_matcher(layout, pair_config)
+        glossary = terminology.load_glossary(layout.require("glossary", code), pair_config.pair)
+        matcher = terminology.build_matcher(glossary)
         train = promptgen.build_dataset(tuning, matcher, template, "train")
         test_prompts = promptgen.build_dataset(test, matcher, template, "test")
         for mode, examples, path in (
@@ -187,31 +181,28 @@ def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
     return 0
 
 
-def _external_counts(config: PipelineConfig, pair_config: PairConfig):
-    """The pair's ExternalCounts under the ``external`` scheme, else None."""
+def _external_counts(pair_config: PairConfig, segment_ids):
+    """The pair's external token counts, which must cover ``segment_ids``;
+    None when the pair sets no ``external_counts``."""
     from . import postprocess
 
-    if config.counting_scheme != SCHEME_EXTERNAL:
-        return None
     if pair_config.external_counts_path is None:
-        raise UsageError(
-            f"pair {pair_config.pair.code}: counting_scheme=external needs "
-            "external_counts in the pair section"
-        )
-    return postprocess.ExternalCounts.load(pair_config.external_counts_path)
+        return None
+    counts = postprocess.ExternalCounts.load(pair_config.external_counts_path)
+    missing = next((i for i in segment_ids if i not in counts), None)
+    if missing is not None:
+        raise MissingCountError(f"pair {pair_config.pair.code}: no external token count for segment {missing!r}")
+    return counts
 
 
 def _postprocess_pair(config: PipelineConfig, layout: Layout, pair_config: PairConfig, records, counts) -> dict:
     from . import postprocess
 
     code = pair_config.pair.code
-    template = config.template()
-    outputs, totals = postprocess.postprocess_batch(records, template, counts)
-    base_manifest = config.manifest()
+    outputs, totals = postprocess.postprocess_batch(records, config.template(), counts)
     postprocess.write_outputs(
-        layout.path("outputs", code), outputs, manifest={**base_manifest, "pair": code}
+        layout.path("outputs", code), outputs, manifest={**config.manifest(), "pair": code}
     )
-    _jsonl.write_json(layout.path("totals", code), {**base_manifest, "pair": code, "totals": totals})
     return totals
 
 
@@ -221,10 +212,15 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
     layout = Layout(config.output_dir)
     base_manifest = config.manifest()
     selected = config.select_pairs(pair_code)
-    counts_by_pair = [_external_counts(config, p) for p in selected]  # before any request
-    for pair_config, counts in zip(selected, counts_by_pair):
+    # Every pair's prompts and token counts are read before the first request.
+    examples_by_pair = [
+        promptgen.read_dataset(layout.require("test_dataset", p.pair.code), p.pair) for p in selected
+    ]
+    counts_by_pair = [
+        _external_counts(p, [e.segment_id for e in examples]) for p, examples in zip(selected, examples_by_pair)
+    ]
+    for pair_config, examples, counts in zip(selected, examples_by_pair, counts_by_pair):
         code = pair_config.pair.code
-        examples = promptgen.read_dataset(layout.require("test_dataset", code), pair_config.pair)
         completed: dict[str, runner.GenerationRecord] = {}
         if resume and layout.path("generations", code).is_file():
             # Keep only records this configuration would produce again.
@@ -276,8 +272,8 @@ def cmd_postprocess(config: PipelineConfig, pair_code: str | None = None) -> int
     layout = Layout(config.output_dir)
     for pair_config in config.select_pairs(pair_code):
         code = pair_config.pair.code
-        counts = _external_counts(config, pair_config)
         records = runner.read_records(layout.require("generations", code))
+        counts = _external_counts(pair_config, [r.segment_id for r in records])
         totals = _postprocess_pair(config, layout, pair_config, records, counts)
         print(
             f"{code}: outputs={totals['outputs']} truncated={totals['truncated_count']} "
@@ -328,15 +324,9 @@ def cmd_score(config: PipelineConfig, pair_code: str | None = None) -> int:
                 {o.segment_id: o.raw_text if raw else o.cleaned_text for o in outputs},
             )
             spans = mqm.filter_by_confidence(spans, config.confidence_threshold)
-            token_total, scheme = _jsonl.read_json(
-                layout.require("totals", code),
-                "totals file",
-                lambda data: (
-                    _jsonl.field(data["totals"], f"token_total_{config.mqm_tokens}", int),
-                    _jsonl.field(data["totals"], "counting_scheme"),
-                ),
-            )
-            counts = mqm.tally(spans, token_total, scheme=f"{scheme}:{config.mqm_tokens}")
+            # read_outputs holds a file to one scheme, and the test split is never empty.
+            token_total = sum(o.token_count_raw if raw else o.token_count_cleaned for o in outputs)
+            counts = mqm.tally(spans, token_total, scheme=f"{outputs[0].counting_scheme}:{config.mqm_tokens}")
             mqm_block = {"counts": counts.to_dict(), "score": mqm.mqm_score(counts)}
         _jsonl.write_json(
             layout.path("score_file", code, system=system),
@@ -415,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="glossmt", description=__doc__.splitlines()[0])
     common = _Parser(add_help=False)
     common.add_argument("--config", required=True, type=Path, help="pipeline config file")
-    common.add_argument("--seed", type=int, help="override the config seed")
     common.add_argument("--pair", help="restrict to one language pair (e.g. en-es)")
     subparsers = parser.add_subparsers(dest="command", required=True)
 
@@ -435,7 +424,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _dispatch(args: argparse.Namespace) -> int:
-    config = load_config(args.config, seed=args.seed)
+    config = load_config(args.config)
     if args.command == "ingest":
         return cmd_ingest(config, pair_code=args.pair)
     if args.command == "build":

@@ -5,13 +5,14 @@ how the key's text is read; any other section or key is a
 ConfigurationError that names it. A key the file leaves out takes the
 default of the dataclass field it fills. There is one ``[pair.*]`` section
 per language pair, e.g. ``[pair.en-es]``. The file holds every setting and
-input path; only the seed can be overridden, by ``--seed``. The resolved
-configuration is hashed (sha256 over its canonical JSON) and that hash is
-stamped into every artifact manifest.
+input path, the seed included. A pair counts ``external`` tokens exactly
+when it sets ``external_counts``; ``counting_scheme`` is only checked against
+that. The resolved configuration is hashed (sha256 over its canonical JSON)
+and that hash is stamped into every artifact manifest.
 
 Every stage reads its config first, so this module owns the value checks
-(``InferenceConfig`` and the counting-scheme names included) and imports no
-stage module but ``corpus`` and ``promptgen``.
+(``InferenceConfig`` included) and imports no stage module but ``corpus``
+and ``promptgen``.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .promptgen import FAMILIES, TemplateSpec, builtin_template, load_template_f
 
 SCHEME_WHITESPACE = "whitespace"
 SCHEME_EXTERNAL = "external"
-COUNTING_SCHEMES = (SCHEME_WHITESPACE, SCHEME_EXTERNAL)
 MQM_TOKEN_MODES = ("raw", "cleaned")
 
 # [section] -> key -> how its text is read. A key fills the dataclass field
@@ -127,6 +127,10 @@ class PairConfig:
     external_scores_path: Path | None = None
     external_counts_path: Path | None = None
 
+    @property
+    def counting_scheme(self) -> str:
+        return SCHEME_EXTERNAL if self.external_counts_path is not None else SCHEME_WHITESPACE
+
 
 @dataclass(frozen=True)
 class PipelineConfig:
@@ -138,7 +142,6 @@ class PipelineConfig:
     min_stars: int = 3
     template_family: str = "flan"
     template_file: Path | None = None
-    counting_scheme: str = SCHEME_WHITESPACE
     confidence_threshold: float = 0.0
     mqm_tokens: str = "raw"
 
@@ -148,10 +151,6 @@ class PipelineConfig:
         codes = [p.pair.code for p in self.pairs]
         if len(set(codes)) != len(codes):
             raise ConfigurationError("duplicate [pair.*] sections")
-        if self.counting_scheme not in COUNTING_SCHEMES:
-            raise ConfigurationError(
-                f"counting_scheme must be one of {COUNTING_SCHEMES}, got {self.counting_scheme!r}"
-            )
         if self.mqm_tokens not in MQM_TOKEN_MODES:
             raise ConfigurationError(
                 f"mqm_tokens must be one of {MQM_TOKEN_MODES}, got {self.mqm_tokens!r}"
@@ -208,7 +207,9 @@ class PipelineConfig:
             "template_family": self.template_family,
             "template_file": str(self.template_file) if self.template_file else None,
             "inference": self.inference.snapshot(),
-            "counting_scheme": self.counting_scheme,
+            # Keeps every hash as it was when the key chose the scheme (ROADMAP item 2 drops it).
+            "counting_scheme": SCHEME_EXTERNAL
+            if all(p.external_counts_path for p in self.pairs) else SCHEME_WHITESPACE,
             "confidence_threshold": self.confidence_threshold,
             "mqm_tokens": self.mqm_tokens,
         }
@@ -221,8 +222,8 @@ class PipelineConfig:
         return {"config_hash": self.config_hash(), "seed": self.seed}
 
 
-def load_config(path, seed: int | None = None) -> PipelineConfig:
-    """Parse a config file; ``seed``, when given, replaces the file's seed.
+def load_config(path) -> PipelineConfig:
+    """Parse a config file.
 
     All paths referenced by the resulting configuration must exist (the
     output directory is created, not required).
@@ -241,14 +242,15 @@ def load_config(path, seed: int | None = None) -> PipelineConfig:
     # The seed fills two dataclasses and the output directory is resolved
     # here, so these two defaults live here; every other one on its field.
     project = sections.get("project", {})
-    if seed is None:
-        seed = project.get("seed", 0)
+    seed = project.get("seed", 0)
     pairs = tuple(
         _pair_config(section[len("pair.") :], values)
         for section, values in sections.items()
         if section.startswith("pair.")
     )
-    return PipelineConfig(
+    scoring = sections.get("scoring", {})
+    declared_scheme = scoring.pop("counting_scheme", None)
+    config = PipelineConfig(
         output_dir=path.parent / project.get("output_dir", "out"),
         seed=seed,
         pairs=pairs,
@@ -256,8 +258,14 @@ def load_config(path, seed: int | None = None) -> PipelineConfig:
         inference=InferenceConfig(**sections.get("inference", {})),
         **sections.get("terminology", {}),
         **{f"template_{key}": value for key, value in sections.get("template", {}).items()},
-        **sections.get("scoring", {}),
+        **scoring,
     )
+    if declared_scheme is not None and {p.counting_scheme for p in pairs} != {declared_scheme}:
+        raise ConfigurationError(
+            f"[scoring] counting_scheme = {declared_scheme!r} does not match the pairs: a pair counts "
+            "external tokens exactly when it sets external_counts; drop counting_scheme"
+        )
+    return config
 
 
 def _read_sections(parser: configparser.ConfigParser, base: Path) -> dict[str, dict[str, Any]]:

@@ -14,7 +14,8 @@ Token counting schemes, which decide the counts and never the cleaning:
 * ``external`` — counts precomputed elsewhere (e.g. by the model's own
   tokenizer) and supplied as a JSONL file ``{segment_id, token_count}``.
 
-The scheme is recorded on every output so totals are never mixed."""
+The scheme is recorded on every output, and an outputs file holds one, so
+the MQM token total that ``score`` sums from it never mixes schemes."""
 
 from __future__ import annotations
 
@@ -70,15 +71,12 @@ def count_tokens(text: str) -> int:
     return len(text.split())
 
 
-class ExternalCounts:
+class ExternalCounts(dict):
     """Precomputed per-segment token counts, keyed by segment id."""
-
-    def __init__(self, counts: dict[str, int]):
-        self._counts = dict(counts)
 
     @classmethod
     def load(cls, path) -> "ExternalCounts":
-        counts: dict[str, int] = {}
+        counts = cls()
         seen: set[str] = set()
 
         def build(record) -> None:
@@ -89,16 +87,13 @@ class ExternalCounts:
             counts[segment_id] = token_count
 
         _jsonl.read_records(path, build)
-        return cls(counts)
+        return counts
 
     def count(self, segment_id: str) -> int:
         try:
-            return self._counts[segment_id]
+            return self[segment_id]
         except KeyError:
             raise MissingCountError(f"no external token count for segment {segment_id!r}") from None
-
-    def __len__(self) -> int:
-        return self._counts.__len__()
 
 
 def postprocess_batch(
@@ -161,9 +156,15 @@ def write_outputs(path, outputs: Sequence[ModelOutput], manifest: dict | None = 
 
 def read_outputs(path) -> list[ModelOutput]:
     seen: set[str] = set()
+    scheme = None
 
     def build(record) -> ModelOutput:
+        nonlocal scheme
         _jsonl.unique_field(record, "segment_id", seen)
-        return ModelOutput(**_jsonl.from_record(record, _OUTPUT_KEYS))
+        output = ModelOutput(**_jsonl.from_record(record, _OUTPUT_KEYS))
+        scheme = scheme or output.counting_scheme
+        if output.counting_scheme != scheme:
+            raise ValueError(f"counting scheme {output.counting_scheme!r} after {scheme!r}; a file holds one")
+        return output
 
     return _jsonl.read_records(path, build)

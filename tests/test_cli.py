@@ -360,7 +360,6 @@ class TestDeterminism:
             layout.path("candidates", "en-es", mode="test"),
             layout.path("generations", "en-es"),
             layout.path("outputs", "en-es"),
-            layout.path("totals", "en-es"),
             layout.path("score_file", "en-es", system="stub-model"),
             layout.reports_dir() / "metrics.csv",
             layout.reports_dir() / "report.md",
@@ -397,7 +396,8 @@ class TestDeterminism:
         assert run("ingest", "--config", config) == 0
         assert run("build", "--config", config) == 0
         first = layout.path("splits", "en-es").read_bytes()
-        assert run("build", "--config", config, "--seed", "999") == 0
+        edit_config(config, "seed = 11\n", "seed = 999\n")
+        assert run("build", "--config", config) == 0
         assert layout.path("splits", "en-es").read_bytes() != first
 
 
@@ -416,12 +416,7 @@ class TestExitCodes:
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
         assert run("build", "--config", config) == 1
 
-    def test_bad_flag_value_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
-        config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
-        assert run("build", "--config", config, "--seed", "bogus") == 1
-        assert_one_line_error(capsys, "usage", "--seed")
-
-    def test_options_are_the_config_seed_pair_and_resume(self):
+    def test_options_are_the_config_pair_and_resume(self):
         subcommands = next(
             action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
         )
@@ -430,7 +425,7 @@ class TestExitCodes:
             - {"-h", "--help"}
             for command, parser in subcommands.choices.items()
         }
-        common = {"--config", "--seed", "--pair"}
+        common = {"--config", "--pair"}
         assert options == {
             "ingest": common,
             "build": common,
@@ -443,6 +438,7 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv",
         [
+            "build --seed 5",
             "postprocess --scheme external",
             "postprocess --counts-file counts.jsonl",
             "score --scheme whitespace",
@@ -454,7 +450,7 @@ class TestExitCodes:
         ],
     )
     def test_removed_flag_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys, argv):
-        # These values are set in the config file, where the config hash covers them.
+        # These values are set in the config file only, where the config hash covers them.
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
         command, flag, value = argv.split()
         assert run(command, "--config", config, flag, value) == 1
@@ -563,19 +559,22 @@ class TestScoreInputs:
         lines = path.read_text(encoding="utf-8").splitlines()
         path.write_text("\n".join(edit(lines)) + "\n", encoding="utf-8")
 
-    def test_missing_totals_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+    def test_outputs_mixing_counting_schemes_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        # MQM's token total is summed over the outputs, so they must share one scheme.
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        layout.path("totals", "en-es").unlink()
+        outputs = layout.path("outputs", "en-es")
+        lines = outputs.read_text(encoding="utf-8").splitlines(keepends=True)
+        lines[2] = lines[2].replace('"scheme": "whitespace"', '"scheme": "external"')
+        outputs.write_text("".join(lines), encoding="utf-8")
         add_pair_input(config, "annotations", fixtures_dir / "annotations_en_es.jsonl")
-        assert run("score", "--config", config) == 1
-        assert_one_line_error(capsys, "usage", "run `glossmt translate` first")
-
-    def test_corrupt_totals_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
-        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        layout.path("totals", "en-es").write_text('{"totals": {}}\n', encoding="utf-8")
-        add_pair_input(config, "annotations", fixtures_dir / "annotations_en_es.jsonl")
+        capsys.readouterr()
         assert run("score", "--config", config) == 2
-        assert_one_line_error(capsys, "data", "bad totals file")
+        err = capsys.readouterr().err
+        assert err == (
+            f"glossmt: data error: {outputs}: bad record: counting scheme 'external' after 'whitespace'; "
+            "a file holds one (line 3)\n"
+        )
+        assert not layout.path("score_file", "en-es", system="stub-model").exists()
 
     def test_missing_candidates_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
@@ -794,27 +793,66 @@ class TestResume:
         assert all("carried" not in row and row["seconds"] > 0 for row in fresh)
 
 
+def write_counts(path, segment_ids, count=7):
+    """An external token-count file giving each segment ``count`` tokens."""
+    path.write_text(
+        "".join(json.dumps({"segment_id": i, "token_count": count}) + "\n" for i in segment_ids), encoding="utf-8"
+    )
+    return path
+
+
+def outputs_manifest(layout, code="en-es"):
+    return json.loads(layout.path("outputs", code).read_text(encoding="utf-8").splitlines()[0])
+
+
 class TestPostprocessCommand:
-    def test_external_counts_scheme(self, tmp_path, fixtures_dir, stub_endpoint):
+    def test_external_counts_scheme(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        whitespace_hash = json.loads(layout.path("totals", "en-es").read_text(encoding="utf-8"))["config_hash"]
-        counts_file = tmp_path / "counts.jsonl"
-        counts_file.write_text(
-            "".join(
-                json.dumps({"segment_id": row["segment_id"], "token_count": 7}) + "\n"
-                for row in read_records(layout.path("generations", "en-es"), dict)
-            ),
-            encoding="utf-8",
-        )
+        whitespace_hash = outputs_manifest(layout)["config_hash"]
+        generated = [row["segment_id"] for row in read_records(layout.path("generations", "en-es"), dict)]
         edit_config(config, "counting_scheme = whitespace", "counting_scheme = external")
-        add_pair_input(config, "external_counts", counts_file)
+        add_pair_input(config, "external_counts", write_counts(tmp_path / "counts.jsonl", generated))
+        capsys.readouterr()
         assert run("postprocess", "--config", config) == 0
-        data = json.loads(layout.path("totals", "en-es").read_text(encoding="utf-8"))
-        totals = data["totals"]
-        assert totals["counting_scheme"] == "external"
-        assert totals["token_total_raw"] == totals["token_total_cleaned"] == 7 * 20
-        # The switch is in the config, so the totals carry a new hash.
-        assert data["config_hash"] != whitespace_hash
+        assert "tokens_raw=140 tokens_cleaned=140 scheme=external" in capsys.readouterr().out
+        outputs = read_records(layout.path("outputs", "en-es"), dict)
+        assert {row["scheme"] for row in outputs} == {"external"}
+        assert sum(row["tokens_raw"] for row in outputs) == sum(row["tokens_cleaned"] for row in outputs) == 7 * 20
+        # The switch is in the config, so the outputs carry a new hash.
+        assert outputs_manifest(layout)["config_hash"] != whitespace_hash
+
+    def test_whitespace_scheme_with_counts_file_is_usage_error(self, tmp_path, fixtures_dir, capsys):
+        # The counts would be hashed but never read, so the config is refused.
+        config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
+        add_pair_input(config, "external_counts", write_counts(tmp_path / "counts.jsonl", ["0"]))
+        assert run("ingest", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("glossmt: usage error:")
+        assert "counting_scheme = 'whitespace'" in err and "external_counts" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_scheme_follows_each_pairs_external_counts(self, tmp_path, fixtures_dir, stub_endpoint):
+        config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        edit_config(config, "counting_scheme = whitespace\n", "")
+        annotations = fixtures_dir / "annotations_en_es.jsonl"
+        add_pair_input(config, "annotations", annotations)
+        counts = write_counts(tmp_path / "counts.jsonl", [str(i) for i in range(100)])
+        with open(config, "a", encoding="utf-8") as handle:
+            handle.write(
+                f"\n[pair.en-fr]\nsource = {fixtures_dir / 'emea.en'}\ntarget = {fixtures_dir / 'emea.es'}\n"
+                f"glossary = {fixtures_dir / 'glossary_en_es.tsv'}\nannotations = {annotations}\n"
+                f"external_counts = {counts}\n"
+            )
+        for step in ("ingest", "build", "translate", "score"):
+            assert run(step, "--config", config) == 0
+
+        def mqm_counts(code):
+            path = layout.path("score_file", code, system="stub-model")
+            return json.loads(path.read_text(encoding="utf-8"))["mqm"]["counts"]
+
+        assert mqm_counts("en-es")["counting_scheme"] == "whitespace:raw"
+        assert mqm_counts("en-fr")["counting_scheme"] == "external:raw"
+        assert mqm_counts("en-fr")["token_total"] == 7 * 20
 
     def test_external_scheme_requires_counts_file(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
@@ -834,5 +872,23 @@ class TestPostprocessCommand:
         capsys.readouterr()
         assert run("translate", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "external_counts")
+        assert stub_endpoint.requests == []
+        assert not layout.path("generations", "en-es").exists()
+
+    def test_translate_checks_count_coverage_before_any_request(
+        self, tmp_path, fixtures_dir, stub_endpoint, capsys
+    ):
+        config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        for step in ("ingest", "build"):
+            assert run(step, "--config", config) == 0
+        first_prompt = read_records(layout.path("test_dataset", "en-es"), dict)[0]["segment_id"]
+        edit_config(config, "counting_scheme = whitespace", "counting_scheme = external")
+        add_pair_input(config, "external_counts", write_counts(tmp_path / "counts.jsonl", ["not-a-test-segment"]))
+        stub_endpoint.reset()
+        capsys.readouterr()
+        assert run("translate", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"glossmt: data error: pair en-es: no external token count for segment {first_prompt!r}\n"
+        )
         assert stub_endpoint.requests == []
         assert not layout.path("generations", "en-es").exists()

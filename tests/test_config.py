@@ -74,7 +74,7 @@ class TestLoad:
         assert config.template_family == "flan"
         assert config.inference.model_name == "test-model"
         assert config.inference.top_p == 0.95
-        assert config.counting_scheme == "whitespace"
+        assert config.pairs[0].counting_scheme == "whitespace"
         assert config.confidence_threshold == 0.5
         assert len(config.pairs) == 1
         assert config.pairs[0].pair.code == "en-es"
@@ -139,18 +139,6 @@ class TestLoad:
             load_config(path)
 
 
-class TestOverrides:
-    def test_seed_override_wins_and_propagates_to_split(self, tmp_path, fixtures_dir):
-        config = load_config(write_config(tmp_path, fixtures_dir), seed=99)
-        assert config.seed == 99
-        assert config.split.seed == 99
-
-    def test_seed_zero_override_is_respected(self, tmp_path, fixtures_dir):
-        config = load_config(write_config(tmp_path, fixtures_dir), seed=0)
-        assert config.seed == 0
-        assert config.split.seed == 0
-
-
 class TestValidation:
     def test_unknown_scheme_rejected(self, tmp_path, fixtures_dir):
         path = replace_in(
@@ -158,6 +146,26 @@ class TestValidation:
         )
         with pytest.raises(ConfigurationError, match="counting_scheme"):
             load_config(path)
+
+    def test_scheme_follows_each_pairs_external_counts(self, tmp_path, fixtures_dir):
+        counts = tmp_path / "counts.jsonl"
+        counts.write_text('{"segment_id": "0", "token_count": 3}\n', encoding="utf-8")
+        second_pair = f"""
+            [pair.en-fr]
+            source = {fixtures_dir / 'emea.en'}
+            target = {fixtures_dir / 'emea.es'}
+            glossary = {fixtures_dir / 'glossary_en_es.tsv'}
+            external_counts = {counts}
+            """
+        path = write_config(tmp_path, fixtures_dir, extra=second_pair)
+        for declared in ("whitespace", "external"):
+            replace_in(path, "counting_scheme = whitespace", f"counting_scheme = {declared}")
+            with pytest.raises(ConfigurationError, match="drop counting_scheme"):
+                load_config(path)
+            replace_in(path, f"counting_scheme = {declared}", "counting_scheme = whitespace")
+        replace_in(path, "counting_scheme = whitespace\n", "")
+        schemes = {p.pair.code: p.counting_scheme for p in load_config(path).pairs}
+        assert schemes == {"en-es": "whitespace", "en-fr": "external"}
 
     def test_unknown_mqm_tokens_rejected(self, tmp_path, fixtures_dir):
         path = replace_in(write_config(tmp_path, fixtures_dir), "mqm_tokens = raw", "mqm_tokens = subword")
@@ -197,7 +205,7 @@ class TestValidation:
         assert (config.seed, config.split.seed, config.split.total) == (0, 0, 2000)
         assert config.inference == InferenceConfig()
         assert config.inference.model_name == "default-model"
-        assert (config.min_stars, config.template_family, config.counting_scheme) == (3, "flan", "whitespace")
+        assert (config.min_stars, config.template_family, config.pairs[0].counting_scheme) == (3, "flan", "whitespace")
 
 
 class TestBenchmarkConfig:
@@ -219,7 +227,7 @@ class TestBenchmarkConfig:
         workloads.generate(workload, 1, tmp_path)
         config = load_config(tmp_path / "exp.ini")
         assert [p.pair.code for p in config.pairs] == list(workload.pairs)
-        assert config.counting_scheme == "whitespace"
+        assert {p.counting_scheme for p in config.pairs} == {"whitespace"}
 
 
 class TestHashing:
@@ -229,9 +237,20 @@ class TestHashing:
 
     def test_hash_changes_with_seed(self, tmp_path, fixtures_dir):
         path = write_config(tmp_path, fixtures_dir)
-        first = load_config(path, seed=1).config_hash()
-        second = load_config(path, seed=2).config_hash()
+        first = load_config(path).config_hash()
+        second = load_config(replace_in(path, "seed = 11", "seed = 12")).config_hash()
         assert first != second
+
+    def test_hash_does_not_depend_on_declaring_the_scheme(self, tmp_path, fixtures_dir):
+        path = write_config(tmp_path, fixtures_dir)
+        declared = load_config(path).config_hash()
+        assert load_config(replace_in(path, "counting_scheme = whitespace\n", "")).config_hash() == declared
+
+        counts = tmp_path / "counts.jsonl"
+        counts.write_text('{"segment_id": "0", "token_count": 3}\n', encoding="utf-8")
+        path = write_config(tmp_path, fixtures_dir, extra=f"external_counts = {counts}\n")
+        declared = load_config(replace_in(path, "counting_scheme = whitespace", "counting_scheme = external")).config_hash()
+        assert load_config(replace_in(path, "counting_scheme = external\n", "")).config_hash() == declared
 
     def test_manifest_fields(self, tmp_path, fixtures_dir):
         config = load_config(write_config(tmp_path, fixtures_dir))

@@ -31,7 +31,7 @@ def test_config_example_loads(tmp_path):
     path.write_text(CONFIG, encoding="utf-8")
     config = load_config(path)
     assert config.template_family == "chatml"
-    assert config.counting_scheme == "whitespace"
+    assert config.pairs[0].counting_scheme == "whitespace"
     assert config.mqm_tokens == "raw"
     assert config.pairs[0].glossary_path == tmp_path / "data" / "terms_en_es.tsv"
 
