@@ -2,8 +2,8 @@
 
 Subcommands walk the pipeline: ingest (corpora + glossaries in, validated
 artifacts out), build (splits, candidate matching, rendered datasets),
-translate (batch generation against the endpoint, then post-processing),
-postprocess (re-run cleaning/counting from stored generations), score
+translate (batch generation against the endpoint, reusing each stored ok
+record whose settings and prompt still match, then post-processing), score
 (metrics, terminology accuracy, MQM), report (regenerate tables from stored
 score files).
 
@@ -195,24 +195,15 @@ def _external_counts(pair_config: PairConfig, segment_ids):
     return counts
 
 
-def _postprocess_pair(config: PipelineConfig, layout: Layout, pair_config: PairConfig, records, counts) -> dict:
-    from . import postprocess
-
-    code = pair_config.pair.code
-    outputs, totals = postprocess.postprocess_batch(records, config.template(), counts)
-    postprocess.write_outputs(
-        layout.path("outputs", code), outputs, manifest={**config.manifest(), "pair": code}
-    )
-    return totals
-
-
-def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: bool = False) -> int:
-    from . import promptgen, runner
+def cmd_translate(config: PipelineConfig, pair_code: str | None = None) -> int:
+    from . import postprocess, promptgen, runner
 
     layout = Layout(config.output_dir)
     base_manifest = config.manifest()
+    snapshot = config.inference.snapshot()
     selected = config.select_pairs(pair_code)
-    # Every pair's prompts and token counts are read before the first request.
+    # The template and every pair's prompts and token counts are read before the first request.
+    template = config.template()
     examples_by_pair = [
         promptgen.read_dataset(layout.require("test_dataset", p.pair.code), p.pair) for p in selected
     ]
@@ -221,19 +212,19 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
     ]
     for pair_config, examples, counts in zip(selected, examples_by_pair, counts_by_pair):
         code = pair_config.pair.code
+        generations = layout.path("generations", code)
         completed: dict[str, runner.GenerationRecord] = {}
-        if resume and layout.path("generations", code).is_file():
-            # Keep only records this configuration would produce again.
-            snapshot = config.inference.snapshot()
+        if generations.is_file():
+            # Reuse only ok records this configuration would produce again.
             prompts = {e.segment_id: e.rendered_text for e in examples}
             completed = {
                 record.segment_id: record
-                for record in runner.read_records(layout.path("generations", code))
+                for record in runner.read_records(generations)
                 if record.ok
                 and record.config == snapshot
                 and record.prompt_text == prompts.get(record.segment_id)
             }
-            log.info("pair=%s resume_completed=%d", code, len(completed))
+            log.info("pair=%s reused=%d", code, len(completed))
         pending = [e for e in examples if e.segment_id not in completed]
         aborted = None
         try:
@@ -242,9 +233,7 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
             aborted, new_records = exc, exc.partial_records
         by_id = {**completed, **{r.segment_id: r for r in new_records}}
         records = [by_id[e.segment_id] for e in examples if e.segment_id in by_id]
-        runner.write_records(
-            layout.path("generations", code), records, manifest={**base_manifest, "pair": code}
-        )
+        runner.write_records(generations, records, manifest={**base_manifest, "pair": code})
         runner.write_run_manifest(
             layout.path("generation_manifest", code),
             config.inference,
@@ -256,27 +245,12 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None, resume: 
         if aborted is not None:
             raise aborted
         runner.write_timing_sidecar(layout.path("timing", code), records)
-        totals = _postprocess_pair(config, layout, pair_config, records, counts)
+        outputs, totals = postprocess.postprocess_batch(records, template, counts)
+        postprocess.write_outputs(layout.path("outputs", code), outputs, manifest={**base_manifest, "pair": code})
         errors = sum(1 for r in records if not r.ok)
         print(
             f"{code}: records={len(records)} errors={errors} "
             f"truncated={totals['truncated_count']} "
-            f"tokens_raw={totals['token_total_raw']} tokens_cleaned={totals['token_total_cleaned']}"
-        )
-    return 0
-
-
-def cmd_postprocess(config: PipelineConfig, pair_code: str | None = None) -> int:
-    from . import runner
-
-    layout = Layout(config.output_dir)
-    for pair_config in config.select_pairs(pair_code):
-        code = pair_config.pair.code
-        records = runner.read_records(layout.require("generations", code))
-        counts = _external_counts(pair_config, [r.segment_id for r in records])
-        totals = _postprocess_pair(config, layout, pair_config, records, counts)
-        print(
-            f"{code}: outputs={totals['outputs']} truncated={totals['truncated_count']} "
             f"tokens_raw={totals['token_total_raw']} tokens_cleaned={totals['token_total_cleaned']} "
             f"scheme={totals['counting_scheme']}"
         )
@@ -412,10 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     subparsers.add_parser("build", parents=[common], help="split corpora and render datasets")
 
-    translate = subparsers.add_parser("translate", parents=[common], help="run test prompts against the endpoint")
-    translate.add_argument("--resume", action="store_true", help="skip segments already generated")
-
-    subparsers.add_parser("postprocess", parents=[common], help="re-run cleaning and token counting")
+    subparsers.add_parser("translate", parents=[common], help="run test prompts against the endpoint")
 
     subparsers.add_parser("score", parents=[common], help="compute metrics and write score files")
 
@@ -430,9 +401,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     if args.command == "build":
         return cmd_build(config, pair_code=args.pair)
     if args.command == "translate":
-        return cmd_translate(config, pair_code=args.pair, resume=args.resume)
-    if args.command == "postprocess":
-        return cmd_postprocess(config, pair_code=args.pair)
+        return cmd_translate(config, pair_code=args.pair)
     if args.command == "score":
         return cmd_score(config, pair_code=args.pair)
     if args.command == "report":

@@ -148,9 +148,8 @@ def bleu(hypotheses: Sequence[str], references: Sequence[str]) -> float:
     hypothesis_length, reference_length = sums[2 * BLEU_MAX_ORDER :]
     if hypothesis_length == 0 or any(m == 0 for m in matches):
         return 0.0
-    log_precision_sum = sum(
-        math.log(m / t) for m, t in zip(matches, totals)
-    ) / BLEU_MAX_ORDER
+    # fsum is correctly rounded; sum() of floats rounds differently from 3.12 on.
+    log_precision_sum = math.fsum(math.log(m / t) for m, t in zip(matches, totals)) / BLEU_MAX_ORDER
     if hypothesis_length >= reference_length:
         brevity_penalty = 1.0
     else:

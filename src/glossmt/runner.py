@@ -74,7 +74,7 @@ class GenerationRecord:
     ``duration_s`` is wall-clock timing and is serialized only to the
     timing sidecar, never to the records artifact, so record files stay
     byte-identical across reruns. It is None for a record read back from
-    the artifact, i.e. one that ``--resume`` carries over untimed.
+    the artifact, i.e. one that a re-run of ``translate`` reuses untimed.
     """
 
     segment_id: str
@@ -175,8 +175,7 @@ def _route(cfg: InferenceConfig, token: str | None):
 def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationRecord]:
     """Send one request per test example; results come back in input order
     regardless of completion order or concurrency level."""
-    # Imported here, not at module level: no other stage sends a request,
-    # and postprocess imports this module for read_records.
+    # Imported here, not at module level: no other stage sends a request.
     import http.client
     import socket
 
@@ -344,7 +343,7 @@ def _timing(record: GenerationRecord) -> dict[str, Any]:
 
 def write_timing_sidecar(path, records: Sequence[GenerationRecord]) -> None:
     """One line per record: its wall-clock seconds, or ``"carried": true``
-    and null seconds for a record carried over by ``--resume``."""
+    and null seconds for a record reused from an earlier run."""
     _jsonl.write_jsonl(path, (_timing(r) for r in records))
 
 

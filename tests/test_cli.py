@@ -326,7 +326,7 @@ class TestStartup:
 
     def test_stages_after_translate_load_no_http_client(self, tmp_path, fixtures_dir, stub_endpoint):
         config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        run_fresh_process(config, ("postprocess", "score", "report"), HTTP_CLIENT_MODULES)
+        run_fresh_process(config, ("score", "report"), HTTP_CLIENT_MODULES)
 
     def test_ingest_loads_only_its_own_modules(self, tmp_path, fixtures_dir):
         config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9")
@@ -416,7 +416,7 @@ class TestExitCodes:
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
         assert run("build", "--config", config) == 1
 
-    def test_options_are_the_config_pair_and_resume(self):
+    def test_options_are_the_config_and_pair(self):
         subcommands = next(
             action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
         )
@@ -426,21 +426,15 @@ class TestExitCodes:
             for command, parser in subcommands.choices.items()
         }
         common = {"--config", "--pair"}
-        assert options == {
-            "ingest": common,
-            "build": common,
-            "translate": common | {"--resume"},
-            "postprocess": common,
-            "score": common,
-            "report": common,
-        }
+        assert options == {command: common for command in ("ingest", "build", "translate", "score", "report")}
 
     @pytest.mark.parametrize(
         "argv",
         [
             "build --seed 5",
-            "postprocess --scheme external",
-            "postprocess --counts-file counts.jsonl",
+            "translate --resume",
+            "translate --scheme external",
+            "translate --counts-file counts.jsonl",
             "score --scheme whitespace",
             "score --annotations spans.jsonl",
             "score --external-scores comet.jsonl",
@@ -452,8 +446,8 @@ class TestExitCodes:
     def test_removed_flag_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys, argv):
         # These values are set in the config file only, where the config hash covers them.
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
-        command, flag, value = argv.split()
-        assert run(command, "--config", config, flag, value) == 1
+        command, flag, *value = argv.split()
+        assert run(command, "--config", config, flag, *value) == 1
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and "Traceback" not in err
         assert err.startswith("glossmt: usage error:") and flag in err
@@ -494,7 +488,7 @@ class TestExitCodes:
         config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         capsys.readouterr()
         edit_config(config, "counting_scheme = whitespace", "counting_scheme = no-truncation")
-        assert run("postprocess", "--config", config) == 1
+        assert run("translate", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "counting_scheme")
 
     def test_unknown_pair_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint):
@@ -532,6 +526,25 @@ class TestExitCodes:
         assert run("ingest", "--config", config) == 0
         assert run("build", "--config", config) == 2
         assert_one_line_error(capsys, "data", "not valid UTF-8 (line 16)")
+
+    def test_template_broken_after_build_stops_translate_before_any_request(
+        self, tmp_path, fixtures_dir, stub_endpoint, capsys
+    ):
+        template = tmp_path / "template.txt"
+        template.write_bytes((fixtures_dir / "custom_template.txt").read_bytes())
+        config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        edit_config(config, "family = chatml", f"file = {template}")
+        for step in ("ingest", "build"):
+            assert run(step, "--config", config) == 0
+        template.write_bytes(template.read_bytes() + b"\xff\n")
+        stub_endpoint.reset()
+        capsys.readouterr()
+        assert run("translate", "--config", config) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("glossmt: data error:") and "not valid UTF-8 (line 16)" in err
+        assert stub_endpoint.requests == []
+        assert not layout.path("generations", "en-es").exists()
 
     def test_unreachable_endpoint_is_endpoint_error(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = write_project(
@@ -723,6 +736,9 @@ class TestMatchOnce:
 
 
 class TestResume:
+    """Every ``translate`` reuses the stored ok records whose settings and
+    prompt still match, and requests the rest."""
+
     def test_resume_retries_only_failures(self, tmp_path, fixtures_dir, stub_endpoint):
         stub_endpoint.reset()
         config, layout = write_project(
@@ -740,7 +756,7 @@ class TestResume:
         assert len(failed) == 20
         requests_before = len(stub_endpoint.requests)
 
-        assert run("translate", "--config", config, "--resume") == 0
+        assert run("translate", "--config", config) == 0
         rows = [
             json.loads(line)
             for line in layout.path("generations", "en-es").read_text(encoding="utf-8").splitlines()[1:]
@@ -755,7 +771,7 @@ class TestResume:
             encoding="utf-8",
         )
         before = len(stub_endpoint.requests)
-        assert run("translate", "--config", config, "--resume") == 0
+        assert run("translate", "--config", config) == 0
         assert len(stub_endpoint.requests) - before == 20
         rows = read_records(layout.path("generations", "en-es"), dict)
         assert len(rows) == 20
@@ -768,9 +784,36 @@ class TestResume:
         )
         for step in ("ingest", "build", "translate"):
             assert run(step, "--config", config) == 0
+        names = ("generations", "generation_manifest", "outputs")
+        first = {name: layout.path(name, "en-es").read_bytes() for name in names}
+        generated = [row["segment_id"] for row in read_records(layout.path("generations", "en-es"), dict)]
         before = len(stub_endpoint.requests)
-        assert run("translate", "--config", config, "--resume") == 0
+
+        assert run("translate", "--config", config) == 0
         assert len(stub_endpoint.requests) == before
+        assert {name: layout.path(name, "en-es").read_bytes() for name in names} == first
+        assert all(row["carried"] for row in read_records(layout.path("timing", "en-es"), dict))
+
+        # Adding external counts re-cleans the stored generations without a request.
+        edit_config(config, "counting_scheme = whitespace", "counting_scheme = external")
+        add_pair_input(config, "external_counts", write_counts(tmp_path / "counts.jsonl", generated))
+        assert run("translate", "--config", config) == 0
+        assert len(stub_endpoint.requests) == before
+        assert {row["scheme"] for row in read_records(layout.path("outputs", "en-es"), dict)} == {"external"}
+
+    def test_corrupt_generations_stop_translate_until_deleted(
+        self, tmp_path, fixtures_dir, stub_endpoint, capsys
+    ):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        layout.path("generations", "en-es").write_text("not json at all\n", encoding="utf-8")
+        stub_endpoint.reset()
+        capsys.readouterr()
+        assert run("translate", "--config", config) == 2
+        assert_one_line_error(capsys, "data", str(layout.path("generations", "en-es")))
+        assert stub_endpoint.requests == []
+        layout.path("generations", "en-es").unlink()
+        assert run("translate", "--config", config) == 0
+        assert len(stub_endpoint.requests) == 20
 
     def test_resume_marks_carried_records_in_timing_sidecar(self, tmp_path, fixtures_dir, stub_endpoint):
         stub_endpoint.reset()
@@ -783,7 +826,7 @@ class TestResume:
         completed = {row["segment_id"] for row in rows if row["error"] is None}
         assert 0 < len(completed) < len(rows)
 
-        assert run("translate", "--config", config, "--resume") == 0
+        assert run("translate", "--config", config) == 0
         timing = read_records(layout.path("timing", "en-es"), dict)
         assert len(timing) == len(rows)
         carried = [row for row in timing if row["segment_id"] in completed]
@@ -806,6 +849,8 @@ def outputs_manifest(layout, code="en-es"):
 
 
 class TestPostprocessCommand:
+    """The cleaning and token counting that ``translate`` runs on its records."""
+
     def test_external_counts_scheme(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         whitespace_hash = outputs_manifest(layout)["config_hash"]
@@ -813,7 +858,9 @@ class TestPostprocessCommand:
         edit_config(config, "counting_scheme = whitespace", "counting_scheme = external")
         add_pair_input(config, "external_counts", write_counts(tmp_path / "counts.jsonl", generated))
         capsys.readouterr()
-        assert run("postprocess", "--config", config) == 0
+        stub_endpoint.reset()
+        assert run("translate", "--config", config) == 0
+        assert stub_endpoint.requests == []
         assert "tokens_raw=140 tokens_cleaned=140 scheme=external" in capsys.readouterr().out
         outputs = read_records(layout.path("outputs", "en-es"), dict)
         assert {row["scheme"] for row in outputs} == {"external"}
@@ -858,7 +905,7 @@ class TestPostprocessCommand:
         config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         capsys.readouterr()
         edit_config(config, "counting_scheme = whitespace", "counting_scheme = external")
-        assert run("postprocess", "--config", config) == 1
+        assert run("translate", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "external_counts")
 
     def test_translate_checks_counts_file_before_any_request(
