@@ -13,11 +13,17 @@ into a FormatError the same way.
 A record type with flat fields declares its artifact keys once, in a table
 mapping each key to ``(attribute, kind)`` or ``(attribute, kind, default)``;
 :func:`to_record` and :func:`from_record` derive both directions from it.
+Every record type derives from :class:`Frozen`.
+
+Every artifact is written through :func:`open_atomic`, so it is the old
+whole file, the new whole file, or absent.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
+import os
 from pathlib import Path
 from typing import Any, Callable, Iterable, TypeVar
 
@@ -30,6 +36,63 @@ T = TypeVar("T")
 _REQUIRED = object()
 
 
+class Frozen:
+    """Base of the immutable value classes, with the semantics
+    ``dataclass(frozen=True)`` gives, derived from ``__slots__``: objects of
+    one class are equal when their fields are, hash as the tuple of their
+    fields, show as ``Name(field=value, ...)``, and refuse to set or delete
+    a field. A subclass's ``__init__`` sets each field once, with
+    ``object.__setattr__``; the fields named in the class keyword
+    ``hidden`` stay out of equality, hash and repr."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(name for name in cls.__slots__ if name not in hidden)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{self.__class__.__qualname__}({fields})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+@contextlib.contextmanager
+def open_atomic(path, errors: str = "strict"):
+    """A UTF-8 text file, LF line ends, to write ``path``'s new content to.
+    It is a temporary file in ``path``'s directory, which replaces ``path``
+    when the block ends and is removed if the block raises. Nothing is
+    fsynced: the rename keeps a crash of the process from leaving a cut
+    file, not a crash of the machine."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    temporary = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temporary, "w", encoding="utf-8", errors=errors, newline="\n") as handle:
+            yield handle
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
+
+
 def dumps(record: dict[str, Any]) -> str:
     # Stable key order and no trailing spaces: artifacts must be
     # byte-identical across runs with the same config and seed.
@@ -37,11 +100,9 @@ def dumps(record: dict[str, Any]) -> str:
 
 
 def write_jsonl(path, records: Iterable[dict[str, Any]], manifest: dict[str, Any] | None = None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     # A lone surrogate (an endpoint may return "\ud800") cannot be encoded
     # as UTF-8; backslashreplace writes it as that same JSON escape.
-    with open(path, "w", encoding="utf-8", errors="backslashreplace", newline="\n") as handle:
+    with open_atomic(path, errors="backslashreplace") as handle:
         if manifest is not None:
             handle.write(dumps({"record_type": MANIFEST_TYPE, **manifest}) + "\n")
         for record in records:
@@ -49,9 +110,8 @@ def write_jsonl(path, records: Iterable[dict[str, Any]], manifest: dict[str, Any
 
 
 def write_json(path, data: dict[str, Any]) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(data, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    with open_atomic(path) as handle:
+        handle.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def iter_jsonl(path) -> Iterable[tuple[int, dict[str, Any]]]:

@@ -17,7 +17,9 @@ re-runnable: same config and seed give byte-identical artifacts, with
 timing in its sidecar.
 
 Each command imports only the stage modules it calls, so ``ingest`` and
-``build`` never load the runner, the metrics or the report writer.
+``build`` never load the runner, the metrics or the report writer. No
+stage imports ``dataclasses``: the record classes derive from
+``_jsonl.Frozen``, which builds no methods at import time.
 """
 
 from __future__ import annotations
@@ -409,10 +411,7 @@ def _dispatch(args: argparse.Namespace) -> int:
     raise UsageError(f"unknown command {args.command!r}")
 
 
-def main(argv=None) -> int:
-    logging.basicConfig(
-        stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s %(message)s"
-    )
+def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
         return _dispatch(args)
@@ -425,9 +424,27 @@ def main(argv=None) -> int:
     except (DataError, OSError) as exc:
         print(f"glossmt: data error: {exc}", file=sys.stderr)
         return 2
+
+
+def main(argv=None) -> int:
+    """Run one command and return its exit code. With no ``argv``, main is
+    the process's program (``python -m glossmt.cli`` or the ``glossmt``
+    script), and once its command has ended it ignores SIGINT: a Ctrl-C
+    that lands in ``sys.exit`` or interpreter shutdown would otherwise end
+    a stage whose work is done by the signal, with no line."""
+    logging.basicConfig(
+        stream=sys.stderr, level=logging.INFO, format="%(levelname)s %(name)s %(message)s"
+    )
+    try:
+        code = _run(argv)
+        if argv is None:
+            import signal
+
+            signal.signal(signal.SIGINT, signal.SIG_IGN)
     except KeyboardInterrupt:
         print("glossmt: interrupted", file=sys.stderr)
-        return 130
+        code = 130
+    return code
 
 
 if __name__ == "__main__":

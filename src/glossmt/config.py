@@ -3,12 +3,12 @@
 ``_KEYS`` lists every section the file may hold, each key it may set and
 how the key's text is read; any other section or key is a
 ConfigurationError that names it. A key the file leaves out takes the
-default of the dataclass field it fills. There is one ``[pair.*]`` section
-per language pair, e.g. ``[pair.en-es]``. The file holds every setting and
-input path, the seed included. A pair counts ``external`` tokens exactly
-when it sets ``external_counts``; ``counting_scheme`` is only checked against
-that. The resolved configuration is hashed (sha256 over its canonical JSON)
-and that hash is stamped into every artifact manifest.
+default of the constructor parameter it fills. There is one ``[pair.*]``
+section per language pair, e.g. ``[pair.en-es]``. The file holds every
+setting and input path, the seed included. A pair counts ``external``
+tokens exactly when it sets ``external_counts``; ``counting_scheme`` is only
+checked against that. The resolved configuration is hashed (sha256 over its
+canonical JSON) and that hash is stamped into every artifact manifest.
 
 Every stage reads its config first, so this module owns the value checks
 (``InferenceConfig`` included) and imports no stage module but ``corpus``
@@ -21,11 +21,11 @@ import configparser
 import hashlib
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Any
 from urllib.parse import urlsplit
 
+from ._jsonl import Frozen
 from .corpus import LanguagePair, SplitSpec
 from .errors import ConfigurationError
 from .promptgen import FAMILIES, TemplateSpec, builtin_template, load_template_file
@@ -34,11 +34,11 @@ SCHEME_WHITESPACE = "whitespace"
 SCHEME_EXTERNAL = "external"
 MQM_TOKEN_MODES = ("raw", "cleaned")
 
-# [section] -> key -> how its text is read. A key fills the dataclass field
-# of its name, except that [split] keys gain "_size", [template] keys a
-# "template_" prefix, and a pair's paths "_path". A ``Path`` is resolved
-# against the config file's directory and must name a file; left empty, it
-# is unset. The output directory is made, not read, so it is text.
+# [section] -> key -> how its text is read. A key fills the constructor
+# parameter of its name, except that [split] keys gain "_size", [template]
+# keys a "template_" prefix, and a pair's paths "_path". A ``Path`` is
+# resolved against the config file's directory and must name a file; left
+# empty, it is unset. The output directory is made, not read, so it is text.
 _KEYS: dict[str, dict[str, type]] = {
     "project": {"output_dir": str, "seed": int},
     "split": {"tuning": int, "validation": int, "test": int},
@@ -57,43 +57,57 @@ _KEYS: dict[str, dict[str, type]] = {
 }
 
 
-@dataclass(frozen=True)
-class InferenceConfig:
-    endpoint_url: str = "http://127.0.0.1:8000/completions"
-    model_name: str = "default-model"
-    top_p: float = 0.9
-    temperature: float | None = None
-    max_new_tokens: int = 512
-    request_timeout: float = 60.0
-    max_concurrent_requests: int = 1
-    max_retries: int = 2
-    retry_backoff: float = 0.5
+class InferenceConfig(Frozen):
+    __slots__ = (
+        "endpoint_url", "model_name", "top_p", "temperature", "max_new_tokens", "request_timeout",
+        "max_concurrent_requests", "max_retries", "retry_backoff",
+    )
 
-    def __post_init__(self):
-        url = urlsplit(self.endpoint_url)
+    def __init__(
+        self,
+        endpoint_url: str = "http://127.0.0.1:8000/completions",
+        model_name: str = "default-model",
+        top_p: float = 0.9,
+        temperature: float | None = None,
+        max_new_tokens: int = 512,
+        request_timeout: float = 60.0,
+        max_concurrent_requests: int = 1,
+        max_retries: int = 2,
+        retry_backoff: float = 0.5,
+    ):
+        url = urlsplit(endpoint_url)
         if url.scheme not in ("http", "https") or not url.netloc:
-            raise ConfigurationError(f"endpoint_url must be an http or https URL, got {self.endpoint_url!r}")
+            raise ConfigurationError(f"endpoint_url must be an http or https URL, got {endpoint_url!r}")
         # Every record, manifest and the config hash copy the URL; the token
         # goes in GLOSSMT_API_TOKEN. The URL is not echoed, for the same reason.
         if "@" in url.netloc:
             raise ConfigurationError("endpoint_url must not carry credentials (user:password@host)")
-        if not self.model_name:
+        if not model_name:
             raise ConfigurationError("model_name must be non-empty")
-        if not 0 < self.top_p <= 1:
-            raise ConfigurationError(f"top_p must be in (0,1], got {self.top_p}")
+        if not 0 < top_p <= 1:
+            raise ConfigurationError(f"top_p must be in (0,1], got {top_p}")
         # NaN and infinity have no JSON form, so no request could carry them.
-        if self.temperature is not None and not (math.isfinite(self.temperature) and self.temperature >= 0):
-            raise ConfigurationError(f"temperature must be finite and nonnegative, got {self.temperature}")
-        if self.max_new_tokens < 1:
+        if temperature is not None and not (math.isfinite(temperature) and temperature >= 0):
+            raise ConfigurationError(f"temperature must be finite and nonnegative, got {temperature}")
+        if max_new_tokens < 1:
             raise ConfigurationError("max_new_tokens must be positive")
-        if self.request_timeout <= 0:
+        if request_timeout <= 0:
             raise ConfigurationError("request_timeout must be positive")
-        if self.max_concurrent_requests < 1:
+        if max_concurrent_requests < 1:
             raise ConfigurationError("max_concurrent_requests must be >= 1")
-        if self.max_retries < 0:
+        if max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if self.retry_backoff < 0:
+        if retry_backoff < 0:
             raise ConfigurationError("retry_backoff must be >= 0")
+        object.__setattr__(self, "endpoint_url", endpoint_url)
+        object.__setattr__(self, "model_name", model_name)
+        object.__setattr__(self, "top_p", top_p)
+        object.__setattr__(self, "temperature", temperature)
+        object.__setattr__(self, "max_new_tokens", max_new_tokens)
+        object.__setattr__(self, "request_timeout", request_timeout)
+        object.__setattr__(self, "max_concurrent_requests", max_concurrent_requests)
+        object.__setattr__(self, "max_retries", max_retries)
+        object.__setattr__(self, "retry_backoff", retry_backoff)
 
     def snapshot(self) -> dict[str, Any]:
         """The request settings stored on every record (token-free)."""
@@ -117,50 +131,79 @@ class InferenceConfig:
         return body
 
 
-@dataclass(frozen=True)
-class PairConfig:
-    pair: LanguagePair
-    source_path: Path
-    target_path: Path
-    glossary_path: Path
-    annotations_path: Path | None = None
-    external_scores_path: Path | None = None
-    external_counts_path: Path | None = None
+class PairConfig(Frozen):
+    __slots__ = (
+        "pair", "source_path", "target_path", "glossary_path", "annotations_path", "external_scores_path",
+        "external_counts_path",
+    )
+
+    def __init__(
+        self,
+        pair: LanguagePair,
+        source_path: Path,
+        target_path: Path,
+        glossary_path: Path,
+        annotations_path: Path | None = None,
+        external_scores_path: Path | None = None,
+        external_counts_path: Path | None = None,
+    ):
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "source_path", source_path)
+        object.__setattr__(self, "target_path", target_path)
+        object.__setattr__(self, "glossary_path", glossary_path)
+        object.__setattr__(self, "annotations_path", annotations_path)
+        object.__setattr__(self, "external_scores_path", external_scores_path)
+        object.__setattr__(self, "external_counts_path", external_counts_path)
 
     @property
     def counting_scheme(self) -> str:
         return SCHEME_EXTERNAL if self.external_counts_path is not None else SCHEME_WHITESPACE
 
 
-@dataclass(frozen=True)
-class PipelineConfig:
-    output_dir: Path
-    seed: int
-    pairs: tuple[PairConfig, ...]
-    split: SplitSpec
-    inference: InferenceConfig
-    min_stars: int = 3
-    template_family: str = "flan"
-    template_file: Path | None = None
-    confidence_threshold: float = 0.0
-    mqm_tokens: str = "raw"
+class PipelineConfig(Frozen):
+    __slots__ = (
+        "output_dir", "seed", "pairs", "split", "inference", "min_stars", "template_family", "template_file",
+        "confidence_threshold", "mqm_tokens",
+    )
 
-    def __post_init__(self):
-        if not self.pairs:
+    def __init__(
+        self,
+        output_dir: Path,
+        seed: int,
+        pairs: tuple[PairConfig, ...],
+        split: SplitSpec,
+        inference: InferenceConfig,
+        min_stars: int = 3,
+        template_family: str = "flan",
+        template_file: Path | None = None,
+        confidence_threshold: float = 0.0,
+        mqm_tokens: str = "raw",
+    ):
+        if not pairs:
             raise ConfigurationError("at least one [pair.*] section is required")
-        codes = [p.pair.code for p in self.pairs]
+        codes = [p.pair.code for p in pairs]
         if len(set(codes)) != len(codes):
             raise ConfigurationError("duplicate [pair.*] sections")
-        if self.mqm_tokens not in MQM_TOKEN_MODES:
+        if mqm_tokens not in MQM_TOKEN_MODES:
             raise ConfigurationError(
-                f"mqm_tokens must be one of {MQM_TOKEN_MODES}, got {self.mqm_tokens!r}"
+                f"mqm_tokens must be one of {MQM_TOKEN_MODES}, got {mqm_tokens!r}"
             )
-        if not 0.0 <= self.confidence_threshold <= 1.0:
+        if not 0.0 <= confidence_threshold <= 1.0:
             raise ConfigurationError("confidence_threshold must be in [0,1]")
-        if self.template_file is None and self.template_family not in FAMILIES:
+        if template_file is None and template_family not in FAMILIES:
             raise ConfigurationError(
-                f"unknown template family {self.template_family!r} and no template file given"
+                f"unknown template family {template_family!r} and no template file given"
             )
+        object.__setattr__(self, "output_dir", output_dir)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "inference", inference)
+        object.__setattr__(self, "min_stars", min_stars)
+        object.__setattr__(self, "template_family", template_family)
+        object.__setattr__(self, "template_file", template_file)
+        object.__setattr__(self, "confidence_threshold", confidence_threshold)
+        object.__setattr__(self, "mqm_tokens", mqm_tokens)
 
     def pair_config(self, code: str) -> PairConfig:
         for pair_config in self.pairs:
@@ -239,8 +282,9 @@ def load_config(path) -> PipelineConfig:
         raise ConfigurationError(f"cannot parse {path}: {exc}") from exc
 
     sections = _read_sections(parser, path.parent)
-    # The seed fills two dataclasses and the output directory is resolved
-    # here, so these two defaults live here; every other one on its field.
+    # The seed fills PipelineConfig and SplitSpec, and the output directory
+    # is resolved here, so these two defaults live here; every other one on
+    # its constructor parameter.
     project = sections.get("project", {})
     seed = project.get("seed", 0)
     pairs = tuple(

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import codecs
 import logging
-from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -61,24 +60,24 @@ def read_text_lines(path) -> list[str]:
     return lines
 
 
-@dataclass(frozen=True)
-class LanguagePair:
+class LanguagePair(_jsonl.Frozen):
     """A translation direction with the display names used in prompts."""
 
-    source_lang: str
-    target_lang: str
-    source_name: str
-    target_name: str
+    __slots__ = ("source_lang", "target_lang", "source_name", "target_name")
 
-    def __post_init__(self):
-        if not self.source_lang or not self.target_lang:
+    def __init__(self, source_lang: str, target_lang: str, source_name: str, target_name: str):
+        if not source_lang or not target_lang:
             raise ConfigurationError("language codes must be non-empty")
-        if self.source_lang == self.target_lang:
+        if source_lang == target_lang:
             raise ConfigurationError(
-                f"source and target language are both {self.source_lang!r}"
+                f"source and target language are both {source_lang!r}"
             )
-        if not self.source_name or not self.target_name:
+        if not source_name or not target_name:
             raise ConfigurationError("language display names must be non-empty")
+        object.__setattr__(self, "source_lang", source_lang)
+        object.__setattr__(self, "target_lang", target_lang)
+        object.__setattr__(self, "source_name", source_name)
+        object.__setattr__(self, "target_name", target_name)
 
     @property
     def code(self) -> str:
@@ -104,34 +103,34 @@ class LanguagePair:
         return cls(source_lang, target_lang, source_name, target_name)
 
 
-@dataclass(frozen=True)
-class ParallelSegment:
+class ParallelSegment(_jsonl.Frozen):
     """One aligned sentence pair. Text is normalized at construction."""
 
-    id: str
-    pair: LanguagePair
-    source_text: str
-    target_text: str
+    __slots__ = ("id", "pair", "source_text", "target_text")
 
-    def __post_init__(self):
-        object.__setattr__(self, "source_text", normalize_text(self.source_text))
-        object.__setattr__(self, "target_text", normalize_text(self.target_text))
-        if not self.id:
+    def __init__(self, id: str, pair: LanguagePair, source_text: str, target_text: str):
+        source_text = normalize_text(source_text)
+        target_text = normalize_text(target_text)
+        if not id:
             raise UsageError("segment id must be non-empty")
-        if not self.source_text or not self.target_text:
-            raise UsageError(f"segment {self.id!r} has an empty side")
+        if not source_text or not target_text:
+            raise UsageError(f"segment {id!r} has an empty side")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "source_text", source_text)
+        object.__setattr__(self, "target_text", target_text)
 
 
-@dataclass(frozen=True)
-class SplitSpec:
+class SplitSpec(_jsonl.Frozen):
     """Per-pair split sizes plus the seed that fixes the assignment."""
 
-    seed: int
-    tuning_size: int = 1600
-    validation_size: int = 200
-    test_size: int = 200
+    __slots__ = ("seed", "tuning_size", "validation_size", "test_size")
 
-    def __post_init__(self):
+    def __init__(self, seed: int, tuning_size: int = 1600, validation_size: int = 200, test_size: int = 200):
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "tuning_size", tuning_size)
+        object.__setattr__(self, "validation_size", validation_size)
+        object.__setattr__(self, "test_size", test_size)
         for name in ("tuning_size", "validation_size", "test_size"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")
@@ -212,7 +211,9 @@ def merge_tuning_sets(
     if not tuning_sets or all(len(s) == 0 for s in tuning_sets):
         raise ConfigurationError("merge needs at least one non-empty tuning set")
     merged = [
-        replace(segment, id=f"{segment.pair.code}:{segment.id}")
+        ParallelSegment(
+            f"{segment.pair.code}:{segment.id}", segment.pair, segment.source_text, segment.target_text
+        )
         for tuning_set in tuning_sets
         for segment in tuning_set
     ]

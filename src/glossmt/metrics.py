@@ -24,7 +24,6 @@ import math
 import operator
 import re
 from collections import Counter
-from dataclasses import dataclass, field
 from itertools import repeat
 from typing import TYPE_CHECKING, Collection, Sequence
 
@@ -282,39 +281,53 @@ def significance_test(
     return (at_least_as_extreme + 1) / (resamples + 1)
 
 
-@dataclass(frozen=True)
-class ScoreReport:
+class ScoreReport(_jsonl.Frozen):
     """Per (system, pair) evaluation summary; ``pair`` is the pair code."""
 
-    pair: str
-    system: str
-    bleu: float
-    chrf: float
-    term_accuracy: float
-    term_correct: int
-    term_total: int
-    external_scores: dict[str, float] = field(default_factory=dict)
+    __slots__ = (
+        "pair", "system", "bleu", "chrf", "term_accuracy", "term_correct", "term_total", "external_scores",
+    )
 
-    def __post_init__(self):
-        if not self.pair:
-            raise UsageError(f"pair must be a non-empty code, got {self.pair!r}")
-        if not self.system:
+    def __init__(
+        self,
+        pair: str,
+        system: str,
+        bleu: float,
+        chrf: float,
+        term_accuracy: float,
+        term_correct: int,
+        term_total: int,
+        external_scores: dict[str, float] | None = None,
+    ):
+        if external_scores is None:
+            external_scores = {}
+        if not pair:
+            raise UsageError(f"pair must be a non-empty code, got {pair!r}")
+        if not system:
             raise UsageError("system name must be non-empty")
-        for name in self.external_scores:
-            if not math.isfinite(_jsonl.field(self.external_scores, name, (int, float))):
+        for name in external_scores:
+            if not math.isfinite(_jsonl.field(external_scores, name, (int, float))):
                 raise UsageError(f"external score {name!r} must be finite")
-        if not 0.0 <= self.bleu <= 100.0:
-            raise UsageError(f"bleu out of range: {self.bleu}")
-        if not 0.0 <= self.chrf <= 100.0:
-            raise UsageError(f"chrf out of range: {self.chrf}")
-        if self.term_correct > self.term_total or self.term_correct < 0:
+        if not 0.0 <= bleu <= 100.0:
+            raise UsageError(f"bleu out of range: {bleu}")
+        if not 0.0 <= chrf <= 100.0:
+            raise UsageError(f"chrf out of range: {chrf}")
+        if term_correct > term_total or term_correct < 0:
             raise UsageError("term_correct must be in 0..term_total")
-        if self.term_total > 0:
-            expected = self.term_correct / self.term_total
-            if not abs(self.term_accuracy - expected) <= 1e-9:  # NaN fails too
+        if term_total > 0:
+            expected = term_correct / term_total
+            if not abs(term_accuracy - expected) <= 1e-9:  # NaN fails too
                 raise UsageError("term_accuracy does not equal term_correct/term_total")
-        elif self.term_accuracy != 0.0:
+        elif term_accuracy != 0.0:
             raise UsageError("term_accuracy must be 0.0 when term_total is 0")
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "system", system)
+        object.__setattr__(self, "bleu", bleu)
+        object.__setattr__(self, "chrf", chrf)
+        object.__setattr__(self, "term_accuracy", term_accuracy)
+        object.__setattr__(self, "term_correct", term_correct)
+        object.__setattr__(self, "term_total", term_total)
+        object.__setattr__(self, "external_scores", external_scores)
 
     def to_dict(self) -> dict:
         return _jsonl.to_record(self, _REPORT_KEYS)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import logging
 from collections import Counter
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import _jsonl
@@ -49,35 +48,43 @@ def normalize_severity(value) -> str | None:
     return _SEVERITY_ALIASES.get(value.strip().lower())
 
 
-@dataclass(frozen=True)
-class ErrorSpan:
-    segment_id: str
-    span_text: str
-    severity: str
-    confidence: float
-    start: int | None = None
-    end: int | None = None
+class ErrorSpan(_jsonl.Frozen):
+    __slots__ = ("segment_id", "span_text", "severity", "confidence", "start", "end")
 
-    def __post_init__(self):
-        if self.severity not in SEVERITIES:
-            raise UsageError(f"severity must be one of {SEVERITIES}, got {self.severity!r}")
-        if not 0.0 <= self.confidence <= 1.0:
-            raise UsageError(f"confidence must be in [0,1], got {self.confidence}")
-        if (self.start is None) != (self.end is None):
+    def __init__(
+        self,
+        segment_id: str,
+        span_text: str,
+        severity: str,
+        confidence: float,
+        start: int | None = None,
+        end: int | None = None,
+    ):
+        if severity not in SEVERITIES:
+            raise UsageError(f"severity must be one of {SEVERITIES}, got {severity!r}")
+        if not 0.0 <= confidence <= 1.0:
+            raise UsageError(f"confidence must be in [0,1], got {confidence}")
+        if (start is None) != (end is None):
             raise UsageError("start and end offsets must be given together")
-        if self.start is not None and not 0 <= self.start < self.end:
-            raise UsageError(f"bad span offsets [{self.start}, {self.end})")
+        if start is not None and not 0 <= start < end:
+            raise UsageError(f"bad span offsets [{start}, {end})")
+        object.__setattr__(self, "segment_id", segment_id)
+        object.__setattr__(self, "span_text", span_text)
+        object.__setattr__(self, "severity", severity)
+        object.__setattr__(self, "confidence", confidence)
+        object.__setattr__(self, "start", start)
+        object.__setattr__(self, "end", end)
 
 
-@dataclass(frozen=True)
-class SeverityCounts:
-    minor: int
-    major: int
-    critical: int
-    token_total: int
-    counting_scheme: str
+class SeverityCounts(_jsonl.Frozen):
+    __slots__ = ("minor", "major", "critical", "token_total", "counting_scheme")
 
-    def __post_init__(self):
+    def __init__(self, minor: int, major: int, critical: int, token_total: int, counting_scheme: str):
+        object.__setattr__(self, "minor", minor)
+        object.__setattr__(self, "major", major)
+        object.__setattr__(self, "critical", critical)
+        object.__setattr__(self, "token_total", token_total)
+        object.__setattr__(self, "counting_scheme", counting_scheme)
         if min(self.minor, self.major, self.critical) < 0:
             raise UsageError("severity counts must be nonnegative")
         if self.token_total <= 0:

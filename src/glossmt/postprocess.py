@@ -19,7 +19,6 @@ the MQM token total that ``score`` sums from it never mixes schemes."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from . import _jsonl
@@ -31,25 +30,37 @@ if TYPE_CHECKING:
     from .runner import GenerationRecord
 
 
-@dataclass(frozen=True)
-class ModelOutput:
-    segment_id: str
-    raw_text: str
-    cleaned_text: str
-    truncated: bool
-    token_count_raw: int
-    token_count_cleaned: int
-    counting_scheme: str
+class ModelOutput(_jsonl.Frozen):
+    __slots__ = (
+        "segment_id", "raw_text", "cleaned_text", "truncated", "token_count_raw", "token_count_cleaned",
+        "counting_scheme",
+    )
 
-    def __post_init__(self):
-        if not self.raw_text.startswith(self.cleaned_text):
+    def __init__(
+        self,
+        segment_id: str,
+        raw_text: str,
+        cleaned_text: str,
+        truncated: bool,
+        token_count_raw: int,
+        token_count_cleaned: int,
+        counting_scheme: str,
+    ):
+        if not raw_text.startswith(cleaned_text):
             raise UsageError(
-                f"segment {self.segment_id!r}: cleaned_text is not a prefix of raw_text"
+                f"segment {segment_id!r}: cleaned_text is not a prefix of raw_text"
             )
-        if self.token_count_raw < 0 or self.token_count_cleaned < 0:
+        if token_count_raw < 0 or token_count_cleaned < 0:
             raise UsageError("token counts must be nonnegative")
-        if not self.counting_scheme:
+        if not counting_scheme:
             raise UsageError("counting_scheme must be recorded")
+        object.__setattr__(self, "segment_id", segment_id)
+        object.__setattr__(self, "raw_text", raw_text)
+        object.__setattr__(self, "cleaned_text", cleaned_text)
+        object.__setattr__(self, "truncated", truncated)
+        object.__setattr__(self, "token_count_raw", token_count_raw)
+        object.__setattr__(self, "token_count_cleaned", token_count_cleaned)
+        object.__setattr__(self, "counting_scheme", counting_scheme)
 
 
 def truncate_at_eos(raw: str, marker: str | None) -> tuple[str, bool]:

@@ -16,8 +16,6 @@ reproduces the test prompt character-for-character.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from pathlib import Path
 from typing import Sequence
 
 from . import _jsonl
@@ -42,42 +40,49 @@ _PLACEHOLDER_RE = re.compile(r"\{([a-z_]+)\}")
 MODES = ("train", "test")
 
 
-@dataclass(frozen=True)
-class TemplateSpec:
+class TemplateSpec(_jsonl.Frozen):
     """One model family's train templates plus its test-mode elision rule."""
 
-    family_id: str
-    with_terms_template: str
-    without_terms_template: str
-    target_region: str
-    eos_marker: str | None
+    __slots__ = ("family_id", "with_terms_template", "without_terms_template", "target_region", "eos_marker")
 
-    def __post_init__(self):
-        if not self.family_id:
+    def __init__(
+        self,
+        family_id: str,
+        with_terms_template: str,
+        without_terms_template: str,
+        target_region: str,
+        eos_marker: str | None,
+    ):
+        if not family_id:
             raise TemplateError("family_id must be non-empty")
-        if self.eos_marker is not None and not self.eos_marker:
+        if eos_marker is not None and not eos_marker:
             raise TemplateError("eos_marker must be non-empty or None")
-        if not self.target_region or "{target_segment}" not in self.target_region:
+        if not target_region or "{target_segment}" not in target_region:
             raise TemplateError("target_region must contain {target_segment}")
         for label, template in (
-            ("with_terms_template", self.with_terms_template),
-            ("without_terms_template", self.without_terms_template),
+            ("with_terms_template", with_terms_template),
+            ("without_terms_template", without_terms_template),
         ):
             for name in _PLACEHOLDER_RE.findall(template):
                 if name not in PLACEHOLDERS:
                     raise TemplateError(f"{label} uses unknown placeholder {{{name}}}")
-            if template.count(self.target_region) != 1:
+            if template.count(target_region) != 1:
                 raise TemplateError(f"{label} must contain target_region exactly once")
             # The elided template must not leak the target into test prompts.
-            if "{target_segment}" in template.replace(self.target_region, "", 1):
+            if "{target_segment}" in template.replace(target_region, "", 1):
                 raise TemplateError(
                     f"{label} has {{target_segment}} outside the target_region"
                 )
-        for name in _PLACEHOLDER_RE.findall(self.without_terms_template):
+        for name in _PLACEHOLDER_RE.findall(without_terms_template):
             if name in _GLOSSARY_PLACEHOLDERS:
                 raise TemplateError(
                     f"without_terms_template may not use {{{name}}}"
                 )
+        object.__setattr__(self, "family_id", family_id)
+        object.__setattr__(self, "with_terms_template", with_terms_template)
+        object.__setattr__(self, "without_terms_template", without_terms_template)
+        object.__setattr__(self, "target_region", target_region)
+        object.__setattr__(self, "eos_marker", eos_marker)
 
 
 # Built-in families. The glossary_type slot receives the full header
@@ -166,8 +171,7 @@ def builtin_template(family_id: str) -> TemplateSpec:
         raise UsageError(f"unknown template family {family_id!r} (built-in: {known})") from None
 
 
-@dataclass(frozen=True)
-class InstructionExample:
+class InstructionExample(_jsonl.Frozen):
     """A rendered prompt plus the term pairs and template that produced it.
 
     ``target_text`` carries the target segment separately (None in test
@@ -175,21 +179,31 @@ class InstructionExample:
     target as distinct inputs.
     """
 
-    segment_id: str
-    pair: LanguagePair
-    mode: str
-    term_pairs: tuple[TermPair, ...]
-    rendered_text: str
-    family_id: str
-    target_text: str | None = None
+    __slots__ = ("segment_id", "pair", "mode", "term_pairs", "rendered_text", "family_id", "target_text")
 
-    def __post_init__(self):
-        if self.mode not in MODES:
-            raise UsageError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.mode == "train" and self.target_text is None:
+    def __init__(
+        self,
+        segment_id: str,
+        pair: LanguagePair,
+        mode: str,
+        term_pairs: tuple[TermPair, ...],
+        rendered_text: str,
+        family_id: str,
+        target_text: str | None = None,
+    ):
+        if mode not in MODES:
+            raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
+        if mode == "train" and target_text is None:
             raise UsageError("train examples must carry target_text")
-        if self.mode == "test" and self.target_text is not None:
+        if mode == "test" and target_text is not None:
             raise UsageError("test examples must not carry target_text")
+        object.__setattr__(self, "segment_id", segment_id)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "mode", mode)
+        object.__setattr__(self, "term_pairs", term_pairs)
+        object.__setattr__(self, "rendered_text", rendered_text)
+        object.__setattr__(self, "family_id", family_id)
+        object.__setattr__(self, "target_text", target_text)
 
 
 def render_glossary_block(pairs: Sequence[TermPair]) -> tuple[str, str]:
@@ -386,7 +400,6 @@ def read_dataset(path, pair: LanguagePair) -> list[InstructionExample]:
 def write_dataset_rawtext(path, examples: Sequence[InstructionExample]) -> None:
     """Rendered texts only, blocks separated by a blank line, for tuning
     tools that consume plain text."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
     content = "\n\n".join(example.rendered_text for example in examples)
-    path.write_text(content + "\n" if content else "", encoding="utf-8", newline="\n")
+    with _jsonl.open_atomic(path) as handle:
+        handle.write(content + "\n" if content else "")

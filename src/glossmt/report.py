@@ -27,9 +27,7 @@ def _fmt(value: float) -> str:
 
 
 def write_csv(path, header: Sequence[str], rows: Sequence[Sequence[str]], manifest: dict | None = None) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as handle:
+    with _jsonl.open_atomic(path) as handle:
         if manifest is not None:
             handle.write("# " + _jsonl.dumps(manifest) + "\n")
         writer = csv.writer(handle, lineterminator="\n")
@@ -136,6 +134,7 @@ def write_report_files(
     if manifest is not None:
         parts.extend(["---", "", "Manifest: `" + _jsonl.dumps(manifest) + "`", ""])
     report_path = directory / "report.md"
-    report_path.write_text("\n".join(parts), encoding="utf-8", newline="\n")
+    with _jsonl.open_atomic(report_path) as handle:
+        handle.write("\n".join(parts))
     written.append(report_path)
     return written

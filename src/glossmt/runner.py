@@ -50,7 +50,6 @@ import threading
 import time
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
 from typing import TYPE_CHECKING, Any, Sequence
 from urllib.parse import unquote, urlsplit
 
@@ -67,8 +66,7 @@ TOKEN_ENV_VAR = "GLOSSMT_API_TOKEN"
 _RETRYABLE_STATUS = frozenset({429, *range(500, 600)})
 
 
-@dataclass(frozen=True)
-class GenerationRecord:
+class GenerationRecord(_jsonl.Frozen):
     """One prompt/output exchange with the settings that produced it.
 
     ``duration_s`` is wall-clock timing and is serialized only to the
@@ -77,14 +75,29 @@ class GenerationRecord:
     the artifact, i.e. one that a re-run of ``translate`` reuses untimed.
     """
 
-    segment_id: str
-    prompt_text: str
-    raw_output: str
-    model_name: str
-    config: dict[str, Any]
-    attempts: int
-    error: str | None = None
-    duration_s: float | None = None
+    __slots__ = (
+        "segment_id", "prompt_text", "raw_output", "model_name", "config", "attempts", "error", "duration_s",
+    )
+
+    def __init__(
+        self,
+        segment_id: str,
+        prompt_text: str,
+        raw_output: str,
+        model_name: str,
+        config: dict[str, Any],
+        attempts: int,
+        error: str | None = None,
+        duration_s: float | None = None,
+    ):
+        object.__setattr__(self, "segment_id", segment_id)
+        object.__setattr__(self, "prompt_text", prompt_text)
+        object.__setattr__(self, "raw_output", raw_output)
+        object.__setattr__(self, "model_name", model_name)
+        object.__setattr__(self, "config", config)
+        object.__setattr__(self, "attempts", attempts)
+        object.__setattr__(self, "error", error)
+        object.__setattr__(self, "duration_s", duration_s)
 
     @property
     def ok(self) -> bool:

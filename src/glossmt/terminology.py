@@ -21,8 +21,6 @@ from __future__ import annotations
 import csv
 import logging
 import re
-from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import _jsonl
@@ -35,21 +33,15 @@ MIN_RELIABILITY = 1
 MAX_RELIABILITY = 4
 
 
-@dataclass(frozen=True, init=False)
-class GlossaryEntry:
-    """One term pair with its reliability rating and domain tag."""
+class GlossaryEntry(_jsonl.Frozen, hidden=("key",)):
+    """One term pair with its reliability rating and domain tag.
 
-    source_term: str
-    target_term: str
-    reliability: int
-    domain_id: str = ""
-    # Casefolded (source, target) pair; duplicates collapse on this. Left out
-    # of equality, hashing and repr.
-    key: tuple[str, str] = field(init=False, compare=False, repr=False)
+    ``key`` is the casefolded (source, target) pair; duplicates collapse on
+    it. It is left out of equality, hashing and repr."""
+
+    __slots__ = ("source_term", "target_term", "reliability", "domain_id", "key")
 
     def __init__(self, source_term: str, target_term: str, reliability: int, domain_id: str = ""):
-        # Written out so that each field is set once, after normalization
-        # and the checks: loading a glossary builds one entry per row.
         source_term = normalize_text(source_term)
         target_term = normalize_text(target_term)
         if not source_term or not target_term:
@@ -66,21 +58,20 @@ class GlossaryEntry:
         object.__setattr__(self, "key", (source_term.casefold(), target_term.casefold()))
 
 
-@dataclass(frozen=True)
-class Glossary:
-    pair: LanguagePair
-    entries: tuple[GlossaryEntry, ...]
+class Glossary(_jsonl.Frozen):
+    __slots__ = ("pair", "entries")
 
-    def __post_init__(self):
-        if len({entry.key for entry in self.entries}) == len(self.entries):
-            return
-        seen: set[tuple[str, str]] = set()
-        for entry in self.entries:
-            if entry.key in seen:
-                raise UsageError(
-                    f"duplicate glossary pair {entry.source_term!r} -> {entry.target_term!r}"
-                )
-            seen.add(entry.key)
+    def __init__(self, pair: LanguagePair, entries: tuple[GlossaryEntry, ...]):
+        if len({entry.key for entry in entries}) != len(entries):
+            seen: set[tuple[str, str]] = set()
+            for entry in entries:
+                if entry.key in seen:
+                    raise UsageError(
+                        f"duplicate glossary pair {entry.source_term!r} -> {entry.target_term!r}"
+                    )
+                seen.add(entry.key)
+        object.__setattr__(self, "pair", pair)
+        object.__setattr__(self, "entries", entries)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -222,8 +213,7 @@ def _occurs_on_boundaries(pattern: str, haystack: str) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class TermPair:
+class TermPair(_jsonl.Frozen):
     """A glossary pair realized in a segment.
 
     ``first_source_offset`` is the character index (into the normalized
@@ -232,9 +222,12 @@ class TermPair:
     store offsets.
     """
 
-    source_term: str
-    target_term: str
-    first_source_offset: int | None = None
+    __slots__ = ("source_term", "target_term", "first_source_offset")
+
+    def __init__(self, source_term: str, target_term: str, first_source_offset: int | None = None):
+        object.__setattr__(self, "source_term", source_term)
+        object.__setattr__(self, "target_term", target_term)
+        object.__setattr__(self, "first_source_offset", first_source_offset)
 
     @classmethod
     def from_record(cls, record) -> "TermPair":
@@ -371,9 +364,7 @@ def read_candidates(path) -> list[tuple[str, list[TermPair]]]:
 
 def write_glossary_tsv(path, entries: Iterable[GlossaryEntry], manifest: dict | None = None) -> None:
     """Write entries in the 4-column TSV format load_glossary reads."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
+    with _jsonl.open_atomic(path) as handle:
         if manifest is not None:
             handle.write("# " + _jsonl.dumps(manifest) + "\n")
         writer = csv.writer(handle, delimiter="\t", lineterminator="\n")

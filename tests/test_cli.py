@@ -292,6 +292,15 @@ class TestPipeline:
 
 
 
+def run_python(script, *args):
+    """``python -c script args...`` in a new interpreter that imports this ``glossmt``."""
+    src = str(Path(glossmt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-c", script, *map(str, args)], env=env, capture_output=True, text=True, timeout=120
+    )
+
+
 def run_fresh_process(config, stages, absent_modules):
     """Run ``stages`` in one new interpreter; fail if it imported any of ``absent_modules``."""
     script = (
@@ -302,11 +311,7 @@ def run_fresh_process(config, stages, absent_modules):
         f"for module in {tuple(absent_modules)!r}:\n"
         "    assert module not in sys.modules, module + ' was imported'\n"
     )
-    src = str(Path(glossmt.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(config)], env=env, capture_output=True, text=True
-    )
+    result = run_python(script, config)
     assert result.returncode == 0, result.stderr
 
 
@@ -347,6 +352,13 @@ class TestStartup:
         if stage == "report":
             assert run("score", "--config", config) == 0
         run_fresh_process(config, (stage,), ("glossmt.runner", "concurrent.futures"))
+
+    def test_no_stage_loads_dataclasses_or_inspect(self, tmp_path, fixtures_dir, stub_endpoint):
+        # A site hook may load either module in a bare interpreter; then the stages cannot be blamed.
+        bare = set(run_python("import sys; print(*sys.modules)").stdout.split())
+        absent = tuple(module for module in ("dataclasses", "inspect") if module not in bare)
+        config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        run_fresh_process(config, ("ingest", "build", "translate", "score", "report"), absent)
 
 
 class TestDeterminism:
@@ -411,6 +423,29 @@ class TestExitCodes:
         monkeypatch.setattr(cli, "cmd_ingest", interrupted)
         assert run("ingest", "--config", config) == 130
         assert capsys.readouterr().err == "glossmt: interrupted\n"
+
+    @pytest.mark.parametrize("where", ["sys.exit", "atexit"])
+    def test_interrupt_after_main_returns_keeps_exit_0(self, tmp_path, fixtures_dir, where):
+        # SIGINT lands after the stage's work is done: in sys.exit, or in an
+        # exit handler during interpreter shutdown.
+        config, layout = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
+        script = (
+            "import atexit, os, runpy, signal, sys\n"
+            "def interrupt(*args):\n"
+            "    os.kill(os.getpid(), signal.SIGINT)\n"
+            "if sys.argv[2] == 'atexit':\n"
+            "    atexit.register(interrupt)\n"
+            "else:\n"
+            "    real_exit = sys.exit\n"
+            "    sys.exit = lambda code=None: (interrupt(), real_exit(code))\n"
+            "sys.argv = ['glossmt', 'ingest', '--config', sys.argv[1]]\n"
+            "runpy.run_module('glossmt.cli', run_name='__main__')\n"
+        )
+        result = run_python(script, config, where)
+        assert result.returncode == 0, result.stderr
+        assert "Traceback" not in result.stderr
+        assert "interrupted" not in result.stderr
+        assert layout.path("glossary", "en-es").is_file()
 
     def test_missing_artifact_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint):
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")

@@ -1,4 +1,3 @@
-import dataclasses
 import re
 import sys
 
@@ -227,4 +226,4 @@ class TestRoundTrip:
         assert [s.id for s in everything] == ["0", "1", "2", "3"]
         test_only = read_segments(path, en_es, split="test")
         assert [s.id for s in test_only] == ["2", "3"]
-        assert test_only[0] == dataclasses.replace(segments[2])
+        assert test_only[0] == seg(en_es, "2", "s 2", "t 2")

@@ -1,9 +1,12 @@
 import json
+import os
 
 import pytest
 
-from glossmt import _jsonl
+from glossmt import _jsonl, promptgen, report, terminology
+from glossmt.corpus import LanguagePair
 from glossmt.errors import AlignmentError, FormatError, UsageError
+from glossmt.metrics import ScoreReport
 
 
 def test_write_puts_manifest_first(tmp_path):
@@ -54,6 +57,81 @@ def test_bytes_without_surrogates_unchanged(tmp_path):
     _jsonl.write_jsonl(path, records, manifest={"seed": 1})
     expected = "".join(_jsonl.dumps(r) + "\n" for r in [{"record_type": "manifest", "seed": 1}, *records])
     assert path.read_bytes() == expected.encode("utf-8")
+
+
+@pytest.mark.parametrize("k,error", [(0, OSError), (1, KeyboardInterrupt), (3, OSError)])
+def test_write_failing_after_k_records_keeps_the_earlier_artifact(tmp_path, monkeypatch, k, error):
+    path = tmp_path / "data.jsonl"
+    _jsonl.write_jsonl(path, [{"x": i} for i in range(5)], manifest={"seed": 1})
+    before = path.read_bytes()
+    encode = _jsonl.dumps
+    encoded = []
+
+    def fail_after_k_records(record):
+        if len(encoded) == 1 + k:  # the manifest and k records
+            raise error
+        encoded.append(record)
+        return encode(record)
+
+    monkeypatch.setattr(_jsonl, "dumps", fail_after_k_records)
+    with pytest.raises(error):
+        _jsonl.write_jsonl(path, [{"y": i} for i in range(5)], manifest={"seed": 2})
+    assert path.read_bytes() == before
+    assert list(tmp_path.iterdir()) == [path]
+
+
+EN_ES = LanguagePair.from_code("en-es")
+
+# Each artifact writer: (write n items under a directory, the file it writes).
+WRITERS = {
+    "write_jsonl": (lambda d, n: _jsonl.write_jsonl(d / "a.jsonl", [{"x": i} for i in range(n)]), "a.jsonl"),
+    "write_json": (lambda d, n: _jsonl.write_json(d / "a.json", {"x": n}), "a.json"),
+    "write_glossary_tsv": (
+        lambda d, n: terminology.write_glossary_tsv(
+            d / "g.tsv", [terminology.GlossaryEntry(f"t{i}", f"u{i}", 4) for i in range(n)]
+        ),
+        "g.tsv",
+    ),
+    "write_dataset_rawtext": (
+        lambda d, n: promptgen.write_dataset_rawtext(
+            d / "train.txt",
+            [promptgen.InstructionExample(str(i), EN_ES, "test", (), f"p{i}", "flan") for i in range(n)],
+        ),
+        "train.txt",
+    ),
+    "write_csv": (lambda d, n: report.write_csv(d / "t.csv", ["n"], [[str(i)] for i in range(n)]), "t.csv"),
+    "report.md": (
+        lambda d, n: report.write_report_files(
+            d, [ScoreReport("en-es", f"s{i}", 1.0, 2.0, 0.0, 0, 0) for i in range(n)], []
+        ),
+        "report.md",
+    ),
+}
+
+
+@pytest.mark.parametrize("writer", WRITERS)
+def test_every_artifact_writer_replaces_its_file_whole(tmp_path, monkeypatch, writer):
+    write, name = WRITERS[writer]
+    path = tmp_path / name
+    write(tmp_path, 2)
+    before = path.read_bytes()
+    names = sorted(p.name for p in tmp_path.iterdir())
+    replace = os.replace
+
+    def fail_on_the_artifact(source, target):
+        if target == path:
+            raise OSError("No space left on device")
+        replace(source, target)
+
+    monkeypatch.setattr(os, "replace", fail_on_the_artifact)
+    with pytest.raises(OSError):
+        write(tmp_path, 3)
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
+    monkeypatch.undo()
+    write(tmp_path, 3)
+    assert path.read_bytes() != before
+    assert sorted(p.name for p in tmp_path.iterdir()) == names
 
 
 def test_invalid_utf8_reports_line(tmp_path):

@@ -363,15 +363,18 @@ class TestDatasetBuild:
         write_dataset(path, examples, manifest={"family": "flan"})
         loaded = read_dataset(path, en_es)
         # offsets live in the candidates artifact, not the dataset dump
-        import dataclasses
-
         def without_offsets(example):
-            return dataclasses.replace(
-                example,
+            return InstructionExample(
+                segment_id=example.segment_id,
+                pair=example.pair,
+                mode=example.mode,
                 term_pairs=tuple(
                     TermPair(source_term=p.source_term, target_term=p.target_term)
                     for p in example.term_pairs
                 ),
+                rendered_text=example.rendered_text,
+                family_id=example.family_id,
+                target_text=example.target_text,
             )
 
         assert loaded == [without_offsets(e) for e in examples]

@@ -1,8 +1,6 @@
-"""The key tables of the four flat artifact record types: each dataclass
-field is declared once, and each type reads back what it writes (the
+"""The key tables of the four flat artifact record types: each field in
+``__slots__`` is declared once, and each type reads back what it writes (the
 output round trip is in test_postprocess.py)."""
-
-import dataclasses
 
 import pytest
 
@@ -24,7 +22,7 @@ TABLES = [
 def test_every_field_is_in_its_table_once(cls, keys, left_out):
     attributes = [spec[0] for spec in keys.values()]
     assert len(attributes) == len(set(attributes))
-    assert set(attributes) == {f.name for f in dataclasses.fields(cls)} - left_out
+    assert set(attributes) == set(cls.__slots__) - left_out
 
 
 def generation(error=None, duration_s=None):

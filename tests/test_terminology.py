@@ -1,5 +1,4 @@
 import csv
-import dataclasses
 import logging
 import re
 import sys
@@ -70,7 +69,8 @@ class TestGlossaryEntry:
         )
 
     def test_replace_recomputes_key(self):
-        e = dataclasses.replace(entry("dose", "dosis"), source_term="Daily  DOSE")
+        original = entry("dose", "dosis")
+        e = GlossaryEntry("Daily  DOSE", original.target_term, original.reliability, original.domain_id)
         assert e.source_term == "Daily DOSE"
         assert e.key == ("daily dose", "dosis")
 
