@@ -5,7 +5,9 @@ artifacts out), build (splits, candidate matching, rendered datasets),
 translate (batch generation against the endpoint, reusing each stored ok
 record whose settings and prompt still match, then post-processing), score
 (metrics, terminology accuracy, MQM), report (regenerate tables from stored
-score files).
+score files). ``COMMANDS`` declares them. Each takes ``--config`` only and
+works on every pair the config lists; to work on fewer pairs, write a
+config that lists only those, and its hash marks what it writes.
 
 Exit codes: 0 success; 1 usage or configuration error; 2 broken input data
 or I/O failure; 3 inference endpoint failure; 130 interrupted (Ctrl-C; an
@@ -88,10 +90,10 @@ class Layout:
 # ---------------------------------------------------------------------------
 # Subcommands
 
-def cmd_ingest(config: PipelineConfig, pair_code: str | None = None) -> int:
+def cmd_ingest(config: PipelineConfig) -> int:
     layout = Layout(config.output_dir)
     base_manifest = config.manifest()
-    for pair_config in config.select_pairs(pair_code):
+    for pair_config in config.pairs:
         code = pair_config.pair.code
         segments = corpus.load_parallel(
             pair_config.source_path, pair_config.target_path, pair_config.pair
@@ -122,17 +124,16 @@ def cmd_ingest(config: PipelineConfig, pair_code: str | None = None) -> int:
     return 0
 
 
-def cmd_build(config: PipelineConfig, pair_code: str | None = None) -> int:
+def cmd_build(config: PipelineConfig) -> int:
     from . import promptgen
 
     layout = Layout(config.output_dir)
     template = config.template()
     base_manifest = config.manifest()
-    selected = config.select_pairs(pair_code)
     per_pair_tuning = []
     # Train term pairs under the ids merge_tuning_sets gives the segments.
     merged_pairs: dict[str, tuple[terminology.TermPair, ...]] = {}
-    for pair_config in selected:
+    for pair_config in config.pairs:
         code = pair_config.pair.code
         segments = corpus.read_segments(layout.require("corpus", code), pair_config.pair)
         tuning, validation, test = corpus.split_corpus(segments, config.split)
@@ -197,22 +198,22 @@ def _external_counts(pair_config: PairConfig, segment_ids):
     return counts
 
 
-def cmd_translate(config: PipelineConfig, pair_code: str | None = None) -> int:
+def cmd_translate(config: PipelineConfig) -> int:
     from . import postprocess, promptgen, runner
 
     layout = Layout(config.output_dir)
     base_manifest = config.manifest()
     snapshot = config.inference.snapshot()
-    selected = config.select_pairs(pair_code)
     # The template and every pair's prompts and token counts are read before the first request.
     template = config.template()
     examples_by_pair = [
-        promptgen.read_dataset(layout.require("test_dataset", p.pair.code), p.pair) for p in selected
+        promptgen.read_dataset(layout.require("test_dataset", p.pair.code), p.pair) for p in config.pairs
     ]
     counts_by_pair = [
-        _external_counts(p, [e.segment_id for e in examples]) for p, examples in zip(selected, examples_by_pair)
+        _external_counts(p, [e.segment_id for e in examples])
+        for p, examples in zip(config.pairs, examples_by_pair)
     ]
-    for pair_config, examples, counts in zip(selected, examples_by_pair, counts_by_pair):
+    for pair_config, examples, counts in zip(config.pairs, examples_by_pair, counts_by_pair):
         code = pair_config.pair.code
         generations = layout.path("generations", code)
         completed: dict[str, runner.GenerationRecord] = {}
@@ -259,13 +260,13 @@ def cmd_translate(config: PipelineConfig, pair_code: str | None = None) -> int:
     return 0
 
 
-def cmd_score(config: PipelineConfig, pair_code: str | None = None) -> int:
+def cmd_score(config: PipelineConfig) -> int:
     from . import metrics, mqm, postprocess
 
     layout = Layout(config.output_dir)
     system = config.inference.model_name
     base_manifest = config.manifest()
-    for pair_config in config.select_pairs(pair_code):
+    for pair_config in config.pairs:
         code = pair_config.pair.code
         references = corpus.read_segments(layout.require("splits", code), pair_config.pair, split="test")
         outputs = postprocess.read_outputs(layout.require("outputs", code))
@@ -377,44 +378,29 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+# Command -> (function, help line). Every command takes ``--config`` only.
+COMMANDS = {
+    "ingest": (cmd_ingest, "validate and store corpora and glossaries"),
+    "build": (cmd_build, "split corpora and render datasets"),
+    "translate": (cmd_translate, "run test prompts against the endpoint"),
+    "score": (cmd_score, "compute metrics and write score files"),
+    "report": (cmd_report, "regenerate report tables from score files"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="glossmt", description=__doc__.splitlines()[0])
-    common = _Parser(add_help=False)
-    common.add_argument("--config", required=True, type=Path, help="pipeline config file")
-    common.add_argument("--pair", help="restrict to one language pair (e.g. en-es)")
     subparsers = parser.add_subparsers(dest="command", required=True)
-
-    subparsers.add_parser("ingest", parents=[common], help="validate and store corpora and glossaries")
-
-    subparsers.add_parser("build", parents=[common], help="split corpora and render datasets")
-
-    subparsers.add_parser("translate", parents=[common], help="run test prompts against the endpoint")
-
-    subparsers.add_parser("score", parents=[common], help="compute metrics and write score files")
-
-    subparsers.add_parser("report", parents=[common], help="regenerate report tables from score files")
+    for name, (_, help_line) in COMMANDS.items():
+        command = subparsers.add_parser(name, help=help_line)
+        command.add_argument("--config", required=True, type=Path, help="pipeline config file")
     return parser
-
-
-def _dispatch(args: argparse.Namespace) -> int:
-    config = load_config(args.config)
-    if args.command == "ingest":
-        return cmd_ingest(config, pair_code=args.pair)
-    if args.command == "build":
-        return cmd_build(config, pair_code=args.pair)
-    if args.command == "translate":
-        return cmd_translate(config, pair_code=args.pair)
-    if args.command == "score":
-        return cmd_score(config, pair_code=args.pair)
-    if args.command == "report":
-        return cmd_report(config)
-    raise UsageError(f"unknown command {args.command!r}")
 
 
 def _run(argv) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return _dispatch(args)
+        return COMMANDS[args.command][0](load_config(args.config))
     except EndpointError as exc:
         print(f"glossmt: endpoint error: {exc}", file=sys.stderr)
         return 3

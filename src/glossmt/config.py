@@ -4,15 +4,16 @@
 how the key's text is read; any other section or key is a
 ConfigurationError that names it. A key the file leaves out takes the
 default of the constructor parameter it fills. There is one ``[pair.*]``
-section per language pair, e.g. ``[pair.en-es]``. The file holds every
-setting and input path, the seed included. A pair counts ``external``
-tokens exactly when it sets ``external_counts``; ``counting_scheme`` is only
-checked against that. The resolved configuration is hashed (sha256 over its
-canonical JSON) and that hash is stamped into every artifact manifest.
+section per language pair, e.g. ``[pair.en-es]``, and every command works
+on every pair. The file holds every setting and input path, the seed
+included. A pair counts ``external`` tokens exactly when it sets
+``external_counts``; ``counting_scheme`` is only checked against that. The
+resolved configuration is hashed (sha256 over its canonical JSON) and that
+hash is stamped into every artifact manifest.
 
 Every stage reads its config first, so this module owns the value checks
-(``InferenceConfig`` included) and imports no stage module but ``corpus``
-and ``promptgen``.
+(``InferenceConfig`` included) and imports no stage module but ``corpus``,
+``promptgen`` and ``terminology``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import configparser
 import hashlib
 import json
 import math
+import threading
 from pathlib import Path
 from typing import Any
 from urllib.parse import urlsplit
@@ -29,6 +31,7 @@ from ._jsonl import Frozen
 from .corpus import LanguagePair, SplitSpec
 from .errors import ConfigurationError
 from .promptgen import FAMILIES, TemplateSpec, builtin_template, load_template_file
+from .terminology import MAX_RELIABILITY, MIN_RELIABILITY
 
 SCHEME_WHITESPACE = "whitespace"
 SCHEME_EXTERNAL = "external"
@@ -91,14 +94,16 @@ class InferenceConfig(Frozen):
             raise ConfigurationError(f"temperature must be finite and nonnegative, got {temperature}")
         if max_new_tokens < 1:
             raise ConfigurationError("max_new_tokens must be positive")
-        if request_timeout <= 0:
-            raise ConfigurationError("request_timeout must be positive")
+        # A longer wait overflows socket.settimeout and time.sleep; NaN fails both comparisons.
+        longest = threading.TIMEOUT_MAX
+        if not 0 < request_timeout <= longest:
+            raise ConfigurationError(f"request_timeout must be in (0, {longest}] s, got {request_timeout}")
         if max_concurrent_requests < 1:
             raise ConfigurationError("max_concurrent_requests must be >= 1")
         if max_retries < 0:
             raise ConfigurationError("max_retries must be >= 0")
-        if retry_backoff < 0:
-            raise ConfigurationError("retry_backoff must be >= 0")
+        if not 0 <= retry_backoff <= longest:
+            raise ConfigurationError(f"retry_backoff must be in [0, {longest}] s, got {retry_backoff}")
         object.__setattr__(self, "endpoint_url", endpoint_url)
         object.__setattr__(self, "model_name", model_name)
         object.__setattr__(self, "top_p", top_p)
@@ -190,6 +195,8 @@ class PipelineConfig(Frozen):
             )
         if not 0.0 <= confidence_threshold <= 1.0:
             raise ConfigurationError("confidence_threshold must be in [0,1]")
+        if not MIN_RELIABILITY <= min_stars <= MAX_RELIABILITY:
+            raise ConfigurationError(f"min_stars must be in {MIN_RELIABILITY}..{MAX_RELIABILITY}, got {min_stars}")
         if template_file is None and template_family not in FAMILIES:
             raise ConfigurationError(
                 f"unknown template family {template_family!r} and no template file given"
@@ -204,18 +211,6 @@ class PipelineConfig(Frozen):
         object.__setattr__(self, "template_file", template_file)
         object.__setattr__(self, "confidence_threshold", confidence_threshold)
         object.__setattr__(self, "mqm_tokens", mqm_tokens)
-
-    def pair_config(self, code: str) -> PairConfig:
-        for pair_config in self.pairs:
-            if pair_config.pair.code == code:
-                return pair_config
-        known = ", ".join(p.pair.code for p in self.pairs)
-        raise ConfigurationError(f"pair {code!r} not in config (configured: {known})")
-
-    def select_pairs(self, code: str | None) -> tuple[PairConfig, ...]:
-        if code is None:
-            return self.pairs
-        return (self.pair_config(code),)
 
     def template(self) -> TemplateSpec:
         if self.template_file is not None:

@@ -420,7 +420,7 @@ class TestExitCodes:
         def interrupted(*args, **kwargs):
             raise KeyboardInterrupt
 
-        monkeypatch.setattr(cli, "cmd_ingest", interrupted)
+        monkeypatch.setitem(cli.COMMANDS, "ingest", (interrupted, cli.COMMANDS["ingest"][1]))
         assert run("ingest", "--config", config) == 130
         assert capsys.readouterr().err == "glossmt: interrupted\n"
 
@@ -451,7 +451,7 @@ class TestExitCodes:
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
         assert run("build", "--config", config) == 1
 
-    def test_options_are_the_config_and_pair(self):
+    def test_config_is_the_only_option(self):
         subcommands = next(
             action for action in build_parser()._actions if isinstance(action, argparse._SubParsersAction)
         )
@@ -460,8 +460,7 @@ class TestExitCodes:
             - {"-h", "--help"}
             for command, parser in subcommands.choices.items()
         }
-        common = {"--config", "--pair"}
-        assert options == {command: common for command in ("ingest", "build", "translate", "score", "report")}
+        assert options == {command: {"--config"} for command in ("ingest", "build", "translate", "score", "report")}
 
     @pytest.mark.parametrize(
         "argv",
@@ -476,10 +475,16 @@ class TestExitCodes:
             "score --threshold 0.5",
             "score --mqm-tokens cleaned",
             "score --system run-a",
+            "ingest --pair en-es",
+            "build --pair en-es",
+            "translate --pair en-es",
+            "score --pair en-es",
+            "report --pair en-es",
         ],
     )
     def test_removed_flag_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys, argv):
-        # These values are set in the config file only, where the config hash covers them.
+        # These values are set in the config file only, where the config hash covers them;
+        # the pairs a command works on are the pairs the config lists.
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
         command, flag, *value = argv.split()
         assert run(command, "--config", config, flag, *value) == 1
@@ -526,9 +531,36 @@ class TestExitCodes:
         assert run("translate", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "counting_scheme")
 
-    def test_unknown_pair_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint):
-        config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
-        assert run("ingest", "--config", config, "--pair", "en-zz") == 1
+    @pytest.mark.parametrize("value", ["nan", "inf", "1e300"])
+    @pytest.mark.parametrize("key, old", [("request_timeout", "5.0"), ("retry_backoff", "0.01")])
+    def test_unbounded_wait_stops_translate_before_any_request(
+        self, tmp_path, fixtures_dir, stub_endpoint, capsys, key, old, value
+    ):
+        # socket.settimeout and time.sleep would refuse these mid-batch.
+        config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        for step in ("ingest", "build"):
+            assert run(step, "--config", config) == 0
+        edit_config(config, f"{key} = {old}\n", f"{key} = {value}\n")
+        stub_endpoint.reset()
+        capsys.readouterr()
+        assert run("translate", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("glossmt: usage error:") and key in err
+        assert stub_endpoint.requests == []
+        assert not layout.path("generations", "en-es").exists()
+
+    @pytest.mark.parametrize("stars", [0, 9])
+    def test_min_stars_out_of_range_stops_build(self, tmp_path, fixtures_dir, capsys, stars):
+        config, layout = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
+        assert run("ingest", "--config", config) == 0
+        edit_config(config, "min_stars = 3\n", f"min_stars = {stars}\n")
+        capsys.readouterr()
+        assert run("build", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("glossmt: usage error:") and "min_stars" in err
+        assert not layout.path("splits", "en-es").exists()
 
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run("ingest", "--config", tmp_path / "absent.ini") == 1
@@ -768,6 +800,24 @@ class TestMatchOnce:
         for record in merged:
             assert record["terms"] == per_pair[record["segment_id"]]
         assert any(record["terms"] for record in merged)
+
+    def test_merged_train_set_holds_every_configured_pair(self, tmp_path, fixtures_dir, stub_endpoint):
+        config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        with open(config, "a", encoding="utf-8") as handle:
+            handle.write(
+                f"\n[pair.en-fr]\nsource = {fixtures_dir / 'emea.en'}\ntarget = {fixtures_dir / 'emea.es'}\n"
+                f"glossary = {fixtures_dir / 'glossary_en_es.tsv'}\n"
+            )
+        assert run("ingest", "--config", config) == 0
+        assert run("build", "--config", config) == 0
+        per_pair = [
+            f"{code}:{record['segment_id']}"
+            for code in ("en-es", "en-fr")
+            for record in read_records(layout.path("train_dataset", code), dict)
+        ]
+        merged = read_records(layout.path("train_merged"), dict)
+        assert len(merged) == len(per_pair) == 120
+        assert sorted(record["segment_id"] for record in merged) == sorted(per_pair)
 
 
 class TestResume:

@@ -257,10 +257,3 @@ class TestHashing:
         manifest = config.manifest()
         assert manifest["seed"] == 11
         assert manifest["config_hash"] == config.config_hash()
-
-    def test_select_pairs(self, tmp_path, fixtures_dir):
-        config = load_config(write_config(tmp_path, fixtures_dir))
-        assert [p.pair.code for p in config.select_pairs(None)] == ["en-es"]
-        assert config.select_pairs("en-es")[0].pair.code == "en-es"
-        with pytest.raises(ConfigurationError):
-            config.select_pairs("en-zz")

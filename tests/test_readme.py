@@ -1,12 +1,13 @@
 """README's examples agree with the code: its config loads and names every
-key, and its output layout names every artifact."""
+key, its command lines parse and run every command, and its output layout
+names every artifact."""
 
 import re
 from pathlib import Path
 
 import pytest
 
-from glossmt.cli import ARTIFACTS
+from glossmt.cli import ARTIFACTS, COMMANDS, build_parser
 from glossmt.config import _KEYS, load_config
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
@@ -20,7 +21,14 @@ def block(pattern):
 
 
 CONFIG = block("## Configuration")
+PIPELINE = block("## Pipeline")
 LAYOUT = block("### Output layout")
+COMMAND_LINES = [
+    line.split()[1:]
+    for fenced in re.findall(r"```\w*\n(.*?)```", README, re.S)
+    for line in fenced.splitlines()
+    if line.startswith("glossmt ")
+]
 
 
 def test_config_example_loads(tmp_path):
@@ -41,6 +49,17 @@ def test_config_example_names_every_key(section):
     assert ("[pair." if section == "pair" else f"[{section}]") in CONFIG
     for key in _KEYS[section]:
         assert re.search(rf"^(; )?{key} = ", CONFIG, re.M), key
+
+
+@pytest.mark.parametrize("argv", COMMAND_LINES, ids=" ".join)
+def test_command_line_parses(argv):
+    # README cannot show an option the parser lacks.
+    build_parser().parse_args(argv)
+
+
+@pytest.mark.parametrize("name", list(COMMANDS))
+def test_pipeline_runs_every_command(name):
+    assert re.search(rf"^glossmt {name} ", PIPELINE, re.M), name
 
 
 @pytest.mark.parametrize("name", sorted(ARTIFACTS))

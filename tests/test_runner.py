@@ -64,6 +64,10 @@ class TestConfig:
         for temperature in (float("nan"), float("inf"), -0.1):
             with pytest.raises(ConfigurationError):
                 config("http://x", temperature=temperature)
+        for key in ("request_timeout", "retry_backoff"):
+            for value in (float("nan"), float("inf"), 1e300, -1.0):
+                with pytest.raises(ConfigurationError, match=key):
+                    config("http://x", **{key: value})
 
     def test_payload_omits_unset_temperature(self):
         cfg = config("http://x")
