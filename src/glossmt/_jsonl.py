@@ -13,7 +13,8 @@ into a FormatError the same way.
 A record type with flat fields declares its artifact keys once, in a table
 mapping each key to ``(attribute, kind)`` or ``(attribute, kind, default)``;
 :func:`to_record` and :func:`from_record` derive both directions from it.
-Every record type derives from :class:`Frozen`.
+Every record type derives from :class:`Frozen`, and its ``__init__`` sets
+its fields in one call, ``self._fill(locals())``.
 
 Every artifact is written through :func:`open_atomic`, so it is the old
 whole file, the new whole file, or absent.
@@ -41,8 +42,9 @@ class Frozen:
     ``dataclass(frozen=True)`` gives, derived from ``__slots__``: objects of
     one class are equal when their fields are, hash as the tuple of their
     fields, show as ``Name(field=value, ...)``, and refuse to set or delete
-    a field. A subclass's ``__init__`` sets each field once, with
-    ``object.__setattr__``; the fields named in the class keyword
+    a field. A subclass's ``__init__`` checks its arguments, binds each
+    field's value to a local of the field's name and ends with
+    ``self._fill(locals())``; the fields named in the class keyword
     ``hidden`` stay out of equality, hash and repr."""
 
     __slots__ = ()
@@ -51,6 +53,11 @@ class Frozen:
     def __init_subclass__(cls, hidden: tuple[str, ...] = (), **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(name for name in cls.__slots__ if name not in hidden)
+
+    def _fill(self, values: dict[str, Any]) -> None:
+        """Set each field to ``values[field]``; a field left out is a KeyError."""
+        for name in self.__slots__:
+            object.__setattr__(self, name, values[name])
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self._fields)

@@ -78,7 +78,11 @@ class InferenceConfig(Frozen):
         max_retries: int = 2,
         retry_backoff: float = 0.5,
     ):
-        url = urlsplit(endpoint_url)
+        try:
+            url = urlsplit(endpoint_url)
+            url.port  # a port that is not a number in 0..65535 raises here
+        except ValueError as exc:
+            raise ConfigurationError(f"endpoint_url cannot be parsed: {exc}") from exc
         if url.scheme not in ("http", "https") or not url.netloc:
             raise ConfigurationError(f"endpoint_url must be an http or https URL, got {endpoint_url!r}")
         # Every record, manifest and the config hash copy the URL; the token
@@ -104,15 +108,13 @@ class InferenceConfig(Frozen):
             raise ConfigurationError("max_retries must be >= 0")
         if not 0 <= retry_backoff <= longest:
             raise ConfigurationError(f"retry_backoff must be in [0, {longest}] s, got {retry_backoff}")
-        object.__setattr__(self, "endpoint_url", endpoint_url)
-        object.__setattr__(self, "model_name", model_name)
-        object.__setattr__(self, "top_p", top_p)
-        object.__setattr__(self, "temperature", temperature)
-        object.__setattr__(self, "max_new_tokens", max_new_tokens)
-        object.__setattr__(self, "request_timeout", request_timeout)
-        object.__setattr__(self, "max_concurrent_requests", max_concurrent_requests)
-        object.__setattr__(self, "max_retries", max_retries)
-        object.__setattr__(self, "retry_backoff", retry_backoff)
+        try:  # the last retry waits retry_backoff * 2**(max_retries - 1) s
+            last_wait = math.ldexp(retry_backoff, max_retries - 1)
+        except OverflowError:
+            last_wait = math.inf
+        if last_wait > longest:
+            raise ConfigurationError(f"max_retries = {max_retries} makes the last retry wait over {longest} s")
+        self._fill(locals())
 
     def snapshot(self) -> dict[str, Any]:
         """The request settings stored on every record (token-free)."""
@@ -152,13 +154,7 @@ class PairConfig(Frozen):
         external_scores_path: Path | None = None,
         external_counts_path: Path | None = None,
     ):
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "source_path", source_path)
-        object.__setattr__(self, "target_path", target_path)
-        object.__setattr__(self, "glossary_path", glossary_path)
-        object.__setattr__(self, "annotations_path", annotations_path)
-        object.__setattr__(self, "external_scores_path", external_scores_path)
-        object.__setattr__(self, "external_counts_path", external_counts_path)
+        self._fill(locals())
 
     @property
     def counting_scheme(self) -> str:
@@ -184,6 +180,9 @@ class PipelineConfig(Frozen):
         confidence_threshold: float = 0.0,
         mqm_tokens: str = "raw",
     ):
+        # SplitMix64 keeps a seed's low 64 bits, so -1 and 2**64 - 1 would split alike.
+        if not 0 <= seed < 2**64:
+            raise ConfigurationError(f"seed must be in 0..{2**64 - 1}, got {seed}")
         if not pairs:
             raise ConfigurationError("at least one [pair.*] section is required")
         codes = [p.pair.code for p in pairs]
@@ -201,16 +200,7 @@ class PipelineConfig(Frozen):
             raise ConfigurationError(
                 f"unknown template family {template_family!r} and no template file given"
             )
-        object.__setattr__(self, "output_dir", output_dir)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "inference", inference)
-        object.__setattr__(self, "min_stars", min_stars)
-        object.__setattr__(self, "template_family", template_family)
-        object.__setattr__(self, "template_file", template_file)
-        object.__setattr__(self, "confidence_threshold", confidence_threshold)
-        object.__setattr__(self, "mqm_tokens", mqm_tokens)
+        self._fill(locals())
 
     def template(self) -> TemplateSpec:
         if self.template_file is not None:

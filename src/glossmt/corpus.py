@@ -74,10 +74,7 @@ class LanguagePair(_jsonl.Frozen):
             )
         if not source_name or not target_name:
             raise ConfigurationError("language display names must be non-empty")
-        object.__setattr__(self, "source_lang", source_lang)
-        object.__setattr__(self, "target_lang", target_lang)
-        object.__setattr__(self, "source_name", source_name)
-        object.__setattr__(self, "target_name", target_name)
+        self._fill(locals())
 
     @property
     def code(self) -> str:
@@ -115,10 +112,7 @@ class ParallelSegment(_jsonl.Frozen):
             raise UsageError("segment id must be non-empty")
         if not source_text or not target_text:
             raise UsageError(f"segment {id!r} has an empty side")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "source_text", source_text)
-        object.__setattr__(self, "target_text", target_text)
+        self._fill(locals())
 
 
 class SplitSpec(_jsonl.Frozen):
@@ -127,10 +121,7 @@ class SplitSpec(_jsonl.Frozen):
     __slots__ = ("seed", "tuning_size", "validation_size", "test_size")
 
     def __init__(self, seed: int, tuning_size: int = 1600, validation_size: int = 200, test_size: int = 200):
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "tuning_size", tuning_size)
-        object.__setattr__(self, "validation_size", validation_size)
-        object.__setattr__(self, "test_size", test_size)
+        self._fill(locals())
         for name in ("tuning_size", "validation_size", "test_size"):
             if getattr(self, name) <= 0:
                 raise ConfigurationError(f"{name} must be positive")

@@ -320,14 +320,7 @@ class ScoreReport(_jsonl.Frozen):
                 raise UsageError("term_accuracy does not equal term_correct/term_total")
         elif term_accuracy != 0.0:
             raise UsageError("term_accuracy must be 0.0 when term_total is 0")
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "system", system)
-        object.__setattr__(self, "bleu", bleu)
-        object.__setattr__(self, "chrf", chrf)
-        object.__setattr__(self, "term_accuracy", term_accuracy)
-        object.__setattr__(self, "term_correct", term_correct)
-        object.__setattr__(self, "term_total", term_total)
-        object.__setattr__(self, "external_scores", external_scores)
+        self._fill(locals())
 
     def to_dict(self) -> dict:
         return _jsonl.to_record(self, _REPORT_KEYS)

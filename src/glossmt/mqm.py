@@ -68,23 +68,14 @@ class ErrorSpan(_jsonl.Frozen):
             raise UsageError("start and end offsets must be given together")
         if start is not None and not 0 <= start < end:
             raise UsageError(f"bad span offsets [{start}, {end})")
-        object.__setattr__(self, "segment_id", segment_id)
-        object.__setattr__(self, "span_text", span_text)
-        object.__setattr__(self, "severity", severity)
-        object.__setattr__(self, "confidence", confidence)
-        object.__setattr__(self, "start", start)
-        object.__setattr__(self, "end", end)
+        self._fill(locals())
 
 
 class SeverityCounts(_jsonl.Frozen):
     __slots__ = ("minor", "major", "critical", "token_total", "counting_scheme")
 
     def __init__(self, minor: int, major: int, critical: int, token_total: int, counting_scheme: str):
-        object.__setattr__(self, "minor", minor)
-        object.__setattr__(self, "major", major)
-        object.__setattr__(self, "critical", critical)
-        object.__setattr__(self, "token_total", token_total)
-        object.__setattr__(self, "counting_scheme", counting_scheme)
+        self._fill(locals())
         if min(self.minor, self.major, self.critical) < 0:
             raise UsageError("severity counts must be nonnegative")
         if self.token_total <= 0:

@@ -54,13 +54,7 @@ class ModelOutput(_jsonl.Frozen):
             raise UsageError("token counts must be nonnegative")
         if not counting_scheme:
             raise UsageError("counting_scheme must be recorded")
-        object.__setattr__(self, "segment_id", segment_id)
-        object.__setattr__(self, "raw_text", raw_text)
-        object.__setattr__(self, "cleaned_text", cleaned_text)
-        object.__setattr__(self, "truncated", truncated)
-        object.__setattr__(self, "token_count_raw", token_count_raw)
-        object.__setattr__(self, "token_count_cleaned", token_count_cleaned)
-        object.__setattr__(self, "counting_scheme", counting_scheme)
+        self._fill(locals())
 
 
 def truncate_at_eos(raw: str, marker: str | None) -> tuple[str, bool]:

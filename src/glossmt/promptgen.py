@@ -78,11 +78,7 @@ class TemplateSpec(_jsonl.Frozen):
                 raise TemplateError(
                     f"without_terms_template may not use {{{name}}}"
                 )
-        object.__setattr__(self, "family_id", family_id)
-        object.__setattr__(self, "with_terms_template", with_terms_template)
-        object.__setattr__(self, "without_terms_template", without_terms_template)
-        object.__setattr__(self, "target_region", target_region)
-        object.__setattr__(self, "eos_marker", eos_marker)
+        self._fill(locals())
 
 
 # Built-in families. The glossary_type slot receives the full header
@@ -197,13 +193,7 @@ class InstructionExample(_jsonl.Frozen):
             raise UsageError("train examples must carry target_text")
         if mode == "test" and target_text is not None:
             raise UsageError("test examples must not carry target_text")
-        object.__setattr__(self, "segment_id", segment_id)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "mode", mode)
-        object.__setattr__(self, "term_pairs", term_pairs)
-        object.__setattr__(self, "rendered_text", rendered_text)
-        object.__setattr__(self, "family_id", family_id)
-        object.__setattr__(self, "target_text", target_text)
+        self._fill(locals())
 
 
 def render_glossary_block(pairs: Sequence[TermPair]) -> tuple[str, str]:

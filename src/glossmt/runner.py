@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 import os
 import threading
 import time
@@ -90,14 +91,7 @@ class GenerationRecord(_jsonl.Frozen):
         error: str | None = None,
         duration_s: float | None = None,
     ):
-        object.__setattr__(self, "segment_id", segment_id)
-        object.__setattr__(self, "prompt_text", prompt_text)
-        object.__setattr__(self, "raw_output", raw_output)
-        object.__setattr__(self, "model_name", model_name)
-        object.__setattr__(self, "config", config)
-        object.__setattr__(self, "attempts", attempts)
-        object.__setattr__(self, "error", error)
-        object.__setattr__(self, "duration_s", duration_s)
+        self._fill(locals())
 
     @property
     def ok(self) -> bool:
@@ -293,7 +287,7 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
                     text, error = _read_response(status, body)
                     return "done", make_record(example, text, attempts, error, started)
             if attempts <= cfg.max_retries:
-                time.sleep(cfg.retry_backoff * 2 ** (attempts - 1))
+                time.sleep(math.ldexp(cfg.retry_backoff, attempts - 1))
                 continue
             record = make_record(
                 example, "", attempts, _exhausted_error(failure, status, attempts), started

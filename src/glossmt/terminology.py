@@ -51,11 +51,8 @@ class GlossaryEntry(_jsonl.Frozen, hidden=("key",)):
                 f"reliability must be in {MIN_RELIABILITY}..{MAX_RELIABILITY}, "
                 f"got {reliability}"
             )
-        object.__setattr__(self, "source_term", source_term)
-        object.__setattr__(self, "target_term", target_term)
-        object.__setattr__(self, "reliability", reliability)
-        object.__setattr__(self, "domain_id", domain_id)
-        object.__setattr__(self, "key", (source_term.casefold(), target_term.casefold()))
+        key = (source_term.casefold(), target_term.casefold())
+        self._fill(locals())
 
 
 class Glossary(_jsonl.Frozen):
@@ -70,8 +67,7 @@ class Glossary(_jsonl.Frozen):
                         f"duplicate glossary pair {entry.source_term!r} -> {entry.target_term!r}"
                     )
                 seen.add(entry.key)
-        object.__setattr__(self, "pair", pair)
-        object.__setattr__(self, "entries", entries)
+        self._fill(locals())
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -225,9 +221,7 @@ class TermPair(_jsonl.Frozen):
     __slots__ = ("source_term", "target_term", "first_source_offset")
 
     def __init__(self, source_term: str, target_term: str, first_source_offset: int | None = None):
-        object.__setattr__(self, "source_term", source_term)
-        object.__setattr__(self, "target_term", target_term)
-        object.__setattr__(self, "first_source_offset", first_source_offset)
+        self._fill(locals())
 
     @classmethod
     def from_record(cls, record) -> "TermPair":

@@ -550,6 +550,46 @@ class TestExitCodes:
         assert stub_endpoint.requests == []
         assert not layout.path("generations", "en-es").exists()
 
+    @pytest.mark.parametrize(
+        "url",
+        ["http://[::1/completions", "http://127.0.0.1:port/completions", "http://127.0.0.1:99999/completions"],
+        ids=["unclosed-ipv6", "port-not-a-number", "port-out-of-range"],
+    )
+    def test_unparseable_endpoint_url_stops_every_command(self, tmp_path, fixtures_dir, monkeypatch, capsys, url):
+        config, layout = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
+        for step in ("ingest", "build"):
+            assert run(step, "--config", config) == 0
+        edit_config(config, "http://127.0.0.1:9/echo", url)
+
+        def request_sent(*args, **kwargs):
+            raise AssertionError("translate sent a request")
+
+        monkeypatch.setattr(runner, "generate_batch", request_sent)
+        for command in ("ingest", "build", "translate", "score", "report"):
+            capsys.readouterr()
+            assert run(command, "--config", config) == 1, command
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1 and "Traceback" not in err
+            assert err.startswith("glossmt: usage error: endpoint_url cannot be parsed:")
+        assert not layout.path("generations", "en-es").exists()
+
+    @pytest.mark.parametrize(
+        "old, new, named",
+        [
+            ("max_retries = 2\n", "max_retries = 50\n", "max_retries = 50 makes the last retry wait over"),
+            ("seed = 11\n", "seed = -1\n", "seed must be in 0..18446744073709551615, got -1"),
+            ("seed = 11\n", "seed = 18446744073709551616\n", "got 18446744073709551616"),
+        ],
+        ids=["longest-retry-wait", "negative-seed", "seed-past-64-bits"],
+    )
+    def test_setting_out_of_range_is_usage_error(self, tmp_path, fixtures_dir, capsys, old, new, named):
+        config = project_with(tmp_path, fixtures_dir, old, new)
+        assert run("ingest", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("glossmt: usage error:") and named in err
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("stars", [0, 9])
     def test_min_stars_out_of_range_stops_build(self, tmp_path, fixtures_dir, capsys, stars):
         config, layout = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")

@@ -7,6 +7,7 @@ import pytest
 
 from glossmt.config import InferenceConfig, load_config
 from glossmt.errors import ConfigurationError
+from glossmt.prng import seeded_permutation
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -192,6 +193,14 @@ class TestValidation:
         )
         with pytest.raises(ConfigurationError, match="confidence_threshold"):
             load_config(path)
+
+    @pytest.mark.parametrize("seed", [0, 2**64 - 1])
+    def test_seed_range_is_64_bits_unsigned(self, tmp_path, fixtures_dir, seed):
+        # SplitMix64 keeps a seed's low 64 bits, so -1 would split as 2**64 - 1 does;
+        # tests/test_cli.py checks that -1 and 2**64 are refused.
+        assert seeded_permutation(20, -1) == seeded_permutation(20, 2**64 - 1)
+        path = replace_in(write_config(tmp_path, fixtures_dir), "seed = 11\n", f"seed = {seed}\n")
+        assert load_config(path).seed == seed
 
     def test_left_out_keys_take_the_field_defaults(self, tmp_path, fixtures_dir):
         path = tmp_path / "pipeline.ini"

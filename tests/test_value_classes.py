@@ -2,8 +2,12 @@
 equal, one changed field makes objects unequal, fields cannot be set or
 deleted, and repr shows ``Name(field=value, ...)`` in constructor order."""
 
+import ast
 import importlib
 import inspect
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -162,3 +166,51 @@ def test_value_semantics(cls):
 
     shown = ", ".join(f"{name}={value!r}" for name, value in keywords.items())
     assert repr(obj) == f"{cls.__name__}({shown})"
+
+
+def test_a_field_left_unbound_fails_at_construction():
+    class Point(_jsonl.Frozen):
+        __slots__ = ("x", "y")
+
+        def __init__(self, x):
+            self._fill(locals())
+
+    with pytest.raises(KeyError, match="'y'"):
+        Point(1)
+
+
+def test_only_frozen_sets_fields():
+    def owners(node, owner=None):
+        """The class around each ``object.__setattr__`` under ``node``."""
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Attribute) and child.attr == "__setattr__":
+                if getattr(child.value, "id", None) == "object":
+                    yield owner
+            yield from owners(child, child.name if isinstance(child, ast.ClassDef) else owner)
+
+    package = Path(glossmt.__file__).parent
+    found = {
+        (path.name, owner)
+        for path in package.glob("*.py")
+        for owner in owners(ast.parse(path.read_text(encoding="utf-8")))
+    }
+    assert found == {("_jsonl.py", "Frozen")}
+
+
+def pyenv_interpreter(version):
+    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
+    found = sorted(root.glob(f"{version}.*/bin/python{version}"))
+    absent = pytest.mark.skipif(not found, reason=f"no Python {version} under {root}")
+    return pytest.param(found[-1] if found else None, id=version, marks=absent)
+
+
+@pytest.mark.parametrize("python", [pyenv_interpreter(version) for version in ("3.10", "3.12", "3.13")])
+def test_records_are_alike_on_every_interpreter(python):
+    # Records set their fields from locals(), which PEP 667 redefined in 3.13.
+    script = Path(__file__).with_name("record_reprs.py")
+    env = {**os.environ, "PYTHONPATH": str(Path(glossmt.__file__).parents[1])}
+
+    def reprs(executable):
+        return subprocess.run([executable, "-S", script], env=env, capture_output=True, text=True, check=True).stdout
+
+    assert reprs(python) == reprs(sys.executable)
