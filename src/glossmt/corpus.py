@@ -1,16 +1,19 @@
 """Parallel corpus ingestion, validation, and deterministic splitting.
 
 Input corpora are line-aligned plain-text file pairs (one segment per line,
-line N of the source file translating to line N of the target file). All
-segment text is whitespace-normalized on construction — runs of whitespace
-collapse to single spaces and the ends are trimmed — so downstream matching
-and prompt rendering always see one canonical form.
+line N of the source file translating to line N of the target file). Every
+line read from a corpus, glossary or template file is put in Unicode NFC, so
+an accented letter matches whether its file composed it (U+00E9) or not
+(``e`` + U+0301). All segment text is whitespace-normalized on construction
+— runs of whitespace collapse to single spaces and the ends are trimmed — so
+downstream matching and prompt rendering always see one canonical form.
 """
 
 from __future__ import annotations
 
 import codecs
 import logging
+import unicodedata
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -43,7 +46,7 @@ def normalize_text(text: str) -> str:
 
 
 def read_text_lines(path) -> list[str]:
-    """The lines of a UTF-8 text file, without a leading byte-order mark.
+    """The lines of a UTF-8 text file in NFC, without a leading byte-order mark.
 
     Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``; ``str.splitlines``
     also splits at U+2028, U+0085, form feeds and more, which would cut one
@@ -54,7 +57,7 @@ def read_text_lines(path) -> list[str]:
     lines: list[str] = []
     for line_number, raw in enumerate(raw_lines, start=1):
         try:
-            lines.append(raw.decode("utf-8"))
+            lines.append(unicodedata.normalize("NFC", raw.decode("utf-8")))
         except UnicodeDecodeError as exc:
             raise FormatError("not valid UTF-8", path=path, line=line_number) from exc
     return lines

@@ -4,8 +4,10 @@ Cleaning is end-of-sequence truncation only: when the template family has a
 marker, output is cut at its first occurrence (over-generation past that
 point — assistant chatter, repeated translations — is dropped); a family
 without one keeps the whole reply. Trailing whitespace is trimmed either
-way. Nothing else is stripped; anything more would change what is being
-evaluated.
+way. The cleaned text is put in Unicode NFC, the form every input text is
+read in, so a reply that spells an accent as a combining mark matches and
+scores as its composed twin; ``raw_text`` stays as received. Nothing else
+is stripped; anything more would change what is being evaluated.
 
 Token counting schemes, which decide the counts and never the cleaning:
 
@@ -19,6 +21,7 @@ the MQM token total that ``score`` sums from it never mixes schemes."""
 
 from __future__ import annotations
 
+import unicodedata
 from typing import TYPE_CHECKING, Sequence
 
 from . import _jsonl
@@ -46,9 +49,9 @@ class ModelOutput(_jsonl.Frozen):
         token_count_cleaned: int,
         counting_scheme: str,
     ):
-        if not raw_text.startswith(cleaned_text):
+        if not unicodedata.normalize("NFC", raw_text).startswith(cleaned_text):
             raise UsageError(
-                f"segment {segment_id!r}: cleaned_text is not a prefix of raw_text"
+                f"segment {segment_id!r}: cleaned_text is not a prefix of raw_text in NFC"
             )
         if token_count_raw < 0 or token_count_cleaned < 0:
             raise UsageError("token counts must be nonnegative")
@@ -118,6 +121,7 @@ def postprocess_batch(
     outputs = []
     for record in records:
         cleaned, truncated = truncate_at_eos(record.raw_output, template.eos_marker)
+        cleaned = unicodedata.normalize("NFC", cleaned)
         if counts is not None:
             raw_count = cleaned_count = counts.count(record.segment_id)
         else:

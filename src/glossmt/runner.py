@@ -1,22 +1,36 @@
 """Batch client for completion-style JSON-over-HTTP inference endpoints.
 
 The outbound request is ``{model, prompt, top_p, temperature?, max_tokens}``
-(temperature included only when set), POSTed with the standard library's
-``http.client`` to ``endpoint_url`` itself. The route is worked out once per
-batch: straight to the endpoint, or through the proxy that ``http_proxy`` or
-``https_proxy`` names and ``no_proxy`` does not bypass (an ``http`` request
-with an absolute URI, an ``https`` one through a CONNECT tunnel, credentials
-in the proxy URL to the proxy alone). TLS is verified through the default
-context, so against the system CA store or ``SSL_CERT_FILE``. The response
-must be a JSON object carrying the generated text either as
-``{"text": ...}`` or OpenAI-style as ``{"choices": [{"text": ...}]}``.
-Redirects are not followed: a 3xx reply is final, like a 404.
+(temperature included only when set), POSTed to ``endpoint_url`` itself. The
+route is worked out once per batch: straight to the endpoint, or through the
+proxy that ``http_proxy`` or ``https_proxy`` names and ``no_proxy`` does not
+bypass (an ``http`` request with an absolute URI, an ``https`` one through a
+CONNECT tunnel, credentials in the proxy URL to the proxy alone). TLS is
+verified through the default context, so against the system CA store or
+``SSL_CERT_FILE``. The response must be a JSON object carrying the
+generated text either as ``{"text": ...}`` or OpenAI-style as
+``{"choices": [{"text": ...}]}``. Redirects are not followed: a 3xx reply
+is final, like a 404.
+
+HTTP/1.1: the standard library's ``http.client`` only opens connections
+(TCP with Nagle's algorithm off, the CONNECT tunnel, TLS). The request's
+head is built and checked once per batch, with the fields ``http.client``
+would send: Host, ``Accept-Encoding: identity``, Content-Length,
+Content-Type, and Authorization or Proxy-Authorization where they apply. A
+target or token that ``http.client`` would refuse is a UsageError before
+any connection opens. Each request is one send of head and body. Replies
+are read here, through one buffered reader per connection: 1xx replies are
+skipped; the body is chunked when ``chunked`` is the last transfer coding,
+else as long as its one valid Content-Length says, else read to the close
+(RFC 9112 §6.3); an HTTP/1.1 reply keeps the connection unless it says
+``close``, an HTTP/1.0 one only with ``keep-alive``, and a body read to the
+close never does (§9.3). As in ``http.client``, a line may hold 65,536
+bytes and a head 100 field lines.
 
 Connections: each worker thread keeps one connection open across its
 requests, and the batch closes every one of them when it ends, also when it
 aborts or raises. No ``Connection: close`` is sent; a reply that closes the
-connection makes the next request open a new one. ``http.client`` turns
-Nagle's algorithm off at connect (TCP_NODELAY), and TCP_QUICKACK is set
+connection makes the next request open a new one. TCP_QUICKACK is set
 before each reply is read, where the platform has it: a server that writes
 a reply's headers and body in two sends with Nagle on, as ``http.server``
 does, would otherwise hold the body back until the client's delayed ACK,
@@ -25,17 +39,18 @@ to its end, retryable ones included; a failure anywhere in an exchange
 closes its connection, so what is left of a reply is never read as the
 next one.
 
-Failure policy: connection errors, timeouts, other request failures (e.g.
-a body cut off mid-way), HTTP 429 and 5xx are retried with exponential
-backoff. A kept-alive connection that fails, other than by timing out,
-before a status line arrives (the peer closed it while idle) is closed and
-the request is sent once more on a new connection; that resend is not an
-attempt. A request that still fails before any status line arrives, other
-than by timing out while waiting for it, marks the endpoint unreachable and
-aborts the whole batch (EndpointError, carrying the records completed so
-far); every other exhausted failure — timeout, request failure, HTTP error
-status, malformed response body — becomes a per-record error record so no
-prompt is ever silently dropped.
+Failure policy: connection errors, timeouts, other request failures (a
+body cut off mid-way, a head or body that breaks the framing rules above),
+HTTP 429 and 5xx are retried with exponential backoff. A kept-alive
+connection that fails, other than by timing out, before a status line
+arrives (the peer closed it while idle) is closed and the request is sent
+once more on a new connection; that resend is not an attempt. A request
+that still fails before any status line arrives, other than by timing out
+while waiting for it, marks the endpoint unreachable and aborts the whole
+batch (EndpointError, carrying the records completed so far); every other
+exhausted failure — timeout, request failure, HTTP error status, malformed
+response body — becomes a per-record error record so no prompt is ever
+silently dropped.
 
 Credentials come from the ``GLOSSMT_API_TOKEN`` environment variable (sent
 as a bearer token) and are never written to records or manifests.
@@ -47,6 +62,7 @@ import json
 import logging
 import math
 import os
+import re
 import threading
 import time
 from collections import Counter
@@ -65,6 +81,15 @@ log = logging.getLogger(__name__)
 TOKEN_ENV_VAR = "GLOSSMT_API_TOKEN"
 
 _RETRYABLE_STATUS = frozenset({429, *range(500, 600)})
+
+# http.client's rules: the characters a request target may not hold, the
+# line breaks a header value may not hold (any not followed by a space or
+# tab), and the longest line and most field lines a reply's head may have.
+_BAD_TARGET = re.compile("[\x00-\x20\x7f]").search
+_BAD_FIELD_VALUE = re.compile("\n(?![ \t])|\r(?![ \t\n])").search
+_MAX_LINE = 65536
+_MAX_FIELDS = 100
+_HEX_DIGITS = b"0123456789abcdefABCDEF"
 
 
 class GenerationRecord(_jsonl.Frozen):
@@ -125,6 +150,11 @@ class _Unreachable(Exception):
     line arrived: the endpoint could not be reached or would not answer."""
 
 
+class _BadReply(Exception):
+    """A reply that breaks HTTP/1.1 framing or http.client's limits, or one
+    cut off before its end."""
+
+
 def _exhausted_error(failure: Exception | None, status: int | None, attempts: int) -> str:
     """The error of a request whose every attempt failed retryably:
     ``failure`` is the last attempt's exception, or None when the last
@@ -141,7 +171,9 @@ def _exhausted_error(failure: Exception | None, status: int | None, attempts: in
 def _route(cfg: InferenceConfig, token: str | None):
     """How a batch reaches ``cfg.endpoint_url``, directly or through a proxy
     as the module docstring says: a function that makes a new, unopened
-    connection, the request target and the request headers."""
+    connection, and the request head's bytes before and after its
+    Content-Length value. Raises UsageError for a target or token that
+    http.client would refuse to send."""
     # Imported here for the reason given in generate_batch.
     import base64
     import http.client
@@ -176,7 +208,141 @@ def _route(cfg: InferenceConfig, token: str | None):
             conn.set_tunnel(tunnel, headers=tunnel_headers)
         return conn
 
-    return new_connection, target, headers
+    # Host names the endpoint: its netloc as written when the target is an
+    # absolute URI, else without a port that is the scheme's default.
+    host_field = url.netloc
+    if not target.startswith("http"):
+        if url.port is not None or host_field.endswith(":"):
+            host_field = host_field.rpartition(":")[0]
+        if url.port not in (None, 443 if url.scheme == "https" else 80):
+            host_field = f"{host_field}:{url.port}"
+    if _BAD_TARGET(target) or not target.isascii():
+        raise UsageError("endpoint_url holds a character that a request target cannot carry")
+    try:
+        host_field = host_field if host_field.isascii() else host_field.encode("idna").decode("ascii")
+    except UnicodeError as exc:
+        raise UsageError(f"endpoint_url host cannot be encoded: {exc}") from exc
+    head = f"POST {target} HTTP/1.1\r\nHost: {host_field}\r\nAccept-Encoding: identity\r\nContent-Length: "
+    tail = "".join(f"\r\n{name}: {value}" for name, value in headers.items()) + "\r\n\r\n"
+    token_error = UsageError(f"{TOKEN_ENV_VAR} holds a line break or a character outside Latin-1")
+    if token and _BAD_FIELD_VALUE(token):
+        raise token_error
+    try:
+        # Only the token can fall outside Latin-1: the other fields are ASCII.
+        return new_connection, head.encode("ascii"), tail.encode("latin-1")
+    except UnicodeEncodeError:
+        raise token_error from None
+
+
+class _Link:
+    """A worker's connection to the endpoint or proxy. http.client opens it;
+    requests go out on its socket, and replies come in through one buffered
+    reader, made at connect and closed with the connection: the socket's
+    descriptor stays open as long as a reader made from it does."""
+
+    def __init__(self, new_connection):
+        self._new_connection = new_connection
+        self.conn = self.reader = None
+
+    def open(self) -> None:
+        self.conn = self._new_connection()
+        self.conn.connect()
+        self.reader = self.conn.sock.makefile("rb")
+
+    def close(self) -> None:
+        if self.reader is not None:
+            self.reader.close()
+        if self.conn is not None:
+            self.conn.close()
+        self.conn = self.reader = None
+
+
+def _line(reader, part: str) -> bytes:
+    """One line of a reply's ``part``, with its line end."""
+    line = reader.readline(_MAX_LINE + 1)
+    if len(line) > _MAX_LINE:
+        raise _BadReply(f"{part}: line longer than {_MAX_LINE} bytes")
+    if not line.endswith(b"\n"):
+        raise _BadReply(f"connection closed {'in' if line else 'before'} the {part}")
+    return line
+
+
+def _read_status(reader) -> tuple[bool, int]:
+    """The final reply's status line, past any 1xx reply: whether it is
+    HTTP/1.1 (or a later 1.x) and its status code."""
+    while True:
+        line = _line(reader, "status line")
+        version, status = (line.split(None, 2) + [b"", b""])[:2]
+        if not (version.startswith(b"HTTP/1.") and len(status) == 3 and status.isdigit() and status >= b"100"):
+            raise _BadReply(f"bad status line {line.rstrip().decode('latin-1')[:80]!r}")
+        if status >= b"200":
+            return version != b"HTTP/1.0", int(status)
+        _read_fields(reader)  # a 1xx reply is a head alone
+
+
+def _read_fields(reader) -> dict[bytes, bytes]:
+    """A header or trailer section up to its empty line: each field name
+    lower-cased, a name's values joined by commas, folded lines unfolded."""
+    fields: dict[bytes, bytes] = {}
+    name = None
+    for _ in range(_MAX_FIELDS + 1):
+        line = _line(reader, "header section")
+        if line in (b"\r\n", b"\n"):
+            return fields
+        if line[0] in b" \t" and name is not None:
+            fields[name] += b" " + line.strip()
+            continue
+        name, colon, value = line.partition(b":")
+        if not colon:
+            raise _BadReply(f"header line without a colon: {line.rstrip().decode('latin-1')[:80]!r}")
+        name, value = name.strip().lower(), value.strip()
+        fields[name] = fields[name] + b", " + value if name in fields else value
+    raise _BadReply(f"more than {_MAX_FIELDS} header fields")
+
+
+def _read_body(reader, http11: bool, status: int, fields: dict[bytes, bytes]) -> tuple[bytes, bool]:
+    """The reply's body, and whether its connection can carry the next
+    request: RFC 9112 §6.3 gives the body's length, §9.3 persistence."""
+    options = {option.strip() for option in fields.get(b"connection", b"").lower().split(b",")}
+    keep = b"close" not in options and (http11 or b"keep-alive" in options)
+    if status in (204, 304):
+        return b"", keep
+    codings = fields.get(b"transfer-encoding")
+    if codings is not None:
+        if codings.rpartition(b",")[2].strip().lower() == b"chunked":
+            return _read_chunked(reader), keep
+        return reader.read(), False
+    length = fields.get(b"content-length")
+    if length is None:
+        return reader.read(), False
+    size, *others = {value.strip() for value in length.split(b",")}
+    if others or not size.isdigit():
+        raise _BadReply(f"invalid Content-Length {length.decode('latin-1')[:80]!r}")
+    return _read_exactly(reader, int(size)), keep
+
+
+def _read_chunked(reader) -> bytes:
+    """A chunked body (RFC 9112 §7.1); chunk extensions and trailer fields
+    are read and dropped."""
+    chunks = []
+    while True:
+        size = _line(reader, "chunked body").partition(b";")[0].strip()
+        if not size or size.strip(_HEX_DIGITS):
+            raise _BadReply(f"invalid chunk size {size.decode('latin-1')[:80]!r}")
+        size = int(size, 16)
+        if not size:
+            _read_fields(reader)
+            return b"".join(chunks)
+        chunks.append(_read_exactly(reader, size))
+        if _line(reader, "chunked body") not in (b"\r\n", b"\n"):
+            raise _BadReply("chunk data longer than its size")
+
+
+def _read_exactly(reader, size: int) -> bytes:
+    data = reader.read(size)
+    if len(data) < size:
+        raise _BadReply(f"body cut off after {len(data)} of {size} bytes")
+    return data
 
 
 def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationRecord]:
@@ -192,12 +358,12 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
                 f"generate_batch takes test prompts only; segment {example.segment_id} is {example.mode}"
             )
     # The route, and so the proxy variables, are read once, at batch start.
-    new_connection, target, headers = _route(cfg, os.environ.get(TOKEN_ENV_VAR))
+    new_connection, head, tail = _route(cfg, os.environ.get(TOKEN_ENV_VAR))
     quickack = getattr(socket, "TCP_QUICKACK", None)
     snapshot = cfg.snapshot()
     abort = threading.Event()
-    held = threading.local()  # each worker's one connection
-    connections = []
+    held = threading.local()  # each worker's one link
+    links = []
     lock = threading.Lock()
     counts = Counter()  # opened, reopened, sent
 
@@ -205,15 +371,15 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
         with lock:
             counts[event] += 1
 
-    def exchange(conn, data: bytes):
-        """Send ``data`` on ``conn``, opening it first if it is closed, and
-        read the reply's status line and headers. A failure before the
-        status line is _Unreachable, but for a timeout waiting for it."""
+    def exchange(link: _Link, data: bytes) -> tuple[bool, int]:
+        """Send ``data`` on ``link``, opening it first if it is closed, and
+        read the final reply's status line. A failure before the status
+        line is _Unreachable, but for a timeout waiting for it."""
         try:
-            if conn.sock is None:
-                conn.connect()
+            if link.reader is None:
+                link.open()
                 count("opened")
-            conn.request("POST", target, data, headers)
+            link.conn.sock.sendall(b"".join((head, b"%d" % len(data), tail, data)))
         except (OSError, http.client.HTTPException) as exc:
             raise _Unreachable(exc) from exc
         count("sent")
@@ -221,41 +387,43 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
             if quickack is not None:
                 # ACK the reply's first segment at once, so that a server with
                 # Nagle on does not hold the rest until the delayed ACK.
-                conn.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
-            return conn.getresponse()
+                link.conn.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
+            return _read_status(link.reader)
         except TimeoutError:
             raise
-        except (OSError, http.client.HTTPException) as exc:
+        except (OSError, _BadReply) as exc:
             raise _Unreachable(exc) from exc
 
     def send(data: bytes) -> tuple[int, bytes | None]:
         """One attempt: the reply's status and body, with a None body when
         the status is retryable. Raises _Unreachable, TimeoutError, or
-        another OSError or HTTPException from reading the body. Any failure
-        closes the worker's connection, so the next request opens a new one
-        and never reads what is left of this reply."""
-        conn = getattr(held, "conn", None)
-        if conn is None:
-            conn = held.conn = new_connection()
+        another OSError or _BadReply from reading the rest of the reply.
+        Any failure closes the worker's link, so the next request opens a
+        new one and never reads what is left of this reply."""
+        link = getattr(held, "link", None)
+        if link is None:
+            link = held.link = _Link(new_connection)
             with lock:
-                connections.append(conn)
-        reused = conn.sock is not None
+                links.append(link)
+        reused = link.reader is not None
         try:
             try:
-                response = exchange(conn, data)
+                http11, status = exchange(link, data)
             except _Unreachable:
                 if not reused:
                     raise
                 # The peer closed the idle connection: send once more on a new one.
                 count("reopened")
-                conn.close()
-                response = exchange(conn, data)
-            with response:
-                body = response.read()
+                link.close()
+                http11, status = exchange(link, data)
+            fields = _read_fields(link.reader)
+            body, keep = _read_body(link.reader, http11, status, fields)
         except BaseException:
-            conn.close()
+            link.close()
             raise
-        return response.status, None if response.status in _RETRYABLE_STATUS else body
+        if not keep:
+            link.close()
+        return status, None if status in _RETRYABLE_STATUS else body
 
     def make_record(example, output: str, attempts: int, error: str | None, started: float):
         return GenerationRecord(
@@ -280,7 +448,7 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
             failure = status = None
             try:
                 status, body = send(data)
-            except (_Unreachable, OSError, http.client.HTTPException) as exc:
+            except (_Unreachable, _BadReply, OSError) as exc:
                 failure = exc
             else:
                 if body is not None:
@@ -302,8 +470,8 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
         with ThreadPoolExecutor(max_workers=cfg.max_concurrent_requests) as pool:
             outcomes = list(pool.map(worker, examples))
     finally:
-        for conn in connections:
-            conn.close()
+        for link in links:
+            link.close()
         log.info(
             "batch_connections opened=%d reopened=%d requests_sent=%d",
             counts["opened"], counts["reopened"], counts["sent"],

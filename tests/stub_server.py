@@ -17,6 +17,14 @@ Routes (select behaviour by path):
   /hangup       -> reads the request, then closes without a status line
   /drop         -> echoes, then closes the connection without saying so
   /redirect     -> 303 to /echo
+  /chunked      -> echoes in a chunked body, with a chunk extension and a trailer field
+  /close-delimited -> echoes with no Content-Length and Connection: close, then closes
+  /http10       -> echoes as HTTP/1.0 without keep-alive, then closes
+  /continue     -> 100 Continue, then echoes
+  /length-conflict -> echoes under two Content-Length fields that disagree
+  /length-invalid  -> echoes under Content-Length: +N
+  /line-N       -> echoes with one header line N bytes long, its CRLF included
+  /fields-N     -> echoes with N header fields in all
   (any CONNECT) -> 403, recorded as ("CONNECT host:port", None, headers)
 
 Any other path echoes, including the absolute URI a client sends to a proxy.
@@ -136,6 +144,12 @@ class _Handler(BaseHTTPRequestHandler):
                     self._send(500, b'{"error": "transient"}')
                     return
 
+        if self.path in _FRAMED or self.path.startswith(("/line-", "/fields-")):
+            body = json.dumps({"text": echo_text(prompt)}).encode("utf-8")
+            self.wfile.write(_framed(self.path, body))
+            self.close_connection = self.path in ("/close-delimited", "/http10")
+            return
+
         text = echo_text(prompt)
         if self.path == "/echo-openai":
             reply = {"choices": [{"text": text}]}
@@ -153,6 +167,32 @@ class _Handler(BaseHTTPRequestHandler):
         self.send_header("Content-Length", str(len(body)))
         self.end_headers()
         self.wfile.write(body)
+
+
+_FRAMED = ("/chunked", "/close-delimited", "/http10", "/continue", "/length-conflict", "/length-invalid")
+
+
+def _framed(path: str, body: bytes) -> bytes:
+    """The whole reply that a framing route sends for ``body``."""
+    status, length = b"HTTP/1.1 200 OK\r\n", b"Content-Length: %d\r\n" % len(body)
+    if path == "/chunked":
+        chunks = b'5;note="first"\r\n%s\r\n%x\r\n%s\r\n0\r\n' % (body[:5], len(body) - 5, body[5:])
+        return status + b"Transfer-Encoding: chunked\r\n\r\n" + chunks + b"X-Trailer: ignored\r\n\r\n"
+    if path == "/close-delimited":
+        return status + b"Connection: close\r\n\r\n" + body
+    if path == "/http10":
+        return b"HTTP/1.0 200 OK\r\n" + length + b"\r\n" + body
+    if path == "/continue":
+        return b"HTTP/1.1 100 Continue\r\n\r\n" + status + length + b"\r\n" + body
+    if path == "/length-conflict":
+        return status + length + b"Content-Length: %d\r\n\r\n" % (len(body) + 1) + body
+    if path == "/length-invalid":
+        return status + b"Content-Length: +%d\r\n\r\n" % len(body) + body
+    size = int(path.partition("-")[2])
+    if path.startswith("/line-"):
+        return status + length + b"X-Long: " + b"a" * (size - len(b"X-Long: \r\n")) + b"\r\n\r\n" + body
+    fields = b"".join(b"X-Field-%d: %d\r\n" % (n, n) for n in range(size - 1))
+    return status + length + fields + b"\r\n" + body
 
 
 class _Server(ThreadingHTTPServer):

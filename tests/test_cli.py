@@ -1,4 +1,5 @@
 import argparse
+import http.client
 import json
 import logging
 import os
@@ -6,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import unicodedata
 from pathlib import Path
 
 import pytest
@@ -13,7 +15,10 @@ import pytest
 import glossmt
 from glossmt import cli, runner
 from glossmt._jsonl import read_records
-from glossmt.cli import Layout, build_parser, main
+from glossmt.cli import COMMANDS, Layout, build_parser, main
+from glossmt.config import InferenceConfig
+from glossmt.errors import UsageError
+from interpreters import OTHER_INTERPRETERS
 
 CONFIG_TEMPLATE = """\
 [project]
@@ -413,6 +418,64 @@ class TestDeterminism:
         assert layout.path("splits", "en-es").read_bytes() != first
 
 
+class TestUnicodeForms:
+    def test_nfd_spanish_side_gives_the_nfc_runs_candidates_and_datasets(self, tmp_path, fixtures_dir):
+        inputs = {name: tmp_path / name for name in ("emea.es", "glossary_en_es.tsv")}
+        config, layout = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
+        for name, path in inputs.items():
+            edit_config(config, str(fixtures_dir / name), str(path))
+
+        def ingest_and_build(form):
+            for name, path in inputs.items():
+                text = (fixtures_dir / name).read_text(encoding="utf-8")
+                path.write_text(unicodedata.normalize(form, text), encoding="utf-8")
+            for step in ("ingest", "build"):
+                assert run(step, "--config", config) == 0
+            artifacts = {p.relative_to(layout.root): p.read_bytes() for p in layout.root.rglob("*") if p.is_file()}
+            shutil.rmtree(layout.root)
+            return artifacts
+
+        nfc = ingest_and_build("NFC")
+        assert inputs["emea.es"].read_bytes() == (fixtures_dir / "emea.es").read_bytes()
+        assert ingest_and_build("NFD") == nfc
+        assert inputs["emea.es"].read_bytes() != (fixtures_dir / "emea.es").read_bytes()
+        assert any(path.parts[0] == "candidates" for path in nfc)
+
+
+def pipeline_artifacts(python, config, layout):
+    """Every artifact but the timing sidecar, after the five commands ran
+    under ``python`` with a random hash seed; the output is then removed."""
+    env = {**os.environ, "PYTHONPATH": str(Path(glossmt.__file__).parents[1]), "PYTHONHASHSEED": "random"}
+    for command in COMMANDS:
+        result = subprocess.run(
+            [python, "-m", "glossmt.cli", command, "--config", config],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, (python, command, result.stderr)
+    artifacts = {
+        path.relative_to(layout.root): path.read_bytes()
+        for path in layout.root.rglob("*")
+        if path.is_file() and not path.name.endswith(".timing.jsonl")
+    }
+    shutil.rmtree(layout.root)
+    return artifacts
+
+
+@pytest.fixture(scope="module")
+def reference_run(tmp_path_factory, fixtures_dir, stub_endpoint):
+    """A project, and the artifacts this interpreter makes from it."""
+    config, layout = write_project(tmp_path_factory.mktemp("interpreters"), fixtures_dir, stub_endpoint.url + "/echo")
+    return config, layout, pipeline_artifacts(sys.executable, config, layout)
+
+
+@pytest.mark.parametrize("python", OTHER_INTERPRETERS)
+def test_same_bytes_on_every_interpreter(reference_run, python):
+    config, layout, expected = reference_run
+    artifacts = pipeline_artifacts(python, config, layout)
+    assert sorted(artifacts) == sorted(expected)
+    assert [name for name in expected if artifacts[name] != expected[name]] == []
+
+
 class TestExitCodes:
     def test_interrupt_exits_130_with_one_line(self, tmp_path, fixtures_dir, monkeypatch, capsys):
         config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
@@ -549,6 +612,80 @@ class TestExitCodes:
         assert err.startswith("glossmt: usage error:") and key in err
         assert stub_endpoint.requests == []
         assert not layout.path("generations", "en-es").exists()
+
+    @pytest.mark.parametrize(
+        "token",
+        ["abc\r\nX-Evil: 1", "abc\n", "abc\rdef", "\u20ac"],
+        ids=["header-injection", "line-feed", "carriage-return", "outside-latin-1"],
+    )
+    def test_unsendable_token_stops_translate_before_any_connection(
+        self, tmp_path, fixtures_dir, stub_endpoint, monkeypatch, capsys, token
+    ):
+        config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        for step in ("ingest", "build"):
+            assert run(step, "--config", config) == 0
+        monkeypatch.setenv(runner.TOKEN_ENV_VAR, token)
+        stub_endpoint.reset()
+        capsys.readouterr()
+        assert run("translate", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith(f"glossmt: usage error: {runner.TOKEN_ENV_VAR} ")
+        assert token.split()[0] not in err
+        assert stub_endpoint.connections_opened == 0
+        assert not layout.path("generations", "en-es").exists()
+
+    @pytest.mark.parametrize("path", ["/a b", "/caf\u00e9", "/del\x7f"], ids=["space", "outside-ascii", "control"])
+    def test_unsendable_target_stops_translate_before_any_connection(
+        self, tmp_path, fixtures_dir, stub_endpoint, capsys, path
+    ):
+        config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        for step in ("ingest", "build"):
+            assert run(step, "--config", config) == 0
+        edit_config(config, stub_endpoint.url + "/echo", stub_endpoint.url + path)
+        stub_endpoint.reset()
+        capsys.readouterr()
+        assert run("translate", "--config", config) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "Traceback" not in err
+        assert err.startswith("glossmt: usage error: endpoint_url holds a character")
+        assert stub_endpoint.connections_opened == 0
+        assert not layout.path("generations", "en-es").exists()
+
+    @pytest.mark.parametrize(
+        "path, token",
+        [
+            ("/echo", "tok-123"),
+            ("/echo", "caf\u00e9"),
+            ("/echo", "abc\r\n folded"),
+            ("/echo", "abc\n\tfolded"),
+            ("/echo", "abc\r\nX-Evil: 1"),
+            ("/echo", "abc\r"),
+            ("/echo", "\u20ac"),
+            ("/a b", ""),
+            ("/caf\u00e9", ""),
+            ("/tab\x7f", ""),
+            ("/echo?q=a%20b", ""),
+        ],
+    )
+    def test_refuses_what_http_client_refuses(self, monkeypatch, path, token):
+        conn = http.client.HTTPConnection("127.0.0.1", 9)
+        try:
+            conn.putrequest("POST", path)
+            conn.putheader("Authorization", f"Bearer {token}")
+        except (ValueError, http.client.InvalidURL):
+            http_client_refuses = True
+        else:
+            http_client_refuses = False
+        monkeypatch.setenv(runner.TOKEN_ENV_VAR, token)
+        inference = InferenceConfig(endpoint_url=f"http://127.0.0.1:9{path}")
+        try:
+            runner.generate_batch([], inference)
+        except UsageError:
+            refused = True
+        else:
+            refused = False
+        assert refused == http_client_refuses
 
     @pytest.mark.parametrize(
         "url",

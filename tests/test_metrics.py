@@ -2,6 +2,7 @@ import logging
 import math
 import re
 import sys
+import unicodedata
 
 import pytest
 from hypothesis import example, given, settings
@@ -21,7 +22,9 @@ from glossmt.metrics import (
     term_accuracy,
     tokenize_13a,
 )
-from glossmt.postprocess import ModelOutput
+from glossmt.postprocess import ModelOutput, postprocess_batch
+from glossmt.promptgen import builtin_template
+from glossmt.runner import GenerationRecord
 from glossmt.terminology import Glossary, GlossaryEntry, TermMatcher
 from oracles import _ngram_bag, bleu_oracle, chrf_oracle, reference_tokenize
 
@@ -332,6 +335,27 @@ class TestTermAccuracy:
             outputs, self.candidates(self.segments(en_es), en_es)
         )
         assert correct == 2 and total == 4
+
+    def test_nfd_output_scores_as_its_nfc_twin(self, en_es):
+        # Outputs reach the metrics through postprocess_batch, which puts the cleaned text in NFC.
+        segments = self.segments(en_es)
+        candidates = self.candidates(segments, en_es)
+        references = [s.target_text for s in segments]
+        replies = ["la dosis de insulina parece baja", "se observó fiebre y erupción"]
+
+        def scores(form):
+            records = [
+                GenerationRecord(s.id, "prompt", unicodedata.normalize(form, reply) + "<|im_end|>chatter", "m", {}, 1)
+                for s, reply in zip(segments, replies)
+            ]
+            outputs, _ = postprocess_batch(records, builtin_template("chatml"))
+            hypotheses = [o.cleaned_text for o in outputs]
+            return term_accuracy(outputs, candidates), bleu(hypotheses, references), chrf(hypotheses, references)
+
+        assert unicodedata.normalize("NFD", replies[1]) != replies[1]
+        nfd = scores("NFD")
+        assert nfd == scores("NFC")
+        assert nfd[0] == (1.0, 4, 4)
 
     def test_zero_expected_pairs_scores_0(self, en_es):
         segments = [

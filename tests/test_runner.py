@@ -1,7 +1,9 @@
 import base64
 import dataclasses
+import http.client
 import json
 import logging
+import re
 import socket
 import sys
 import time
@@ -437,6 +439,95 @@ class TestConnections:
         elapsed = time.monotonic() - started
         assert all(r.ok for r in records)
         assert elapsed < 1.0
+
+
+class TestReplyFraming:
+    """Reply framings that the other routes never send. Each batch has one
+    worker, so the connection counts are exact."""
+
+    def run_batch(self, caplog, path, **overrides):
+        with StubEndpoint() as stub, caplog.at_level(logging.INFO, logger="glossmt.runner"):
+            batch = prompts(3, prefix=path)
+            records = generate_batch(batch, config(stub.url + path, **overrides))
+            assert len(stub.requests) == 3
+            assert stub.open_connections() == 0
+        return [echo_text(p.rendered_text) for p in batch], records, connection_counts(caplog)
+
+    @pytest.mark.parametrize(
+        "path, opened",
+        [
+            ("/chunked", 1),
+            ("/continue", 1),
+            ("/close-delimited", 3),
+            ("/http10", 3),
+            ("/line-65536", 1),
+            ("/fields-100", 1),
+        ],
+    )
+    def test_reply_is_read_whole_and_its_connection_kept_only_if_it_may_be(self, caplog, path, opened):
+        expected, records, counts = self.run_batch(caplog, path, max_retries=0)
+        assert [(r.raw_output, r.error, r.attempts) for r in records] == [(text, None, 1) for text in expected]
+        assert counts == {"opened": opened, "reopened": 0, "requests_sent": 3}
+
+    @pytest.mark.parametrize(
+        "path, error",
+        [
+            ("/length-conflict", r"invalid Content-Length '(\d+), (?!\1)\d+'"),
+            ("/length-invalid", r"invalid Content-Length '\+\d+'"),
+            ("/line-65537", "header section: line longer than 65536 bytes"),
+            ("/fields-101", "more than 100 header fields"),
+        ],
+    )
+    def test_reply_that_breaks_the_framing_rules_fails_its_request(self, caplog, path, error):
+        _, records, counts = self.run_batch(caplog, path, max_retries=0)
+        for record in records:
+            assert record.raw_output == "" and record.attempts == 1
+            assert re.fullmatch("request failed after 1 attempts: " + error, record.error), record.error
+        # Each failure closes its connection, so no reply is read from what is left of another.
+        assert counts == {"opened": 3, "reopened": 0, "requests_sent": 3}
+
+    def test_no_route_goes_through_http_client_requests(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("an exchange went through http.client")
+
+        monkeypatch.setattr(http.client.HTTPConnection, "request", refuse)
+        monkeypatch.setattr(http.client.HTTPConnection, "getresponse", refuse)
+        for name in ("http_proxy", "https_proxy", "all_proxy", "no_proxy"):
+            monkeypatch.delenv(name, raising=False)
+            monkeypatch.delenv(name.upper(), raising=False)
+        batch = prompts(3, prefix="one path")
+        expected = [echo_text(p.rendered_text) for p in batch]
+        with StubEndpoint() as stub:
+            assert [r.raw_output for r in generate_batch(batch, config(stub.url + "/echo"))] == expected
+            monkeypatch.setenv("http_proxy", stub.url)
+            proxied = generate_batch(batch, config("http://glossmt-proxy.invalid/echo"))
+            assert [r.raw_output for r in proxied] == expected
+            assert [path for path, _, _ in stub.requests[3:]] == ["http://glossmt-proxy.invalid/echo"] * 3
+        monkeypatch.setenv("SSL_CERT_FILE", str(TestTLS.CERTIFICATE))
+        with StubEndpoint(TestTLS.CERTIFICATE, FIXTURES / "localhost-key.pem") as stub:
+            assert [r.raw_output for r in generate_batch(batch, config(stub.url + "/echo"))] == expected
+
+    @pytest.mark.parametrize("proxied", [False, True], ids=["direct", "proxied"])
+    def test_request_head_is_the_one_http_client_sends(self, monkeypatch, proxied):
+        monkeypatch.setenv(TOKEN_ENV_VAR, "tok-123")
+        for name in ("http_proxy", "HTTP_PROXY", "no_proxy", "NO_PROXY"):
+            monkeypatch.delenv(name, raising=False)
+        with StubEndpoint() as stub:
+            url, target = stub.url + "/echo?q=1", "/echo?q=1"
+            headers = {"Content-Type": "application/json", "Authorization": "Bearer tok-123"}
+            if proxied:
+                url = target = "http://glossmt-proxy.invalid:8080/echo?q=1"
+                monkeypatch.setenv("http_proxy", stub.url.replace("http://", "http://user:secret@"))
+                headers["Proxy-Authorization"] = "Basic " + base64.b64encode(b"user:secret").decode("ascii")
+            cfg = config(url)
+            generate_batch(prompts(1), cfg)
+            conn = http.client.HTTPConnection(stub.url.removeprefix("http://"))
+            conn.request("POST", target, json.dumps(cfg.payload("translate this 0")).encode("utf-8"), headers)
+            conn.getresponse().read()
+            conn.close()
+            ours, reference = stub.requests
+        assert ours[:2] == reference[:2]
+        assert list(ours[2].items()) == list(reference[2].items())
 
 
 class TestTLS:

@@ -2,12 +2,13 @@ import csv
 import logging
 import re
 import sys
+import unicodedata
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from glossmt.corpus import ParallelSegment
+from glossmt.corpus import ParallelSegment, load_parallel
 from glossmt.errors import FormatError, UsageError
 from glossmt.terminology import (
     Glossary,
@@ -24,6 +25,9 @@ from glossmt.terminology import (
     write_candidates,
     write_glossary_tsv,
 )
+from glossmt.postprocess import postprocess_batch
+from glossmt.promptgen import builtin_template
+from glossmt.runner import GenerationRecord
 from oracles import brute_force_candidates
 
 
@@ -442,6 +446,23 @@ def test_head_class_is_isalnum_on_every_code_point():
     # boundaries are checked with str.isalnum. They must agree everywhere.
     every = "".join(map(chr, range(sys.maxunicode + 1)))
     assert re.findall(r"[^\W_]", every) == [c for c in every if c.isalnum()]
+
+
+class TestUnicodeForms:
+    """Text is put in NFC where it enters: a combining accent is then part
+    of its letter, not a word boundary after it."""
+
+    def test_dose_does_not_match_inside_nfd_dose_accented(self, tmp_path, en_es):
+        source, target = tmp_path / "corpus.en", tmp_path / "corpus.es"
+        source.write_text(unicodedata.normalize("NFD", "a dosé of insulin\n"), encoding="utf-8")
+        target.write_text("una dosis de insulina\n", encoding="utf-8")
+        (read,) = load_parallel(source, target, en_es)
+        matcher = TermMatcher(glossary_of(en_es, ("dose", "dosis"), ("insulin", "insulina")))
+        assert [(p.source_term, p.target_term) for p in matcher.find_candidates(read)] == [("insulin", "insulina")]
+        record = GenerationRecord("0", "prompt", unicodedata.normalize("NFD", "una dosé de insulina"), "m", {}, 1)
+        (output,), _ = postprocess_batch([record], builtin_template("chatml"))
+        assert not term_in_text("dose", output.cleaned_text)
+        assert term_in_text("insulina", output.cleaned_text)
 
 
 class TestCandidateIO:

@@ -22,6 +22,7 @@ from glossmt.postprocess import ModelOutput
 from glossmt.promptgen import InstructionExample, TemplateSpec
 from glossmt.runner import GenerationRecord
 from glossmt.terminology import Glossary, GlossaryEntry, TermPair
+from interpreters import OTHER_INTERPRETERS
 
 EN_ES = LanguagePair("en", "es", "English", "Spanish")
 ENTRY = GlossaryEntry("dose", "dosis", 4, "10")
@@ -197,14 +198,7 @@ def test_only_frozen_sets_fields():
     assert found == {("_jsonl.py", "Frozen")}
 
 
-def pyenv_interpreter(version):
-    root = Path(os.environ.get("PYENV_ROOT", Path.home() / ".pyenv")) / "versions"
-    found = sorted(root.glob(f"{version}.*/bin/python{version}"))
-    absent = pytest.mark.skipif(not found, reason=f"no Python {version} under {root}")
-    return pytest.param(found[-1] if found else None, id=version, marks=absent)
-
-
-@pytest.mark.parametrize("python", [pyenv_interpreter(version) for version in ("3.10", "3.12", "3.13")])
+@pytest.mark.parametrize("python", OTHER_INTERPRETERS)
 def test_records_are_alike_on_every_interpreter(python):
     # Records set their fields from locals(), which PEP 667 redefined in 3.13.
     script = Path(__file__).with_name("record_reprs.py")
