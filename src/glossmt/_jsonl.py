@@ -100,10 +100,14 @@ def open_atomic(path, errors: str = "strict"):
         raise
 
 
+# Stable key order and no trailing spaces: artifacts must be byte-identical
+# across runs with the same config and seed. One encoder serves every
+# record, since json.dumps with options makes a new one per call.
+_ENCODER = json.JSONEncoder(ensure_ascii=False, sort_keys=True, separators=(",", ": "))
+
+
 def dumps(record: dict[str, Any]) -> str:
-    # Stable key order and no trailing spaces: artifacts must be
-    # byte-identical across runs with the same config and seed.
-    return json.dumps(record, ensure_ascii=False, sort_keys=True, separators=(",", ": "))
+    return _ENCODER.encode(record)
 
 
 def write_jsonl(path, records: Iterable[dict[str, Any]], manifest: dict[str, Any] | None = None) -> None:

@@ -142,7 +142,7 @@ def cmd_build(config: PipelineConfig) -> int:
             {"tuning": tuning, "validation": validation, "test": test},
             manifest={**base_manifest, "pair": code},
         )
-        glossary = terminology.load_glossary(layout.require("glossary", code), pair_config.pair)
+        glossary = terminology.read_glossary_tsv(layout.require("glossary", code), pair_config.pair)
         matcher = terminology.build_matcher(glossary)
         train = promptgen.build_dataset(tuning, matcher, template, "train")
         test_prompts = promptgen.build_dataset(test, matcher, template, "test")

@@ -12,32 +12,38 @@ generated text either as ``{"text": ...}`` or OpenAI-style as
 ``{"choices": [{"text": ...}]}``. Redirects are not followed: a 3xx reply
 is final, like a 404.
 
-HTTP/1.1: the standard library's ``http.client`` only opens connections
-(TCP with Nagle's algorithm off, the CONNECT tunnel, TLS). The request's
-head is built and checked once per batch, with the fields ``http.client``
-would send: Host, ``Accept-Encoding: identity``, Content-Length,
-Content-Type, and Authorization or Proxy-Authorization where they apply. A
-target or token that ``http.client`` would refuse is a UsageError before
-any connection opens. Each request is one send of head and body. Replies
-are read here, through one buffered reader per connection: 1xx replies are
-skipped; the body is chunked when ``chunked`` is the last transfer coding,
-else as long as its one valid Content-Length says, else read to the close
-(RFC 9112 §6.3); an HTTP/1.1 reply keeps the connection unless it says
-``close``, an HTTP/1.0 one only with ``keep-alive``, and a body read to the
-close never does (§9.3). As in ``http.client``, a line may hold 65,536
-bytes and a head 100 field lines.
+HTTP/1.1, spoken here from connect to reply. A connection is a TCP socket
+with Nagle's algorithm off. To an https endpoint behind a proxy, it first
+carries a CONNECT request (HTTP/1.1, with Host and any
+Proxy-Authorization), whose reply must be 2xx. TLS goes through ``ssl``'s
+default context with ALPN ``http/1.1``, as ``http.client`` sets it up.
+``ssl`` is loaded only for a route with TLS, and ``urllib.request``, which
+reads the proxy settings, only when a ``*_proxy`` variable other than
+``no_proxy`` is set, or on macOS and Windows. The request's head is built
+and checked once per batch, with the fields ``http.client`` would send:
+Host, ``Accept-Encoding: identity``, Content-Length, Content-Type, and
+Authorization or Proxy-Authorization where they apply. A target or token
+that ``http.client`` would refuse is a UsageError before any connection
+opens. Each request is one send of head and body. Replies are read here,
+through one buffered reader per connection: 1xx replies are skipped; the
+body is chunked when ``chunked`` is the last transfer coding, else as long
+as its one valid Content-Length says, else read to the close (RFC 9112
+§6.3); an HTTP/1.1 reply keeps the connection unless it says ``close``, an
+HTTP/1.0 one only with ``keep-alive``, and a body read to the close never
+does (§9.3). As in ``http.client``, a line may hold 65,536 bytes and a
+head 100 field lines.
 
-Connections: each worker thread keeps one connection open across its
-requests, and the batch closes every one of them when it ends, also when it
-aborts or raises. No ``Connection: close`` is sent; a reply that closes the
-connection makes the next request open a new one. TCP_QUICKACK is set
-before each reply is read, where the platform has it: a server that writes
-a reply's headers and body in two sends with Nagle on, as ``http.server``
-does, would otherwise hold the body back until the client's delayed ACK,
-some 40 ms per request on a kept-alive connection. Every reply body is read
-to its end, retryable ones included; a failure anywhere in an exchange
-closes its connection, so what is left of a reply is never read as the
-next one.
+Connections: each of the ``max_concurrent_requests`` worker threads keeps
+one connection open across its requests, and closes it when it stops, also
+when the batch aborts or raises. No ``Connection: close`` is sent; a reply
+that closes the connection makes the next request open a new one.
+TCP_QUICKACK is set before each reply is read, where the platform has it: a
+server that writes a reply's headers and body in two sends with Nagle on,
+as ``http.server`` does, would otherwise hold the body back until the
+client's delayed ACK, some 40 ms per request on a kept-alive connection.
+Every reply body is read to its end, retryable ones included; a failure
+anywhere in an exchange closes its connection, so what is left of a reply
+is never read as the next one.
 
 Failure policy: connection errors, timeouts, other request failures (a
 body cut off mid-way, a head or body that breaks the framing rules above),
@@ -63,10 +69,11 @@ import logging
 import math
 import os
 import re
+import socket
+import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from typing import TYPE_CHECKING, Any, Sequence
 from urllib.parse import unquote, urlsplit
 
@@ -90,6 +97,9 @@ _BAD_FIELD_VALUE = re.compile("\n(?![ \t])|\r(?![ \t\n])").search
 _MAX_LINE = 65536
 _MAX_FIELDS = 100
 _HEX_DIGITS = b"0123456789abcdefABCDEF"
+
+# One encoder for every request body: json.dumps with options makes a new one per call.
+_REQUEST_ENCODER = json.JSONEncoder(allow_nan=False)
 
 
 class GenerationRecord(_jsonl.Frozen):
@@ -168,45 +178,69 @@ def _exhausted_error(failure: Exception | None, status: int | None, attempts: in
     return f"request failed after {attempts} attempts: {failure}"
 
 
-def _route(cfg: InferenceConfig, token: str | None):
-    """How a batch reaches ``cfg.endpoint_url``, directly or through a proxy
-    as the module docstring says: a function that makes a new, unopened
-    connection, and the request head's bytes before and after its
-    Content-Length value. Raises UsageError for a target or token that
-    http.client would refuse to send."""
-    # Imported here for the reason given in generate_batch.
-    import base64
-    import http.client
+def _proxy_for(url) -> str | None:
+    """The proxy that ``urllib.request.getproxies()`` names for ``url``'s
+    scheme and ``proxy_bypass`` does not bypass, or None. Off macOS and
+    Windows, whose system settings ``getproxies()`` also reads, it reads
+    only the environment's ``*_proxy`` variables, so unless one of them
+    could name a proxy (``no_proxy`` never does), urllib.request is not
+    loaded."""
+    if sys.platform != "darwin" and os.name != "nt" and not any(
+        value and name.lower().endswith("_proxy") and name.lower() != "no_proxy"
+        for name, value in os.environ.items()
+    ):
+        return None
     import urllib.request
 
+    proxy = urllib.request.getproxies().get(url.scheme)
+    return proxy if proxy and not urllib.request.proxy_bypass(url.netloc) else None
+
+
+def _host_port(netloc: str, default_port: int) -> tuple[str, int]:
+    """A connection's host and port, split from ``netloc`` as http.client
+    splits them: the port follows the last colon outside an IPv6 literal's
+    brackets, an empty one is ``default_port``, and the brackets go."""
+    host, colon, port = netloc.rpartition(":")
+    if not colon or "]" in port:
+        host, port = netloc, ""
+    try:
+        port = int(port) if port else default_port
+    except ValueError:
+        raise OSError(f"nonnumeric port: '{port}'") from None
+    if host.startswith("[") and host.endswith("]"):
+        host = host[1:-1]
+    return host, port
+
+
+def _route(cfg: InferenceConfig, token: str | None):
+    """How a batch reaches ``cfg.endpoint_url``, directly or through a proxy
+    as the module docstring says: a function that opens a new connection
+    and returns its socket, ready for the first request, and the request
+    head's bytes before and after its Content-Length value. Raises
+    UsageError for a target or token that http.client would refuse to
+    send."""
     url = urlsplit(cfg.endpoint_url)
     target = url.path + (f"?{url.query}" if url.query else "") or "/"
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    host, tunnel, tunnel_headers, tls = url.netloc, None, {}, url.scheme == "https"
-    proxy = urllib.request.getproxies().get(url.scheme)
-    if proxy and not urllib.request.proxy_bypass(url.netloc):
+    address, tunnel_host, tls = url.netloc, None, url.scheme == "https"
+    proxy, proxy_authorization = _proxy_for(url), None
+    if proxy:
         proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        host = unquote(proxy.netloc.rpartition("@")[2])
+        address = unquote(proxy.netloc.rpartition("@")[2])
         if proxy.username and proxy.password:
+            import base64
+
             credentials = f"{unquote(proxy.username)}:{unquote(proxy.password)}".encode()
-            # On a tunnel, they go with the CONNECT only, never to the endpoint.
-            (tunnel_headers if tls else headers)["Proxy-Authorization"] = (
-                "Basic " + base64.b64encode(credentials).decode("ascii")
-            )
+            proxy_authorization = "Basic " + base64.b64encode(credentials).decode("ascii")
         if tls:
-            tunnel = url.netloc
+            # Credentials go with the CONNECT only, never to the endpoint.
+            tunnel_host, tunnel_port = _host_port(url.netloc, 443)
         else:
             target, tls = cfg.endpoint_url.partition("#")[0], proxy.scheme == "https"
-    connection_class = http.client.HTTPSConnection if tls else http.client.HTTPConnection
-
-    def new_connection() -> http.client.HTTPConnection:
-        # An HTTPS connection verifies against the default TLS context.
-        conn = connection_class(host, timeout=cfg.request_timeout)
-        if tunnel:
-            conn.set_tunnel(tunnel, headers=tunnel_headers)
-        return conn
+            if proxy_authorization:
+                headers["Proxy-Authorization"] = proxy_authorization
 
     # Host names the endpoint: its netloc as written when the target is an
     # absolute URI, else without a port that is the scheme's default.
@@ -229,32 +263,81 @@ def _route(cfg: InferenceConfig, token: str | None):
         raise token_error
     try:
         # Only the token can fall outside Latin-1: the other fields are ASCII.
-        return new_connection, head.encode("ascii"), tail.encode("latin-1")
+        head, tail = head.encode("ascii"), tail.encode("latin-1")
     except UnicodeEncodeError:
         raise token_error from None
 
+    tunnel = None
+    if tunnel_host is not None:
+        # CONNECT names the endpoint's host and port in authority form, and
+        # so does its Host field (RFC 9110 §9.3.6).
+        name = tunnel_host if tunnel_host.isascii() else tunnel_host.encode("idna").decode("ascii")
+        authority = f"[{name}]:{tunnel_port}" if ":" in name else f"{name}:{tunnel_port}"
+        fields = f"Host: {authority}\r\n"
+        if proxy_authorization:
+            fields += f"Proxy-Authorization: {proxy_authorization}\r\n"
+        tunnel = f"CONNECT {authority} HTTP/1.1\r\n{fields}\r\n".encode("ascii")
+    context = None
+    if tls:
+        import ssl
+
+        # The settings http.client gives an HTTPS connection's default context.
+        context = ssl.create_default_context()
+        context.set_alpn_protocols(["http/1.1"])
+        if context.post_handshake_auth is not None:
+            context.post_handshake_auth = True
+
+    def connect() -> socket.socket:
+        host, port = _host_port(address, 443 if tls else 80)
+        # As bytes, an ASCII host skips getaddrinfo's idna codec and its import.
+        sock = socket.create_connection((host.encode() if host.isascii() else host, port), cfg.request_timeout)
+        try:
+            sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+            if tunnel is not None:
+                _open_tunnel(sock, tunnel)
+            # TLS verifies the endpoint's name through a tunnel, else the host's.
+            return sock if context is None else context.wrap_socket(sock, server_hostname=tunnel_host or host)
+        except BaseException:
+            sock.close()
+            raise
+
+    return connect, head, tail
+
+
+def _open_tunnel(sock: socket.socket, request: bytes) -> None:
+    """Send the CONNECT ``request`` on ``sock`` and read the proxy's reply,
+    which must be 2xx; the connection then carries the tunnel."""
+    sock.sendall(request)
+    with sock.makefile("rb") as reader:
+        _, status, reason = _read_status(reader)
+        _read_fields(reader)
+    if not 200 <= status < 300:
+        raise OSError(f"Tunnel connection failed: {status} {reason.strip().decode('latin-1')}")
+
 
 class _Link:
-    """A worker's connection to the endpoint or proxy. http.client opens it;
-    requests go out on its socket, and replies come in through one buffered
-    reader, made at connect and closed with the connection: the socket's
-    descriptor stays open as long as a reader made from it does."""
+    """A worker's connection to the endpoint or proxy: the socket that
+    ``connect`` opens, and one buffered reader for its replies, made at
+    connect and closed with it (the socket's descriptor stays open as long
+    as a reader made from it does). ``counts`` tallies the connections it
+    opened and reopened and the requests it sent."""
 
-    def __init__(self, new_connection):
-        self._new_connection = new_connection
-        self.conn = self.reader = None
+    def __init__(self, connect):
+        self._connect = connect
+        self.sock = self.reader = None
+        self.counts = Counter()
 
     def open(self) -> None:
-        self.conn = self._new_connection()
-        self.conn.connect()
-        self.reader = self.conn.sock.makefile("rb")
+        self.sock = self._connect()
+        self.reader = self.sock.makefile("rb")
+        self.counts["opened"] += 1
 
     def close(self) -> None:
         if self.reader is not None:
             self.reader.close()
-        if self.conn is not None:
-            self.conn.close()
-        self.conn = self.reader = None
+        if self.sock is not None:
+            self.sock.close()
+        self.sock = self.reader = None
 
 
 def _line(reader, part: str) -> bytes:
@@ -267,16 +350,16 @@ def _line(reader, part: str) -> bytes:
     return line
 
 
-def _read_status(reader) -> tuple[bool, int]:
+def _read_status(reader) -> tuple[bool, int, bytes]:
     """The final reply's status line, past any 1xx reply: whether it is
-    HTTP/1.1 (or a later 1.x) and its status code."""
+    HTTP/1.1 (or a later 1.x), its status code and its reason phrase."""
     while True:
         line = _line(reader, "status line")
-        version, status = (line.split(None, 2) + [b"", b""])[:2]
+        version, status, reason = (line.split(None, 2) + [b"", b""])[:3]
         if not (version.startswith(b"HTTP/1.") and len(status) == 3 and status.isdigit() and status >= b"100"):
             raise _BadReply(f"bad status line {line.rstrip().decode('latin-1')[:80]!r}")
         if status >= b"200":
-            return version != b"HTTP/1.0", int(status)
+            return version != b"HTTP/1.0", int(status), reason
         _read_fields(reader)  # a 1xx reply is a head alone
 
 
@@ -347,75 +430,68 @@ def _read_exactly(reader, size: int) -> bytes:
 
 def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationRecord]:
     """Send one request per test example; results come back in input order
-    regardless of completion order or concurrency level."""
-    # Imported here, not at module level: no other stage sends a request.
-    import http.client
-    import socket
+    regardless of completion order or concurrency level.
 
+    ``max_concurrent_requests`` worker threads take the examples in order
+    from one shared iterator. A worker that raises, an unreachable
+    endpoint, or an interrupt of the calling thread sets ``abort``: no
+    worker starts another example, and once the examples in flight are
+    done the error is raised."""
     for example in examples:
         if example.mode != "test":
             raise UsageError(
                 f"generate_batch takes test prompts only; segment {example.segment_id} is {example.mode}"
             )
     # The route, and so the proxy variables, are read once, at batch start.
-    new_connection, head, tail = _route(cfg, os.environ.get(TOKEN_ENV_VAR))
+    connect, head, tail = _route(cfg, os.environ.get(TOKEN_ENV_VAR))
     quickack = getattr(socket, "TCP_QUICKACK", None)
     snapshot = cfg.snapshot()
     abort = threading.Event()
-    held = threading.local()  # each worker's one link
-    links = []
-    lock = threading.Lock()
-    counts = Counter()  # opened, reopened, sent
+    lock = threading.Lock()  # guards the shared iterator
+    pending = enumerate(examples)
+    results: list[GenerationRecord | None] = [None] * len(examples)  # None: not started
+    unreachable: list[str] = []  # the segment ids whose last attempt found no endpoint
+    raised: list[BaseException] = []
 
-    def count(event: str) -> None:
-        with lock:
-            counts[event] += 1
-
-    def exchange(link: _Link, data: bytes) -> tuple[bool, int]:
+    def exchange(link: _Link, data: bytes) -> tuple[bool, int, bytes]:
         """Send ``data`` on ``link``, opening it first if it is closed, and
         read the final reply's status line. A failure before the status
         line is _Unreachable, but for a timeout waiting for it."""
         try:
             if link.reader is None:
                 link.open()
-                count("opened")
-            link.conn.sock.sendall(b"".join((head, b"%d" % len(data), tail, data)))
-        except (OSError, http.client.HTTPException) as exc:
+            link.sock.sendall(b"".join((head, b"%d" % len(data), tail, data)))
+        except (OSError, _BadReply) as exc:
             raise _Unreachable(exc) from exc
-        count("sent")
+        link.counts["sent"] += 1
         try:
             if quickack is not None:
                 # ACK the reply's first segment at once, so that a server with
                 # Nagle on does not hold the rest until the delayed ACK.
-                link.conn.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
+                link.sock.setsockopt(socket.IPPROTO_TCP, quickack, 1)
             return _read_status(link.reader)
         except TimeoutError:
             raise
         except (OSError, _BadReply) as exc:
             raise _Unreachable(exc) from exc
 
-    def send(data: bytes) -> tuple[int, bytes | None]:
+    def send(link: _Link, data: bytes) -> tuple[int, bytes | None]:
         """One attempt: the reply's status and body, with a None body when
         the status is retryable. Raises _Unreachable, TimeoutError, or
         another OSError or _BadReply from reading the rest of the reply.
-        Any failure closes the worker's link, so the next request opens a
-        new one and never reads what is left of this reply."""
-        link = getattr(held, "link", None)
-        if link is None:
-            link = held.link = _Link(new_connection)
-            with lock:
-                links.append(link)
+        Any failure closes the link, so the next request opens a new
+        connection and never reads what is left of this reply."""
         reused = link.reader is not None
         try:
             try:
-                http11, status = exchange(link, data)
+                http11, status, _ = exchange(link, data)
             except _Unreachable:
                 if not reused:
                     raise
                 # The peer closed the idle connection: send once more on a new one.
-                count("reopened")
+                link.counts["reopened"] += 1
                 link.close()
-                http11, status = exchange(link, data)
+                http11, status, _ = exchange(link, data)
             fields = _read_fields(link.reader)
             body, keep = _read_body(link.reader, http11, status, fields)
         except BaseException:
@@ -437,51 +513,73 @@ def generate_batch(examples: Sequence, cfg: InferenceConfig) -> list[GenerationR
             duration_s=time.monotonic() - started,
         )
 
-    def worker(example):
+    def generate(link: _Link, example) -> GenerationRecord:
         started = time.monotonic()
-        if abort.is_set():
-            return "skipped", None
-        data = json.dumps(cfg.payload(example.rendered_text), allow_nan=False).encode("utf-8")
+        data = _REQUEST_ENCODER.encode(cfg.payload(example.rendered_text)).encode("utf-8")
         attempts = 0
         while True:
             attempts += 1
             failure = status = None
             try:
-                status, body = send(data)
+                status, body = send(link, data)
             except (_Unreachable, _BadReply, OSError) as exc:
                 failure = exc
             else:
                 if body is not None:
                     text, error = _read_response(status, body)
-                    return "done", make_record(example, text, attempts, error, started)
+                    return make_record(example, text, attempts, error, started)
             if attempts <= cfg.max_retries:
                 time.sleep(math.ldexp(cfg.retry_backoff, attempts - 1))
                 continue
-            record = make_record(
-                example, "", attempts, _exhausted_error(failure, status, attempts), started
-            )
             if isinstance(failure, _Unreachable):
+                unreachable.append(example.segment_id)
                 abort.set()
                 log.error("segment=%s endpoint_unreachable attempts=%d", example.segment_id, attempts)
-                return "unreachable", record
-            return "done", record
+            return make_record(example, "", attempts, _exhausted_error(failure, status, attempts), started)
 
-    try:
-        with ThreadPoolExecutor(max_workers=cfg.max_concurrent_requests) as pool:
-            outcomes = list(pool.map(worker, examples))
-    finally:
-        for link in links:
+    def work(link: _Link) -> None:
+        try:
+            while not abort.is_set():
+                with lock:
+                    index, example = next(pending, (None, None))
+                if index is None:
+                    return
+                results[index] = generate(link, example)
+        except BaseException as exc:  # raised again by the calling thread
+            raised.append(exc)
+            abort.set()
+        finally:
             link.close()
+
+    links = [_Link(connect) for _ in range(min(cfg.max_concurrent_requests, len(examples)))]
+    workers = []
+    try:
+        for link in links:
+            worker = threading.Thread(target=work, args=(link,), name="glossmt-runner")
+            worker.start()
+            workers.append(worker)
+        for worker in workers:
+            worker.join()
+    except BaseException:
+        # An interrupt: the workers finish the examples in flight and stop.
+        abort.set()
+        for worker in workers:
+            worker.join()
+        raise
+    finally:
+        counts = sum((link.counts for link in links), Counter())
         log.info(
             "batch_connections opened=%d reopened=%d requests_sent=%d",
             counts["opened"], counts["reopened"], counts["sent"],
         )
+    if raised:
+        raise raised[0]
 
-    records = [record for status, record in outcomes if status != "skipped"]
-    if any(status == "unreachable" for status, _ in outcomes):
+    records = [record for record in results if record is not None]
+    if unreachable:
         raise EndpointError(
             f"endpoint {cfg.endpoint_url} unreachable; "
-            f"{sum(1 for s, r in outcomes if s == 'done')} of {len(examples)} prompts completed",
+            f"{len(records) - len(unreachable)} of {len(examples)} prompts completed",
             partial_records=records,
         )
     failures = sum(1 for record in records if not record.ok)

@@ -19,13 +19,14 @@ candidate lists rendered into prompts):
 from __future__ import annotations
 
 import csv
+import json
 import logging
 import re
 from typing import Iterable, Sequence
 
 from . import _jsonl
 from .corpus import LanguagePair, ParallelSegment, normalize_text, read_text_lines
-from .errors import UsageError
+from .errors import FormatError, UsageError
 
 log = logging.getLogger(__name__)
 
@@ -124,6 +125,42 @@ def load_glossary(path, pair: LanguagePair) -> Glossary:
     if skipped:
         log.info("path=%s skipped_rows=%d", path, skipped)
     return Glossary.build(pair, entries)
+
+
+def read_glossary_tsv(path, pair: LanguagePair) -> Glossary:
+    """Read a glossary artifact as strictly as :func:`write_glossary_tsv`
+    writes one: its manifest comment first, then one row per entry, each
+    with 4 fields, a reliability of exactly ``1`` to ``4``, both terms
+    non-empty and already normalized, and no casefolded pair twice. Any
+    other line is a FormatError that names it. :func:`load_glossary` stays
+    the reader of the user's glossary files."""
+    lines = read_text_lines(path)
+    try:
+        manifest = json.loads(lines[0].removeprefix("# ")) if lines and lines[0].startswith("# ") else None
+    except (ValueError, RecursionError):
+        manifest = None
+    if not isinstance(manifest, dict):
+        raise FormatError("the first line is not the manifest comment", path=path, line=1)
+    entries: list[GlossaryEntry] = []
+    seen: set[tuple[str, str]] = set()
+    for line_number, line in enumerate(lines[1:], start=2):
+        row = _split_row(line)
+        try:
+            if len(row) != 4:
+                raise ValueError(f"{len(row)} fields, not 4")
+            source_term, target_term, reliability, domain_id = row
+            if reliability not in ("1", "2", "3", "4"):
+                raise ValueError(f"reliability {reliability!r} is not 1 to 4")
+            entry = GlossaryEntry(source_term, target_term, int(reliability), domain_id)
+            if (entry.source_term, entry.target_term) != (source_term, target_term):
+                raise ValueError("a term is not whitespace-normalized")
+            if entry.key in seen:
+                raise ValueError(f"duplicate glossary pair {source_term!r} -> {target_term!r}")
+        except (ValueError, UsageError) as exc:
+            raise FormatError(f"bad glossary row: {exc}", path=path, line=line_number) from exc
+        seen.add(entry.key)
+        entries.append(entry)
+    return Glossary(pair, tuple(entries))
 
 
 def _split_row(line: str) -> list[str]:
@@ -357,7 +394,8 @@ def read_candidates(path) -> list[tuple[str, list[TermPair]]]:
 
 
 def write_glossary_tsv(path, entries: Iterable[GlossaryEntry], manifest: dict | None = None) -> None:
-    """Write entries in the 4-column TSV format load_glossary reads."""
+    """Write entries in the 4-column TSV format load_glossary and
+    read_glossary_tsv read, after a manifest comment line when given one."""
     with _jsonl.open_atomic(path) as handle:
         if manifest is not None:
             handle.write("# " + _jsonl.dumps(manifest) + "\n")

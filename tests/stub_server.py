@@ -25,13 +25,16 @@ Routes (select behaviour by path):
   /length-invalid  -> echoes under Content-Length: +N
   /line-N       -> echoes with one header line N bytes long, its CRLF included
   /fields-N     -> echoes with N header fields in all
-  (any CONNECT) -> 403, recorded as ("CONNECT host:port", None, headers)
+  (any CONNECT) -> 403, recorded as ("CONNECT host:port", None, headers); a stub
+                   made with tunnels=True answers 200 and relays bytes both ways
+                   between the client and host:port until either side closes
 
 Any other path echoes, including the absolute URI a client sends to a proxy.
 
 The server speaks HTTP/1.1, so a client may keep a connection open across
 requests. Every request is recorded on server.requests as (path, payload,
-headers) so tests can assert on bodies and on what was *not* sent. The
+headers) so tests can assert on bodies and on what was *not* sent, and its
+request line, with the HTTP version the client sent, on .request_lines. The
 server also counts the connections it accepted, those still open, and the
 replies a client left before reading (a broken pipe or reset, counted
 instead of printed). With a certificate, it serves HTTPS.
@@ -41,6 +44,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import socket
 import ssl
 import sys
 import threading
@@ -79,7 +83,19 @@ class _Handler(BaseHTTPRequestHandler):
     def do_CONNECT(self):
         with self.server.lock:
             self.server.requests.append((f"CONNECT {self.path}", None, {key: value for key, value in self.headers.items()}))
-        self._send(403, b'{"error": "no tunnels"}')
+            self.server.request_lines.append(self.requestline)
+        if not self.server.tunnels:
+            self._send(403, b'{"error": "no tunnels"}')
+            return
+        host, _, port = self.path.rpartition(":")
+        with socket.create_connection((host, int(port))) as upstream:
+            self.send_response(200, "Connection established")
+            self.end_headers()
+            back = threading.Thread(target=_relay, args=(upstream, self.connection))
+            back.start()
+            _relay(self.connection, upstream)
+            back.join(timeout=5)
+        self.close_connection = True
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -92,6 +108,7 @@ class _Handler(BaseHTTPRequestHandler):
             self.server.requests.append(
                 (self.path, payload, {key: value for key, value in self.headers.items()})
             )
+            self.server.request_lines.append(self.requestline)
         prompt = payload.get("prompt", "")
 
         if self.path == "/notfound":
@@ -169,6 +186,16 @@ class _Handler(BaseHTTPRequestHandler):
         self.wfile.write(body)
 
 
+def _relay(source, sink):
+    """Copy what ``source`` receives to ``sink``; at its end, end ``sink``'s sending side."""
+    try:
+        while data := source.recv(65536):
+            sink.sendall(data)
+        sink.shutdown(socket.SHUT_WR)
+    except OSError:
+        pass
+
+
 _FRAMED = ("/chunked", "/close-delimited", "/http10", "/continue", "/length-conflict", "/length-invalid")
 
 
@@ -206,10 +233,12 @@ class _Server(ThreadingHTTPServer):
 
 class StubEndpoint:
     """Context manager exposing .url plus captured .requests and connection
-    counts; given a PEM certificate and key, it serves HTTPS."""
+    counts; given a PEM certificate and key, it serves HTTPS, and with
+    ``tunnels`` it opens the tunnels that CONNECT requests ask for."""
 
-    def __init__(self, certificate=None, key=None):
+    def __init__(self, certificate=None, key=None, tunnels=False):
         self._server = _Server(("127.0.0.1", 0), _Handler)
+        self._server.tunnels = tunnels
         self._scheme = "http"
         if certificate:
             context = ssl.SSLContext(ssl.PROTOCOL_TLS_SERVER)
@@ -218,6 +247,7 @@ class StubEndpoint:
             self._scheme = "https"
         self._server.lock = threading.Lock()
         self._server.requests = []
+        self._server.request_lines = []
         self._server.flaky_seen = set()
         self._server.paths_seen = set()
         self._server.connections_open = 0
@@ -248,6 +278,11 @@ class StubEndpoint:
             return list(self._server.requests)
 
     @property
+    def request_lines(self) -> list[str]:
+        with self._server.lock:
+            return list(self._server.request_lines)
+
+    @property
     def connections_opened(self) -> int:
         with self._server.lock:
             return self._server.connections_opened
@@ -272,6 +307,7 @@ class StubEndpoint:
     def reset(self):
         with self._server.lock:
             self._server.requests.clear()
+            self._server.request_lines.clear()
             self._server.flaky_seen.clear()
             self._server.paths_seen.clear()
             self._server.connections_opened = self._server.clients_gone = 0

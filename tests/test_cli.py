@@ -5,8 +5,10 @@ import logging
 import os
 import re
 import shutil
+import signal
 import subprocess
 import sys
+import time
 import unicodedata
 from pathlib import Path
 
@@ -19,6 +21,7 @@ from glossmt.cli import COMMANDS, Layout, build_parser, main
 from glossmt.config import InferenceConfig
 from glossmt.errors import UsageError
 from interpreters import OTHER_INTERPRETERS
+from stub_server import StubEndpoint
 
 CONFIG_TEMPLATE = """\
 [project]
@@ -334,6 +337,18 @@ class TestStartup:
              "glossmt.runner", "glossmt.postprocess", *SCORING_MODULES),
         )
 
+    def test_translate_to_plain_http_loads_no_http_client(self, tmp_path, fixtures_dir, stub_endpoint, monkeypatch):
+        for name in os.environ:
+            if name.lower().endswith("_proxy"):
+                monkeypatch.delenv(name)
+        monkeypatch.setenv("no_proxy", "127.0.0.1")  # it names no proxy, so it loads nothing
+        config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
+        for step in ("ingest", "build"):
+            assert run(step, "--config", config) == 0
+        run_fresh_process(
+            config, ("translate",), (*HTTP_CLIENT_MODULES, "email", "concurrent.futures", "encodings.idna")
+        )
+
     def test_stages_after_translate_load_no_http_client(self, tmp_path, fixtures_dir, stub_endpoint):
         config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
         run_fresh_process(config, ("score", "report"), HTTP_CLIENT_MODULES)
@@ -509,6 +524,74 @@ class TestExitCodes:
         assert "Traceback" not in result.stderr
         assert "interrupted" not in result.stderr
         assert layout.path("glossary", "en-es").is_file()
+
+    def test_interrupt_mid_batch_starts_no_request_after_the_signal(self, tmp_path, fixtures_dir):
+        # 20 prompts, 2 workers, 0.3 s per reply: the batch would take 3 s.
+        script = (
+            "import runpy, signal, sys\n"
+            "signal.signal(signal.SIGINT, signal.default_int_handler)  # also where the caller ignores SIGINT\n"
+            "sys.argv = ['glossmt', 'translate', '--config', sys.argv[1]]\n"
+            "runpy.run_module('glossmt.cli', run_name='__main__')\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(glossmt.__file__).parents[1])}
+        with StubEndpoint() as stub:
+            config, _ = write_project(tmp_path, fixtures_dir, stub.url + "/slow")
+            edit_config(config, "max_concurrent_requests = 4\n", "max_concurrent_requests = 2\n")
+            for step in ("ingest", "build"):
+                assert run(step, "--config", config) == 0
+            process = subprocess.Popen(
+                [sys.executable, "-c", script, str(config)], env=env, stderr=subprocess.PIPE, text=True
+            )
+            try:
+                deadline = time.monotonic() + 30
+                while not stub.requests and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                time.sleep(0.8)
+                process.send_signal(signal.SIGINT)
+                signalled = time.monotonic()
+                time.sleep(0.05)  # a request sent before the signal has reached the stub by now
+                sent = len(stub.requests)
+                _, err = process.communicate(timeout=10)
+                exit_s = time.monotonic() - signalled
+            finally:
+                process.kill()
+                process.wait()
+            assert len(stub.requests) == sent
+        assert process.returncode == 130
+        assert exit_s < 1.0
+        assert [line for line in err.splitlines() if not line.startswith("INFO glossmt.runner batch_connections ")] == [
+            "glossmt: interrupted"
+        ]
+        assert 1 <= sent < 20
+
+    @pytest.mark.parametrize(
+        "line, edit, reason",
+        [
+            (1, lambda row, first: first, "the first line is not the manifest comment"),
+            (3, lambda row, first: row[:3], "bad glossary row: 3 fields, not 4"),
+            (3, lambda row, first: [*row[:2], "5", row[3]], "bad glossary row: reliability '5' is not 1 to 4"),
+            (3, lambda row, first: [*row[:2], "04", row[3]], "bad glossary row: reliability '04' is not 1 to 4"),
+            (3, lambda row, first: [row[0] + " ", *row[1:]], "bad glossary row: a term is not whitespace-normalized"),
+            (3, lambda row, first: [row[0], "", *row[2:]], "bad glossary row: glossary terms must be non-empty"),
+            (
+                3,
+                lambda row, first: [first[0].upper(), *first[1:]],
+                "bad glossary row: duplicate glossary pair 'AMOXICILLIN' -> 'amoxicilina'",
+            ),
+        ],
+        ids=["no manifest", "3 fields", "5 stars", "04 stars", "unnormalized term", "empty term", "duplicate"],
+    )
+    def test_damaged_glossary_artifact_stops_build(self, tmp_path, fixtures_dir, capsys, line, edit, reason):
+        config, layout = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
+        assert run("ingest", "--config", config) == 0
+        glossary = layout.path("glossary", "en-es")
+        lines = glossary.read_text(encoding="utf-8").splitlines()
+        lines[line - 1] = "\t".join(edit(lines[line - 1].split("\t"), lines[1].split("\t")))
+        glossary.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("build", "--config", config) == 2
+        assert capsys.readouterr().err == f"glossmt: data error: {glossary}: {reason} (line {line})\n"
+        assert not layout.path("train_dataset", "en-es").exists()
 
     def test_missing_artifact_is_usage_error(self, tmp_path, fixtures_dir, stub_endpoint):
         config, _ = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")

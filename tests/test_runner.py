@@ -3,8 +3,10 @@ import dataclasses
 import http.client
 import json
 import logging
+import os
 import re
 import socket
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -21,6 +23,7 @@ from glossmt.runner import (
     write_run_manifest,
     write_timing_sidecar,
 )
+from interpreters import OTHER_INTERPRETERS
 from stub_server import StubEndpoint, echo_text
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -414,6 +417,32 @@ class TestConnections:
             assert stub.connections_opened >= 1
             assert stub.open_connections() == 0
 
+    def test_no_prompt_starts_after_a_worker_raises(self):
+        # Index 6 fails before its request goes out. By then the other worker
+        # may have taken index 7, but it starts nothing after that.
+        with StubEndpoint() as stub:
+            batch = prompts(6) + [Prompt("unsendable", {"not", "text"})] + prompts(40, prefix="after")
+            with pytest.raises(TypeError):
+                generate_batch(batch, config(stub.url + "/echo", max_concurrent_requests=2))
+            sent = {payload["prompt"] for _, payload, _ in stub.requests}
+        assert {p.rendered_text for p in batch[:6]} <= sent <= {p.rendered_text for p in batch[:6] + batch[7:8]}
+
+    def test_each_prompt_gets_its_own_record_with_more_workers_than_cores(self):
+        # The workers share one iterator and one result list: a lost or
+        # doubled take shows as a missing, repeated or misplaced record.
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with StubEndpoint() as stub:
+                batch = prompts(300, prefix="shared")
+                records = generate_batch(batch, config(stub.url + "/echo", max_concurrent_requests=8))
+                assert len(stub.requests) == 300
+        finally:
+            sys.setswitchinterval(interval)
+        assert [(r.segment_id, r.raw_output) for r in records] == [
+            (p.segment_id, echo_text(p.rendered_text)) for p in batch
+        ]
+
     def test_counts_hold_with_more_workers_than_cores(self, caplog):
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -587,6 +616,20 @@ class TestProxies:
         (record,) = exc.value.partial_records
         assert record.error.startswith("endpoint unreachable after 1 attempts")
 
+    def test_https_endpoint_is_reached_through_an_open_tunnel(self, monkeypatch):
+        monkeypatch.setenv("SSL_CERT_FILE", str(TestTLS.CERTIFICATE))
+        batch = prompts(6, prefix="tunnelled")
+        with StubEndpoint(TestTLS.CERTIFICATE, FIXTURES / "localhost-key.pem") as endpoint:
+            with StubEndpoint(tunnels=True) as proxy:
+                monkeypatch.setenv("https_proxy", proxy.url.replace("http://", "http://user:secret@"))
+                records = generate_batch(batch, config(endpoint.url + "/echo", max_concurrent_requests=2))
+                authority = endpoint.url.removeprefix("https://")
+                assert proxy.request_lines == [f"CONNECT {authority} HTTP/1.1"] * proxy.connections_opened
+            assert [(r.raw_output, r.attempts) for r in records] == [(echo_text(p.rendered_text), 1) for p in batch]
+            assert 1 <= proxy.connections_opened == endpoint.connections_opened <= 2
+            assert [path for path, _, _ in endpoint.requests] == ["/echo"] * 6
+            assert all("Proxy-Authorization" not in headers for _, _, headers in endpoint.requests)
+
     def test_no_proxy_host_is_reached_directly(self, monkeypatch):
         monkeypatch.setenv("http_proxy", "http://127.0.0.1:9")
         monkeypatch.setenv("no_proxy", "127.0.0.1")
@@ -594,3 +637,38 @@ class TestProxies:
             (record,) = generate_batch(prompts(1), config(stub.url + "/echo", max_retries=0))
             assert record.ok
             assert [path for path, _, _ in stub.requests] == ["/echo"]
+
+
+# Run in a new interpreter: a tunnelled request for an https endpoint, whose
+# CONNECT the stub refuses with a 403.
+TUNNEL_SCRIPT = """
+from glossmt.config import InferenceConfig
+from glossmt.errors import EndpointError
+from glossmt.runner import generate_batch
+
+class Prompt:
+    segment_id, rendered_text, mode = "0", "translate this 0", "test"
+
+try:
+    generate_batch([Prompt()], InferenceConfig("https://glossmt-proxy.invalid/echo", max_retries=0))
+except EndpointError as exc:
+    print(exc.partial_records[0].error)
+"""
+
+
+@pytest.mark.parametrize("python", [pytest.param(sys.executable, id="this"), *OTHER_INTERPRETERS])
+def test_connect_head_is_the_same_on_every_interpreter(python):
+    env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
+    env.update(PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env[TOKEN_ENV_VAR] = "tok-123"
+    with StubEndpoint() as stub:
+        env["https_proxy"] = stub.url.replace("http://", "http://user:secret@")
+        result = subprocess.run([python, "-c", TUNNEL_SCRIPT], env=env, capture_output=True, text=True, timeout=60)
+        assert result.returncode == 0, result.stderr
+        ((_, _, headers),) = stub.requests
+        assert stub.request_lines == ["CONNECT glossmt-proxy.invalid:443 HTTP/1.1"]
+    assert list(headers.items()) == [
+        ("Host", "glossmt-proxy.invalid:443"),
+        ("Proxy-Authorization", "Basic " + base64.b64encode(b"user:secret").decode("ascii")),
+    ]
+    assert result.stdout == "endpoint unreachable after 1 attempts: Tunnel connection failed: 403 Forbidden\n"

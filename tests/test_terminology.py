@@ -20,6 +20,7 @@ from glossmt.terminology import (
     casefold_with_map,
     filter_by_reliability,
     load_glossary,
+    read_glossary_tsv,
     read_candidates,
     term_in_text,
     write_candidates,
@@ -509,6 +510,23 @@ class TestGlossaryTsvIO:
         loaded = load_glossary(path, en_es)
         assert [e.key for e in loaded.entries] == [e.key for e in entries]
         assert [e.reliability for e in loaded.entries] == [4, 2]
+
+    def test_strict_reader_reads_what_the_writer_writes(self, tmp_path, en_es):
+        entries = [entry("fever", "fiebre", 4, "1001"), entry('say "ah"', 'diga "a"', 3, ""), entry("rash", "erupción", 1)]
+        path = tmp_path / "glossary.tsv"
+        write_glossary_tsv(path, entries, manifest={"source": "unit"})
+        assert '"say ""ah"""' in path.read_text(encoding="utf-8")
+        assert read_glossary_tsv(path, en_es) == load_glossary(path, en_es) == Glossary(en_es, tuple(entries))
+
+    def test_strict_reader_rejects_a_row_that_the_lenient_reader_skips(self, tmp_path, en_es, caplog):
+        path = tmp_path / "glossary.tsv"
+        write_glossary_tsv(path, [entry("fever", "fiebre"), entry("rash", "erupción")], manifest={})
+        path.write_text(path.read_text(encoding="utf-8").replace("fiebre\t", "fiebre "), encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="glossmt.terminology"):
+            assert len(load_glossary(path, en_es)) == 1
+        with pytest.raises(FormatError, match=r"bad glossary row: 3 fields, not 4 \(line 2\)$") as exc:
+            read_glossary_tsv(path, en_es)
+        assert exc.value.path == path
 
 
 class TestFormatErrors:
