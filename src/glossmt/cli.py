@@ -130,20 +130,23 @@ def cmd_build(config: PipelineConfig) -> int:
     layout = Layout(config.output_dir)
     template = config.template()
     base_manifest = config.manifest()
-    per_pair_tuning = []
-    # Train term pairs under the ids merge_tuning_sets gives the segments.
-    merged_pairs: dict[str, tuple[terminology.TermPair, ...]] = {}
+    # Every pair's corpus and glossary are read and checked before the first write.
+    inputs = []
     for pair_config in config.pairs:
         code = pair_config.pair.code
         segments = corpus.read_segments(layout.require("corpus", code), pair_config.pair)
         tuning, validation, test = corpus.split_corpus(segments, config.split)
+        glossary = terminology.read_glossary_tsv(layout.require("glossary", code), pair_config.pair)
+        inputs.append((code, tuning, validation, test, terminology.build_matcher(glossary)))
+    merged_segments = corpus.merge_tuning_sets([tuning for _, tuning, *_ in inputs], config.seed)
+    # Train term pairs under the ids merge_tuning_sets gives the segments.
+    merged_pairs: dict[str, tuple[terminology.TermPair, ...]] = {}
+    for code, tuning, validation, test, matcher in inputs:
         corpus.write_segments(
             layout.path("splits", code),
             {"tuning": tuning, "validation": validation, "test": test},
             manifest={**base_manifest, "pair": code},
         )
-        glossary = terminology.read_glossary_tsv(layout.require("glossary", code), pair_config.pair)
-        matcher = terminology.build_matcher(glossary)
         train = promptgen.build_dataset(tuning, matcher, template, "train")
         test_prompts = promptgen.build_dataset(test, matcher, template, "test")
         for mode, examples, path in (
@@ -160,7 +163,6 @@ def cmd_build(config: PipelineConfig) -> int:
                 [(e.segment_id, e.term_pairs) for e in examples],
                 manifest={**base_manifest, "pair": code, "mode": mode},
             )
-        per_pair_tuning.append(tuning)
         merged_pairs.update((f"{code}:{e.segment_id}", e.term_pairs) for e in train)
         stats = promptgen.dataset_stats(train)
         coverage = stats["with_terms"] / stats["examples"] if stats["examples"] else 0.0
@@ -169,7 +171,6 @@ def cmd_build(config: PipelineConfig) -> int:
             f"with_terms={stats['with_terms']} total_pairs={stats['total_pairs']} "
             f"coverage={coverage:.2f}"
         )
-    merged_segments = corpus.merge_tuning_sets(per_pair_tuning, config.seed)
     merged = [
         promptgen.render_example(segment, merged_pairs[segment.id], template, "train")
         for segment in merged_segments

@@ -202,8 +202,6 @@ def merge_tuning_sets(
     Segment ids are re-qualified as ``<pair-code>:<id>`` so ids stay unique
     across pairs; the final order is a seeded shuffle of the concatenation.
     """
-    if not tuning_sets or all(len(s) == 0 for s in tuning_sets):
-        raise ConfigurationError("merge needs at least one non-empty tuning set")
     merged = [
         ParallelSegment(
             f"{segment.pair.code}:{segment.id}", segment.pair, segment.source_text, segment.target_text

@@ -215,14 +215,10 @@ def term_accuracy(
     :func:`~glossmt.terminology.read_candidates` returns for the test set. A
     pair counts as correct when its target term occurs in the cleaned MT
     output under the same matching semantics. Returns (accuracy, correct,
-    total); a test set with zero expected pairs scores 0.0.
-    """
+    total); a test set with zero expected pairs scores 0.0. Each side's ids
+    are unique, as ``read_outputs`` and ``read_candidates`` check."""
     outputs_by_id = {output.segment_id: output for output in outputs}
-    if len(outputs_by_id) != len(outputs):
-        raise UsageError("duplicate segment ids in outputs")
     candidate_ids = {segment_id for segment_id, _ in candidates}
-    if len(candidate_ids) != len(candidates):
-        raise UsageError("duplicate segment ids in candidates")
     if candidate_ids != set(outputs_by_id):
         missing = sorted(candidate_ids - set(outputs_by_id))[:5]
         extra = sorted(set(outputs_by_id) - candidate_ids)[:5]

@@ -161,9 +161,7 @@ def load_annotations(path, outputs_by_id: Mapping[str, str] | None = None) -> li
 
 
 def filter_by_confidence(spans: Sequence[ErrorSpan], threshold: float) -> list[ErrorSpan]:
-    """Keep spans with confidence >= threshold, order preserved."""
-    if not 0.0 <= threshold <= 1.0:
-        raise UsageError(f"threshold must be in [0,1], got {threshold}")
+    """Keep spans with confidence >= threshold (in [0, 1] by the config), order preserved."""
     return [span for span in spans if span.confidence >= threshold]
 
 

@@ -26,7 +26,7 @@ from typing import TYPE_CHECKING, Sequence
 
 from . import _jsonl
 from .config import SCHEME_EXTERNAL, SCHEME_WHITESPACE
-from .errors import MissingCountError, UsageError
+from .errors import UsageError
 
 if TYPE_CHECKING:
     from .promptgen import TemplateSpec
@@ -63,11 +63,9 @@ class ModelOutput(_jsonl.Frozen):
 def truncate_at_eos(raw: str, marker: str | None) -> tuple[str, bool]:
     """Cut at the first occurrence of the marker and trim trailing
     whitespace; (trimmed text, False) when there is no marker or it never
-    occurs."""
+    occurs. A marker is non-empty, as ``TemplateSpec`` checks."""
     if marker is None:
         return raw.rstrip(), False
-    if not marker:
-        raise UsageError("eos marker must be non-empty")
     position = raw.find(marker)
     if position == -1:
         return raw.rstrip(), False
@@ -97,12 +95,6 @@ class ExternalCounts(dict):
         _jsonl.read_records(path, build)
         return counts
 
-    def count(self, segment_id: str) -> int:
-        try:
-            return self[segment_id]
-        except KeyError:
-            raise MissingCountError(f"no external token count for segment {segment_id!r}") from None
-
 
 def postprocess_batch(
     records: Sequence[GenerationRecord],
@@ -113,7 +105,8 @@ def postprocess_batch(
 
     Each output is cut at the template's eos marker, if it has one. Tokens
     are counted on whitespace, or, given ``counts``, both counts are looked
-    up per segment (external files carry one count per segment). Error
+    up per segment (external files carry one count per segment; ``counts``
+    holds every record's segment, as ``cli`` checks before translating). Error
     records pass through with empty text and zero counts — they stay visible
     downstream rather than vanishing from the denominator silently.
     """
@@ -123,7 +116,7 @@ def postprocess_batch(
         cleaned, truncated = truncate_at_eos(record.raw_output, template.eos_marker)
         cleaned = unicodedata.normalize("NFC", cleaned)
         if counts is not None:
-            raw_count = cleaned_count = counts.count(record.segment_id)
+            raw_count = cleaned_count = counts[record.segment_id]
         else:
             raw_count = count_tokens(record.raw_output)
             cleaned_count = count_tokens(cleaned)

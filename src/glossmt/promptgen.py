@@ -201,16 +201,8 @@ def render_glossary_block(pairs: Sequence[TermPair]) -> tuple[str, str]:
 
     Returns ("Glossary:" for one pair, "Glossaries:" for several) and one
     line per pair, `"src" -> "tgt"` with straight double quotes, in the
-    caller's (i.e. the matcher's) order.
-    """
-    if not pairs:
-        raise UsageError("glossary block needs at least one pair")
-    seen = set()
-    for pair in pairs:
-        key = (pair.source_term, pair.target_term)
-        if key in seen:
-            raise UsageError(f"duplicate pair {pair.source_term!r} -> {pair.target_term!r}")
-        seen.add(key)
+    caller's (i.e. the matcher's) order. ``pairs`` is non-empty, and its
+    pairs are distinct because a glossary's are."""
     header = "Glossary:" if len(pairs) == 1 else "Glossaries:"
     block = "\n".join(f'"{p.source_term}" -> "{p.target_term}"' for p in pairs)
     return header, block
@@ -235,8 +227,6 @@ def render_example(
     """Render one segment. An empty pair list routes to the without-terms
     template; test mode deletes the template's target region so the prompt
     ends at the target-language cue."""
-    if mode not in MODES:
-        raise UsageError(f"mode must be one of {MODES}, got {mode!r}")
     values = {
         "source_id": segment.pair.source_name,
         "target_id": segment.pair.target_name,

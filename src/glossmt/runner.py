@@ -19,19 +19,20 @@ Proxy-Authorization), whose reply must be 2xx. TLS goes through ``ssl``'s
 default context with ALPN ``http/1.1``, as ``http.client`` sets it up.
 ``ssl`` is loaded only for a route with TLS, and ``urllib.request``, which
 reads the proxy settings, only when a ``*_proxy`` variable other than
-``no_proxy`` is set, or on macOS and Windows. The request's head is built
-and checked once per batch, with the fields ``http.client`` would send:
-Host, ``Accept-Encoding: identity``, Content-Length, Content-Type, and
-Authorization or Proxy-Authorization where they apply. A target or token
-that ``http.client`` would refuse is a UsageError before any connection
-opens. Each request is one send of head and body. Replies are read here,
-through one buffered reader per connection: 1xx replies are skipped; the
-body is chunked when ``chunked`` is the last transfer coding, else as long
-as its one valid Content-Length says, else read to the close (RFC 9112
-§6.3); an HTTP/1.1 reply keeps the connection unless it says ``close``, an
-HTTP/1.0 one only with ``keep-alive``, and a body read to the close never
-does (§9.3). As in ``http.client``, a line may hold 65,536 bytes and a
-head 100 field lines.
+``no_proxy`` is set, or on macOS and Windows. The hosts and ports to dial
+and the request's head are worked out once per batch, the head with the
+fields ``http.client`` would send: Host, ``Accept-Encoding: identity``,
+Content-Length, Content-Type, and Authorization or Proxy-Authorization
+where they apply. A target or token that ``http.client`` would refuse, and
+a proxy URL whose port is not a number in 0..65535, are a UsageError before
+any connection opens. Each request is one send of head and body. Replies
+are read here, through one buffered reader per connection: 1xx replies are
+skipped; the body is chunked when ``chunked`` is the last transfer coding,
+else as long as its one valid Content-Length says, else read to the close
+(RFC 9112 §6.3); an HTTP/1.1 reply keeps the connection unless it says
+``close``, an HTTP/1.0 one only with ``keep-alive``, and a body read to the
+close never does (§9.3). As in ``http.client``, a line may hold 65,536
+bytes and a head 100 field lines.
 
 Connections: each of the ``max_concurrent_requests`` worker threads keeps
 one connection open across its requests, and closes it when it stops, also
@@ -196,39 +197,35 @@ def _proxy_for(url) -> str | None:
     return proxy if proxy and not urllib.request.proxy_bypass(url.netloc) else None
 
 
-def _host_port(netloc: str, default_port: int) -> tuple[str, int]:
-    """A connection's host and port, split from ``netloc`` as http.client
-    splits them: the port follows the last colon outside an IPv6 literal's
-    brackets, an empty one is ``default_port``, and the brackets go."""
-    host, colon, port = netloc.rpartition(":")
-    if not colon or "]" in port:
-        host, port = netloc, ""
-    try:
-        port = int(port) if port else default_port
-    except ValueError:
-        raise OSError(f"nonnumeric port: '{port}'") from None
-    if host.startswith("[") and host.endswith("]"):
-        host = host[1:-1]
-    return host, port
-
-
 def _route(cfg: InferenceConfig, token: str | None):
     """How a batch reaches ``cfg.endpoint_url``, directly or through a proxy
     as the module docstring says: a function that opens a new connection
     and returns its socket, ready for the first request, and the request
     head's bytes before and after its Content-Length value. Raises
     UsageError for a target or token that http.client would refuse to
-    send."""
+    send, and for a proxy URL that cannot be parsed or whose port is not a
+    number in 0..65535."""
     url = urlsplit(cfg.endpoint_url)
     target = url.path + (f"?{url.query}" if url.query else "") or "/"
     headers = {"Content-Type": "application/json"}
     if token:
         headers["Authorization"] = f"Bearer {token}"
-    address, tunnel_host, tls = url.netloc, None, url.scheme == "https"
+    # Each host and port is split here, once per batch, as http.client splits
+    # them: a host keeps its case, an empty port is the scheme's default, and
+    # an IPv6 literal's brackets go. The config has checked the endpoint's port.
+    tls, tunnel_host = url.scheme == "https", None
+    default_port = 443 if tls else 80
+    bracketed = url.netloc.rpartition(":")[0] if url.port is not None or url.netloc.endswith(":") else url.netloc
+    host = bracketed[1:-1] if bracketed.startswith("[") and bracketed.endswith("]") else bracketed
+    port = default_port if url.port is None else url.port
     proxy, proxy_authorization = _proxy_for(url), None
     if proxy:
-        proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
-        address = unquote(proxy.netloc.rpartition("@")[2])
+        try:
+            proxy = urlsplit(proxy if "://" in proxy else f"http://{proxy}")
+            proxy_port = proxy.port
+        except ValueError:
+            # Its URL may hold credentials, so the message names the proxy only.
+            raise UsageError(f"the {url.scheme} proxy URL has a port outside 0..65535 or cannot be parsed") from None
         if proxy.username and proxy.password:
             import base64
 
@@ -236,20 +233,22 @@ def _route(cfg: InferenceConfig, token: str | None):
             proxy_authorization = "Basic " + base64.b64encode(credentials).decode("ascii")
         if tls:
             # Credentials go with the CONNECT only, never to the endpoint.
-            tunnel_host, tunnel_port = _host_port(url.netloc, 443)
+            tunnel_host, tunnel_port = host, port
         else:
             target, tls = cfg.endpoint_url.partition("#")[0], proxy.scheme == "https"
             if proxy_authorization:
                 headers["Proxy-Authorization"] = proxy_authorization
+        address = proxy.netloc.rpartition("@")[2]
+        if proxy_port is not None or address.endswith(":"):
+            address = address.rpartition(":")[0]
+        host = unquote(address[1:-1] if address.startswith("[") and address.endswith("]") else address)
+        port = (443 if tls else 80) if proxy_port is None else proxy_port
 
     # Host names the endpoint: its netloc as written when the target is an
     # absolute URI, else without a port that is the scheme's default.
     host_field = url.netloc
     if not target.startswith("http"):
-        if url.port is not None or host_field.endswith(":"):
-            host_field = host_field.rpartition(":")[0]
-        if url.port not in (None, 443 if url.scheme == "https" else 80):
-            host_field = f"{host_field}:{url.port}"
+        host_field = bracketed if url.port in (None, default_port) else f"{bracketed}:{url.port}"
     if _BAD_TARGET(target) or not target.isascii():
         raise UsageError("endpoint_url holds a character that a request target cannot carry")
     try:
@@ -287,10 +286,11 @@ def _route(cfg: InferenceConfig, token: str | None):
         if context.post_handshake_auth is not None:
             context.post_handshake_auth = True
 
+    # As bytes, an ASCII host skips getaddrinfo's idna codec and its import.
+    address = (host.encode() if host.isascii() else host, port)
+
     def connect() -> socket.socket:
-        host, port = _host_port(address, 443 if tls else 80)
-        # As bytes, an ASCII host skips getaddrinfo's idna codec and its import.
-        sock = socket.create_connection((host.encode() if host.isascii() else host, port), cfg.request_timeout)
+        sock = socket.create_connection(address, cfg.request_timeout)
         try:
             sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
             if tunnel is not None:

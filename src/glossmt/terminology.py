@@ -173,9 +173,7 @@ def _split_row(line: str) -> list[str]:
 
 
 def filter_by_reliability(glossary: Glossary, min_stars: int) -> Glossary:
-    """Keep only entries rated at or above ``min_stars`` (1..4)."""
-    if not MIN_RELIABILITY <= min_stars <= MAX_RELIABILITY:
-        raise UsageError(f"min_stars must be in {MIN_RELIABILITY}..{MAX_RELIABILITY}")
+    """Keep only entries rated at or above ``min_stars``, which the config holds to 1..4."""
     kept = tuple(e for e in glossary.entries if e.reliability >= min_stars)
     return Glossary(glossary.pair, kept)
 
@@ -282,7 +280,6 @@ class TermMatcher:
         if not glossary.entries:
             raise UsageError("cannot build a matcher from an empty glossary")
         self.glossary = glossary
-        self.pair = glossary.pair
         # casefolded source term -> (entry, casefolded target term) for
         # every entry with that source term under casefolding.
         self._entries_by_source: dict[str, list[tuple[GlossaryEntry, str]]] = {}
@@ -298,11 +295,8 @@ class TermMatcher:
 
     def find_candidates(self, segment: ParallelSegment) -> list[TermPair]:
         """All glossary pairs realized in the segment, sorted by descending
-        source-term length, then lexicographically."""
-        if segment.pair != self.pair:
-            raise UsageError(
-                f"segment pair {segment.pair.code} does not match matcher pair {self.pair.code}"
-            )
+        source-term length, then lexicographically. The segment is of the
+        matcher's pair, as ``corpus.read_segments`` checks."""
         folded_source, source_map = casefold_with_map(segment.source_text)
         first_offset: dict[str, int] = {}
         for hit in _HEAD_RE.finditer(folded_source):

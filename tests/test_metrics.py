@@ -372,18 +372,6 @@ class TestTermAccuracy:
         with pytest.raises(UsageError):
             term_accuracy([output("9", "x")], self.candidates(self.segments(en_es), en_es))
 
-    def test_duplicate_output_ids_rejected(self, en_es):
-        with pytest.raises(UsageError):
-            term_accuracy(
-                [output("0", "x"), output("0", "y")],
-                self.candidates(self.segments(en_es)[:1], en_es),
-            )
-
-    def test_duplicate_candidate_ids_rejected(self, en_es):
-        candidates = self.candidates(self.segments(en_es)[:1], en_es)
-        with pytest.raises(UsageError):
-            term_accuracy([output("0", "x")], candidates + candidates)
-
 
 class TestSignificance:
     def test_identical_inputs_give_p_1(self):

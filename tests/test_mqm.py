@@ -160,10 +160,6 @@ class TestConfidenceFilter:
         spans = [span(confidence=c) for c in (0.0, 0.4, 1.0)]
         assert len(filter_by_confidence(spans, 0.0)) == 3
 
-    def test_threshold_bounds(self):
-        with pytest.raises(UsageError):
-            filter_by_confidence([], threshold=1.5)
-
     def test_fixture_thresholds(self, fixtures_dir):
         spans = load_annotations(fixtures_dir / "annotations_en_es.jsonl")
         assert len(spans) == 3

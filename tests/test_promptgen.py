@@ -83,14 +83,6 @@ class TestGlossaryBlock:
         assert header == "Glossary:"
         assert block == '"insulin" -> "insulina"'
 
-    def test_empty_rejected(self):
-        with pytest.raises(UsageError):
-            render_glossary_block([])
-
-    def test_duplicate_pairs_rejected(self):
-        with pytest.raises(UsageError):
-            render_glossary_block(pairs_of(("a", "b"), ("a", "b")))
-
 
 class TestFlanRendering:
     def test_train_with_terms_exact_bytes(self, en_es):
@@ -262,6 +254,16 @@ class TestTemplateSpecValidation:
                 without_terms_template="{glossary_block} {target_segment}",
                 target_region=" {target_segment}",
                 eos_marker=None,
+            )
+
+    def test_empty_eos_marker_rejected(self):
+        with pytest.raises(TemplateError, match="eos_marker must be non-empty or None"):
+            TemplateSpec(
+                family_id="x",
+                with_terms_template="{glossary_block} {target_segment}",
+                without_terms_template="{target_segment}",
+                target_region=" {target_segment}",
+                eos_marker="",
             )
 
     def test_target_segment_required_in_region(self):
