@@ -93,18 +93,27 @@ class Layout:
 def cmd_ingest(config: PipelineConfig) -> int:
     layout = Layout(config.output_dir)
     base_manifest = config.manifest()
+    # Every pair's corpus and glossary are read and checked before the first write.
+    inputs = []
     for pair_config in config.pairs:
         code = pair_config.pair.code
         segments = corpus.load_parallel(
             pair_config.source_path, pair_config.target_path, pair_config.pair
         )
+        glossary = terminology.load_glossary(pair_config.glossary_path, pair_config.pair)
+        filtered = terminology.filter_by_reliability(glossary, config.min_stars)
+        if not filtered.entries:
+            raise UsageError(
+                f"pair {code}: the glossary {pair_config.glossary_path} keeps no entry "
+                f"(loaded {len(glossary)}, min_stars={config.min_stars})"
+            )
+        inputs.append((code, segments, len(glossary), filtered))
+    for code, segments, loaded, filtered in inputs:
         corpus.write_segments(
             layout.path("corpus", code),
             {"": segments},
             manifest={**base_manifest, "pair": code, "segments": len(segments)},
         )
-        glossary = terminology.load_glossary(pair_config.glossary_path, pair_config.pair)
-        filtered = terminology.filter_by_reliability(glossary, config.min_stars)
         terminology.write_glossary_tsv(
             layout.path("glossary", code),
             filtered.entries,
@@ -112,13 +121,13 @@ def cmd_ingest(config: PipelineConfig) -> int:
                 **base_manifest,
                 "pair": code,
                 "entries": len(filtered),
-                "loaded": len(glossary),
+                "loaded": loaded,
                 "min_stars": config.min_stars,
             },
         )
         print(
             f"{code}: segments={len(segments)} "
-            f"glossary_entries={len(filtered)} (loaded {len(glossary)}, "
+            f"glossary_entries={len(filtered)} (loaded {loaded}, "
             f"min_stars={config.min_stars})"
         )
     return 0
@@ -136,8 +145,8 @@ def cmd_build(config: PipelineConfig) -> int:
         code = pair_config.pair.code
         segments = corpus.read_segments(layout.require("corpus", code), pair_config.pair)
         tuning, validation, test = corpus.split_corpus(segments, config.split)
-        glossary = terminology.read_glossary_tsv(layout.require("glossary", code), pair_config.pair)
-        inputs.append((code, tuning, validation, test, terminology.build_matcher(glossary)))
+        matcher = terminology.TermMatcher(*terminology.read_glossary_tsv(layout.require("glossary", code)))
+        inputs.append((code, tuning, validation, test, matcher))
     merged_segments = corpus.merge_tuning_sets([tuning for _, tuning, *_ in inputs], config.seed)
     # Train term pairs under the ids merge_tuning_sets gives the segments.
     merged_pairs: dict[str, tuple[terminology.TermPair, ...]] = {}

@@ -1,7 +1,13 @@
 """Glossary ingestion, reliability filtering, and strict term matching.
 
 Glossaries are 4-column TSV files: source term, target term, reliability
-(1-4 stars), domain id.
+(1-4 stars), domain id. The user's files are read leniently by
+:func:`load_glossary`. The glossary artifact that ``ingest`` writes is read
+by :func:`read_glossary_tsv` under one row rule, which :data:`_ROW` spells
+out: 4 tab-separated fields, two non-empty terms that are
+whitespace-normalized (single spaces, no other whitespace), a reliability
+of exactly ``1`` to ``4``, and no casefolded pair twice. A row that holds a
+``"`` is csv-quoted, and is checked field by field under the same rule.
 
 Matching semantics (shared by the matcher, :func:`term_in_text`, and the
 candidate lists rendered into prompts):
@@ -32,6 +38,13 @@ log = logging.getLogger(__name__)
 
 MIN_RELIABILITY = 1
 MAX_RELIABILITY = 4
+
+# The artifact row rule for a row without a '"'. ``\s`` is str.isspace, so a
+# term that matches _TERM is its own normalize_text.
+_TERM = r'[^\s"]+(?: [^\s"]+)*'
+_ROW = rf'{_TERM}\t{_TERM}\t[1-4]\t[^\t\n"]*'
+_ROW_RE = re.compile(_ROW)
+_ROWS_RE = re.compile(rf"(?:{_ROW}\n)*{_ROW}")
 
 
 class GlossaryEntry(_jsonl.Frozen, hidden=("key",)):
@@ -127,13 +140,16 @@ def load_glossary(path, pair: LanguagePair) -> Glossary:
     return Glossary.build(pair, entries)
 
 
-def read_glossary_tsv(path, pair: LanguagePair) -> Glossary:
-    """Read a glossary artifact as strictly as :func:`write_glossary_tsv`
-    writes one: its manifest comment first, then one row per entry, each
-    with 4 fields, a reliability of exactly ``1`` to ``4``, both terms
-    non-empty and already normalized, and no casefolded pair twice. Any
-    other line is a FormatError that names it. :func:`load_glossary` stays
-    the reader of the user's glossary files."""
+def read_glossary_tsv(path) -> tuple[list[str], list[str]]:
+    """The source and target term columns of a glossary artifact: its
+    manifest comment, then at least one row, each under the row rule of
+    the module docstring. Any other line is a FormatError that names it; so
+    is an artifact with no row.
+
+    The body is checked against the row pattern in one match and cut into
+    columns with str.split. Only when that match fails is each row checked
+    on its own, so that a csv-quoted row is read and the first bad row is
+    named."""
     lines = read_text_lines(path)
     try:
         manifest = json.loads(lines[0].removeprefix("# ")) if lines and lines[0].startswith("# ") else None
@@ -141,26 +157,72 @@ def read_glossary_tsv(path, pair: LanguagePair) -> Glossary:
         manifest = None
     if not isinstance(manifest, dict):
         raise FormatError("the first line is not the manifest comment", path=path, line=1)
-    entries: list[GlossaryEntry] = []
-    seen: set[tuple[str, str]] = set()
+    if len(lines) == 1:
+        raise FormatError("the glossary artifact has no rows", path=path)
+    body = "\n".join(lines[1:])
+    if _ROWS_RE.fullmatch(body):
+        fields = body.replace("\n", "\t").split("\t")
+        sources, targets, bad_row = fields[0::4], fields[1::4], None
+    else:
+        sources, targets, bad_row = _read_rows(lines, path)
+    # The rows read end before the first bad row, so a duplicate among them
+    # comes first in the file and is the one named.
+    keys = list(zip(_casefold_column(sources), _casefold_column(targets)))
+    if len(set(keys)) < len(keys):
+        seen: set[tuple[str, str]] = set()
+        for index, key in enumerate(keys):
+            if key in seen:
+                raise FormatError(
+                    f"bad glossary row: duplicate glossary pair {sources[index]!r} -> {targets[index]!r}",
+                    path=path,
+                    line=index + 2,
+                )
+            seen.add(key)
+    if bad_row is not None:
+        raise bad_row
+    return sources, targets
+
+
+def _read_rows(lines: list[str], path) -> tuple[list[str], list[str], FormatError | None]:
+    """The term columns of the artifact rows before the first bad one, and
+    the FormatError that names that one (None when no row is bad). A row
+    the row pattern rejects goes through the rule field by field."""
+    sources: list[str] = []
+    targets: list[str] = []
     for line_number, line in enumerate(lines[1:], start=2):
-        row = _split_row(line)
-        try:
-            if len(row) != 4:
-                raise ValueError(f"{len(row)} fields, not 4")
-            source_term, target_term, reliability, domain_id = row
-            if reliability not in ("1", "2", "3", "4"):
-                raise ValueError(f"reliability {reliability!r} is not 1 to 4")
-            entry = GlossaryEntry(source_term, target_term, int(reliability), domain_id)
-            if (entry.source_term, entry.target_term) != (source_term, target_term):
-                raise ValueError("a term is not whitespace-normalized")
-            if entry.key in seen:
-                raise ValueError(f"duplicate glossary pair {source_term!r} -> {target_term!r}")
-        except (ValueError, UsageError) as exc:
-            raise FormatError(f"bad glossary row: {exc}", path=path, line=line_number) from exc
-        seen.add(entry.key)
-        entries.append(entry)
-    return Glossary(pair, tuple(entries))
+        if _ROW_RE.fullmatch(line):
+            source_term, target_term, _ = line.split("\t", 2)
+        else:
+            try:
+                source_term, target_term = _checked_row(line)
+            except ValueError as exc:
+                return sources, targets, FormatError(f"bad glossary row: {exc}", path=path, line=line_number)
+        sources.append(source_term)
+        targets.append(target_term)
+    return sources, targets, None
+
+
+def _checked_row(line: str) -> tuple[str, str]:
+    """The two terms of one artifact row, which may be csv-quoted; a
+    ValueError says which part of the row rule it breaks."""
+    row = _split_row(line)
+    if len(row) != 4:
+        raise ValueError(f"{len(row)} fields, not 4")
+    source_term, target_term, reliability, _ = row
+    if reliability not in ("1", "2", "3", "4"):
+        raise ValueError(f"reliability {reliability!r} is not 1 to 4")
+    normalized = (normalize_text(source_term), normalize_text(target_term))
+    if not all(normalized):
+        raise ValueError("glossary terms must be non-empty")
+    if normalized != (source_term, target_term):
+        raise ValueError("a term is not whitespace-normalized")
+    return source_term, target_term
+
+
+def _casefold_column(terms: Sequence[str]) -> list[str]:
+    """Each term casefolded, in one call: no term holds a newline, and
+    casefolding neither makes nor removes one."""
+    return "\n".join(terms).casefold().split("\n") if terms else []
 
 
 def _split_row(line: str) -> list[str]:
@@ -265,7 +327,10 @@ class TermPair(_jsonl.Frozen):
 
 
 class TermMatcher:
-    """Multi-pattern matcher for one glossary.
+    """Multi-pattern matcher for one glossary, given as its term columns:
+    entry ``i`` is ``source_terms[i]`` -> ``target_terms[i]``, both
+    whitespace-normalized, as :func:`read_glossary_tsv` and
+    :class:`GlossaryEntry` hold them.
 
     Indexes the casefolded source terms by their head (see
     :data:`_HEAD_RE`) and the entries by source term. A candidate pair for a
@@ -276,22 +341,16 @@ class TermMatcher:
     its cost grows with the hits, not with the glossary.
     """
 
-    def __init__(self, glossary: Glossary):
-        if not glossary.entries:
-            raise UsageError("cannot build a matcher from an empty glossary")
-        self.glossary = glossary
-        # casefolded source term -> (entry, casefolded target term) for
-        # every entry with that source term under casefolding.
-        self._entries_by_source: dict[str, list[tuple[GlossaryEntry, str]]] = {}
+    def __init__(self, source_terms: Sequence[str], target_terms: Sequence[str]):
+        # casefolded source term -> (source term, target term, casefolded
+        # target term) for every entry with that source term under casefolding.
+        self._entries_by_source: dict[str, list[tuple[str, str, str]]] = {}
+        entries = zip(source_terms, target_terms, _casefold_column(target_terms))
+        for source_key, entry in zip(_casefold_column(source_terms), entries):
+            self._entries_by_source.setdefault(source_key, []).append(entry)
         self._sources_by_head: dict[str, list[str]] = {}
-        for entry in glossary.entries:
-            source_key, target_key = entry.key
-            entries = self._entries_by_source.get(source_key)
-            if entries is None:
-                entries = self._entries_by_source[source_key] = []
-                head = _HEAD_RE.match(source_key).group(1)
-                self._sources_by_head.setdefault(head, []).append(source_key)
-            entries.append((entry, target_key))
+        for source_key in self._entries_by_source:
+            self._sources_by_head.setdefault(_HEAD_RE.match(source_key).group(1), []).append(source_key)
 
     def find_candidates(self, segment: ParallelSegment) -> list[TermPair]:
         """All glossary pairs realized in the segment, sorted by descending
@@ -313,9 +372,9 @@ class TermMatcher:
                     first_offset[source_key] = source_map[start]
         folded_target = segment.target_text.casefold()
         found = [
-            TermPair(entry.source_term, entry.target_term, offset)
+            TermPair(source_term, target_term, offset)
             for source_key, offset in first_offset.items()
-            for entry, target_key in self._entries_by_source[source_key]
+            for source_term, target_term, target_key in self._entries_by_source[source_key]
             if _occurs_on_boundaries(target_key, folded_target)
         ]
         found.sort(key=_candidate_sort_key)
@@ -333,7 +392,8 @@ def _candidate_sort_key(pair: TermPair):
 
 
 def build_matcher(glossary: Glossary) -> TermMatcher:
-    return TermMatcher(glossary)
+    """The matcher of a :class:`Glossary`'s entries."""
+    return TermMatcher([e.source_term for e in glossary.entries], [e.target_term for e in glossary.entries])
 
 
 def term_in_text(term: str, text: str) -> bool:

@@ -9,10 +9,15 @@ is wrong. Nothing in this module imports from glossmt.
 
 from __future__ import annotations
 
+import codecs
+import csv
 import itertools
+import json
 import math
 import re
+import unicodedata
 from fractions import Fraction
+from pathlib import Path
 
 # ---------------------------------------------------------------------------
 # Strict term matching (casefolded, word-boundary, single internal spaces)
@@ -194,3 +199,60 @@ def tally_oracle(spans) -> dict[str, int]:
 def mqm_oracle(minor: int, major: int, critical: int, token_total: int) -> float:
     penalty = Fraction(10 * critical + 5 * major + minor, token_total)
     return float(100 * (1 - penalty))
+
+
+# ---------------------------------------------------------------------------
+# Glossary artifact rows, read and checked one at a time
+
+
+class GlossaryRowError(Exception):
+    """What the per-row reader rejected: the message and the 1-based line."""
+
+    def __init__(self, message: str, line: int):
+        super().__init__(message, line)
+        self.message = message
+        self.line = line
+
+
+def read_glossary_rows(path) -> tuple[list[str], list[str]]:
+    """The source and target term columns of a glossary artifact, read the
+    way the package read them before its bulk reader: each line decoded and
+    put in NFC on its own, split at tabs (by the csv module when it holds a
+    ``"``), and checked in file order for 4 fields, a reliability of ``1``
+    to ``4``, non-empty and whitespace-normalized terms, and a casefolded
+    pair not seen before. An artifact with no row reads as two empty
+    columns."""
+    raw_lines = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8).splitlines()
+    lines = []
+    for number, raw in enumerate(raw_lines, start=1):
+        try:
+            lines.append(unicodedata.normalize("NFC", raw.decode("utf-8")))
+        except UnicodeDecodeError:
+            raise GlossaryRowError("not valid UTF-8", number) from None
+    try:
+        manifest = json.loads(lines[0][2:]) if lines and lines[0].startswith("# ") else None
+    except (ValueError, RecursionError):
+        manifest = None
+    if not isinstance(manifest, dict):
+        raise GlossaryRowError("the first line is not the manifest comment", 1)
+    sources: list[str] = []
+    targets: list[str] = []
+    seen: set[tuple[str, str]] = set()
+    for number, line in enumerate(lines[1:], start=2):
+        row = next(csv.reader([line], delimiter="\t")) if '"' in line else line.split("\t")
+        if len(row) != 4:
+            raise GlossaryRowError(f"bad glossary row: {len(row)} fields, not 4", number)
+        source, target, reliability, _ = row
+        if reliability not in ("1", "2", "3", "4"):
+            raise GlossaryRowError(f"bad glossary row: reliability {reliability!r} is not 1 to 4", number)
+        if not _squash(source) or not _squash(target):
+            raise GlossaryRowError("bad glossary row: glossary terms must be non-empty", number)
+        if (_squash(source), _squash(target)) != (source, target):
+            raise GlossaryRowError("bad glossary row: a term is not whitespace-normalized", number)
+        key = (source.casefold(), target.casefold())
+        if key in seen:
+            raise GlossaryRowError(f"bad glossary row: duplicate glossary pair {source!r} -> {target!r}", number)
+        seen.add(key)
+        sources.append(source)
+        targets.append(target)
+    return sources, targets

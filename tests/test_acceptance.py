@@ -24,7 +24,6 @@ from glossmt.runner import GenerationRecord
 from glossmt.terminology import (
     Glossary,
     GlossaryEntry,
-    TermMatcher,
     build_matcher,
     filter_by_reliability,
     load_glossary,
@@ -114,7 +113,7 @@ def test_02_prompt_rendering_bit_exact():
             GlossaryEntry("insulin", "insulina", 4, "1"),
         ),
     )
-    matcher = TermMatcher(glossary)
+    matcher = build_matcher(glossary)
 
     amox = ParallelSegment(
         id="0", pair=EN_ES, source_text=AMOX_SOURCE, target_text=AMOX_TARGET
@@ -233,7 +232,7 @@ def test_03_matcher_oracle_equivalence_1000_instances():
     assert len(instances) == 1000
     for entries, source, target in instances:
         glossary = Glossary(pair=EN_ES, entries=tuple(entries))
-        matcher = TermMatcher(glossary)
+        matcher = build_matcher(glossary)
         segment = ParallelSegment(
             id="x", pair=EN_ES, source_text=source, target_text=target
         )
@@ -247,7 +246,7 @@ def test_03_matcher_oracle_equivalence_1000_instances():
         assert got == expected, (source, target)
 
     # instance zero must actually exhibit subterm inclusion
-    first_matcher = TermMatcher(Glossary(pair=EN_ES, entries=tuple(subterm_glossary)))
+    first_matcher = build_matcher(Glossary(pair=EN_ES, entries=tuple(subterm_glossary)))
     first = first_matcher.find_candidates(
         ParallelSegment(
             id="0",
@@ -357,7 +356,7 @@ def test_06_terminology_accuracy(fixtures_dir):
         GlossaryEntry("fever", "fiebre", 4, "1"),
         GlossaryEntry("rash", "erupción", 4, "1"),
     )
-    hand_matcher = TermMatcher(Glossary(pair=EN_ES, entries=hand_entries))
+    hand_matcher = build_matcher(Glossary(pair=EN_ES, entries=hand_entries))
     hand_segments = [
         ParallelSegment(
             id="0",

@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 import glossmt
-from glossmt import cli, runner
+from glossmt import cli, runner, terminology
 from glossmt._jsonl import read_records
 from glossmt.cli import COMMANDS, Layout, build_parser, main
 from glossmt.config import InferenceConfig
@@ -92,6 +92,15 @@ def edit_config(config, old, new):
 def add_pair_input(config, key, path):
     """Name an input in the en-es pair section, as one does once it exists."""
     edit_config(config, "[pair.en-es]\n", f"[pair.en-es]\n{key} = {path}\n")
+
+
+def add_second_pair(config, fixtures_dir, glossary):
+    """Add an en-fr pair that reads the en-es corpus with ``glossary``."""
+    with open(config, "a", encoding="utf-8") as handle:
+        handle.write(
+            f"\n[pair.en-fr]\nsource = {fixtures_dir / 'emea.en'}\ntarget = {fixtures_dir / 'emea.es'}\n"
+            f"glossary = {glossary}\n"
+        )
 
 
 def project_with(tmp_path, fixtures_dir, old, new):
@@ -613,6 +622,24 @@ class TestExitCodes:
         )
         assert {path: path.read_bytes() for path in sorted(layout.root.rglob("*")) if path.is_file()} == before
 
+    @pytest.mark.parametrize(
+        "rows, loaded",
+        [("fever\tfiebre\t2\t1001\nrash\terupción\t1\t1001\n", 2), ("", 0)],
+        ids=["rows below min_stars", "empty file"],
+    )
+    def test_glossary_that_keeps_no_entry_stops_ingest(self, tmp_path, fixtures_dir, capsys, rows, loaded):
+        # The second pair's glossary keeps nothing: the first pair's artifacts must not be written.
+        config, layout = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
+        glossary = tmp_path / "en-fr.tsv"
+        glossary.write_text(rows, encoding="utf-8")
+        add_second_pair(config, fixtures_dir, glossary)
+        capsys.readouterr()
+        assert run("ingest", "--config", config) == 1
+        assert capsys.readouterr().err == (
+            f"glossmt: usage error: pair en-fr: the glossary {glossary} keeps no entry (loaded {loaded}, min_stars=3)\n"
+        )
+        assert not layout.root.exists()
+
     @pytest.mark.parametrize("port", ["abc", "99999"])
     def test_proxy_port_that_is_not_a_port_is_usage_error(
         self, tmp_path, fixtures_dir, stub_endpoint, capsys, monkeypatch, port
@@ -1120,11 +1147,7 @@ class TestMatchOnce:
 
     def test_merged_train_set_holds_every_configured_pair(self, tmp_path, fixtures_dir, stub_endpoint):
         config, layout = write_project(tmp_path, fixtures_dir, stub_endpoint.url + "/echo")
-        with open(config, "a", encoding="utf-8") as handle:
-            handle.write(
-                f"\n[pair.en-fr]\nsource = {fixtures_dir / 'emea.en'}\ntarget = {fixtures_dir / 'emea.es'}\n"
-                f"glossary = {fixtures_dir / 'glossary_en_es.tsv'}\n"
-            )
+        add_second_pair(config, fixtures_dir, fixtures_dir / "glossary_en_es.tsv")
         assert run("ingest", "--config", config) == 0
         assert run("build", "--config", config) == 0
         per_pair = [
@@ -1135,6 +1158,26 @@ class TestMatchOnce:
         merged = read_records(layout.path("train_merged"), dict)
         assert len(merged) == len(per_pair) == 120
         assert sorted(record["segment_id"] for record in merged) == sorted(per_pair)
+
+    def test_build_makes_one_matcher_per_pair_and_no_entry_per_row(self, tmp_path, fixtures_dir, monkeypatch):
+        config, _ = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9/echo")
+        add_second_pair(config, fixtures_dir, fixtures_dir / "glossary_en_es.tsv")
+        assert run("ingest", "--config", config) == 0
+        made = {"GlossaryEntry": 0, "TermMatcher": 0}
+
+        def counted(cls):
+            init = cls.__init__
+
+            def counting_init(self, *args, **kwargs):
+                made[cls.__name__] += 1
+                init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+
+        counted(terminology.GlossaryEntry)
+        counted(terminology.TermMatcher)
+        assert run("build", "--config", config) == 0
+        assert made == {"GlossaryEntry": 0, "TermMatcher": 2}
 
 
 class TestResume:

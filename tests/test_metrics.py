@@ -25,7 +25,7 @@ from glossmt.metrics import (
 from glossmt.postprocess import ModelOutput, postprocess_batch
 from glossmt.promptgen import builtin_template
 from glossmt.runner import GenerationRecord
-from glossmt.terminology import Glossary, GlossaryEntry, TermMatcher
+from glossmt.terminology import Glossary, GlossaryEntry, build_matcher
 from oracles import _ngram_bag, bleu_oracle, chrf_oracle, reference_tokenize
 
 # Frozen corpus-level values for tests/fixtures/metric_{hyps,refs}.txt,
@@ -283,7 +283,7 @@ class TestTermAccuracy:
             GlossaryEntry("fever", "fiebre", 4, "1"),
             GlossaryEntry("rash", "erupción", 4, "1"),
         )
-        return TermMatcher(Glossary(pair=en_es, entries=entries))
+        return build_matcher(Glossary(pair=en_es, entries=entries))
 
     def candidates(self, segments, en_es):
         matcher = self.matcher(en_es)

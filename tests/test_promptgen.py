@@ -20,7 +20,7 @@ from glossmt.promptgen import (
     write_dataset,
     write_dataset_rawtext,
 )
-from glossmt.terminology import Glossary, GlossaryEntry, TermMatcher, TermPair
+from glossmt.terminology import Glossary, GlossaryEntry, TermPair, build_matcher
 
 AMOX_SOURCE = (
     "Amoxicillin is susceptible to degradation by beta-lactamases produced by "
@@ -339,7 +339,7 @@ class TestDatasetBuild:
             GlossaryEntry("amoxicillin", "amoxicilina", 4, "1"),
             GlossaryEntry("activity", "actividad", 4, "1"),
         )
-        return TermMatcher(Glossary(pair=en_es, entries=entries))
+        return build_matcher(Glossary(pair=en_es, entries=entries))
 
     def test_build_and_stats(self, en_es):
         segments = [

@@ -1,11 +1,12 @@
 import csv
+import io
 import logging
 import re
 import sys
 import unicodedata
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from glossmt.corpus import ParallelSegment, load_parallel
@@ -13,7 +14,6 @@ from glossmt.errors import FormatError, UsageError
 from glossmt.terminology import (
     Glossary,
     GlossaryEntry,
-    TermMatcher,
     TermPair,
     _split_row,
     build_matcher,
@@ -29,7 +29,7 @@ from glossmt.terminology import (
 from glossmt.postprocess import postprocess_batch
 from glossmt.promptgen import builtin_template
 from glossmt.runner import GenerationRecord
-from oracles import brute_force_candidates
+from oracles import GlossaryRowError, brute_force_candidates, read_glossary_rows
 
 
 def entry(src, tgt, stars=4, domain="0000"):
@@ -311,7 +311,7 @@ class TestOracleEquivalence:
             seen.add(e.key)
             cleaned.append(e)
         glossary = Glossary(pair=en_es, entries=tuple(cleaned))
-        matcher = TermMatcher(glossary)
+        matcher = build_matcher(glossary)
         # Texts are glued from the terms themselves (some upper-cased) and
         # short random runs, so hits and near-misses at every kind of
         # boundary are common.
@@ -348,7 +348,7 @@ class TestOracleEquivalence:
             ("STRASSE", "calle"),
             ("straße", "vía"),
         )
-        matcher = TermMatcher(glossary)
+        matcher = build_matcher(glossary)
         for source, target in (
             ("the insulin dose is low", "la dosis de insulina es baja"),
             ("one dose, one DOSE", "una toma, una posología"),
@@ -375,7 +375,7 @@ class TestOracleEquivalence:
             ("dose.", "dosis"),
             ("doses", "dosis"),
         )
-        matcher = TermMatcher(glossary)
+        matcher = build_matcher(glossary)
         seg = segment(
             en_es,
             "the dose form, a dose-response curve and one dose.",
@@ -408,7 +408,7 @@ class TestOracleEquivalence:
     @settings(max_examples=300, deadline=None)
     def test_shared_source_terms_agree_with_brute_force(self, entries, source, target, en_es):
         glossary = glossary_of(en_es, *entries)
-        matcher = TermMatcher(glossary)
+        matcher = build_matcher(glossary)
         if not source.strip(" ,") or not target.strip(" ,"):
             return
         seg = segment(en_es, source, target)
@@ -458,7 +458,7 @@ class TestUnicodeForms:
         source.write_text(unicodedata.normalize("NFD", "a dosé of insulin\n"), encoding="utf-8")
         target.write_text("una dosis de insulina\n", encoding="utf-8")
         (read,) = load_parallel(source, target, en_es)
-        matcher = TermMatcher(glossary_of(en_es, ("dose", "dosis"), ("insulin", "insulina")))
+        matcher = build_matcher(glossary_of(en_es, ("dose", "dosis"), ("insulin", "insulina")))
         assert [(p.source_term, p.target_term) for p in matcher.find_candidates(read)] == [("insulin", "insulina")]
         record = GenerationRecord("0", "prompt", unicodedata.normalize("NFD", "una dosé de insulina"), "m", {}, 1)
         (output,), _ = postprocess_batch([record], builtin_template("chatml"))
@@ -516,7 +516,8 @@ class TestGlossaryTsvIO:
         path = tmp_path / "glossary.tsv"
         write_glossary_tsv(path, entries, manifest={"source": "unit"})
         assert '"say ""ah"""' in path.read_text(encoding="utf-8")
-        assert read_glossary_tsv(path, en_es) == load_glossary(path, en_es) == Glossary(en_es, tuple(entries))
+        assert load_glossary(path, en_es) == Glossary(en_es, tuple(entries))
+        assert read_glossary_tsv(path) == ([e.source_term for e in entries], [e.target_term for e in entries])
 
     def test_strict_reader_rejects_a_row_that_the_lenient_reader_skips(self, tmp_path, en_es, caplog):
         path = tmp_path / "glossary.tsv"
@@ -525,8 +526,75 @@ class TestGlossaryTsvIO:
         with caplog.at_level(logging.WARNING, logger="glossmt.terminology"):
             assert len(load_glossary(path, en_es)) == 1
         with pytest.raises(FormatError, match=r"bad glossary row: 3 fields, not 4 \(line 2\)$") as exc:
-            read_glossary_tsv(path, en_es)
+            read_glossary_tsv(path)
         assert exc.value.path == path
+
+    def test_strict_reader_rejects_an_artifact_with_no_rows(self, tmp_path):
+        path = tmp_path / "glossary.tsv"
+        write_glossary_tsv(path, [], manifest={"entries": 0})
+        with pytest.raises(FormatError, match=r"the glossary artifact has no rows$") as exc:
+            read_glossary_tsv(path)
+        assert (exc.value.path, exc.value.line) == (path, None)
+
+
+# Terms that casefold to one another (ß/SS, ﬁ/fi, İ/i̇), whose casefolding
+# changes the length, or that hold a '"' and so are csv-quoted.
+_WORDS = st.sampled_from(["dose", "Dose", "DOSE", "straße", "STRASSE", "İnsulin", "i̇nsulin", "ﬁebre", "fiebre",
+                          'say "ah"', "a", "٣"])
+_TERMS = st.lists(_WORDS, min_size=1, max_size=3).map(" ".join)
+_STARS = st.sampled_from(["1", "2", "3", "4"])
+_DOMAINS = st.sampled_from(["", "1001", "d 7", '"q"', "x\u2028"])
+# One defect per damaged row: whitespace other than one space, or a stray
+# '"', inside or around a term; an empty term; a reliability that is not
+# exactly 1 to 4; a field count that is not 4.
+_ODD = st.sampled_from(["\x1c", "\x1d", "\x1e", "\x1f", "\x85", "\xa0", "\u2028", " ", "  ", "\t", '"', "\r"])
+_ODD_TERMS = (
+    st.builds(lambda term, odd, at: term[:at] + odd + term[at:], _TERMS, _ODD, st.integers(0, 30))
+    | st.builds(lambda term, odd: term.replace(" ", odd, 1), _TERMS, _ODD)
+    | st.just("")
+)
+_ODD_STARS = st.sampled_from(["0", "5", " 3", "03", "٣", "", "3 "])
+
+
+def _quoted(fields):
+    out = io.StringIO()
+    csv.writer(out, delimiter="\t", lineterminator="").writerow(fields)
+    return out.getvalue()
+
+
+_ROWS = st.one_of(
+    *[st.tuples(_TERMS, _TERMS, _STARS, _DOMAINS).map("\t".join)] * 8,
+    st.tuples(_TERMS, _TERMS, _STARS, _DOMAINS).map(_quoted),
+    st.tuples(_ODD_TERMS, _TERMS, _STARS, _DOMAINS).map("\t".join),
+    st.tuples(_TERMS, _ODD_TERMS, _STARS, _DOMAINS).map("\t".join),
+    st.tuples(_TERMS, _TERMS, _ODD_STARS, _DOMAINS).map("\t".join),
+    st.lists(_TERMS | _STARS, max_size=6).map("\t".join),
+)
+_LINE_ENDS = st.sampled_from(["\n"] * 8 + ["\r\n", "\r"])
+
+
+@st.composite
+def _artifacts(draw):
+    """A glossary artifact: a manifest line (rarely a broken one), then at
+    least one row; the small vocabulary makes pairs repeat."""
+    rows = draw(st.lists(_ROWS, min_size=1, max_size=12))
+    manifest = draw(st.sampled_from(['# {"entries": 1}'] * 20 + ["# []", "#{}", "dose\tdosis\t3\t1"]))
+    return "".join(line + draw(_LINE_ENDS) for line in [manifest, *rows])
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(artifact=_artifacts())
+def test_strict_reader_agrees_with_the_per_row_reader(tmp_path, artifact):
+    path = tmp_path / "glossary.tsv"
+    path.write_bytes(artifact.encode("utf-8"))
+    try:
+        expected = read_glossary_rows(path)
+    except GlossaryRowError as exc:
+        with pytest.raises(FormatError) as raised:
+            read_glossary_tsv(path)
+        assert (str(raised.value), raised.value.line) == (f"{path}: {exc.message} (line {exc.line})", exc.line)
+    else:
+        assert read_glossary_tsv(path) == expected
 
 
 class TestFormatErrors:
