@@ -43,7 +43,6 @@ MAX_RELIABILITY = 4
 # term that matches _TERM is its own normalize_text.
 _TERM = r'[^\s"]+(?: [^\s"]+)*'
 _ROW = rf'{_TERM}\t{_TERM}\t[1-4]\t[^\t\n"]*'
-_ROW_RE = re.compile(_ROW)
 _ROWS_RE = re.compile(rf"(?:{_ROW}\n)*{_ROW}")
 
 
@@ -185,18 +184,14 @@ def read_glossary_tsv(path) -> tuple[list[str], list[str]]:
 
 def _read_rows(lines: list[str], path) -> tuple[list[str], list[str], FormatError | None]:
     """The term columns of the artifact rows before the first bad one, and
-    the FormatError that names that one (None when no row is bad). A row
-    the row pattern rejects goes through the rule field by field."""
+    the FormatError that names that one (None when no row is bad)."""
     sources: list[str] = []
     targets: list[str] = []
     for line_number, line in enumerate(lines[1:], start=2):
-        if _ROW_RE.fullmatch(line):
-            source_term, target_term, _ = line.split("\t", 2)
-        else:
-            try:
-                source_term, target_term = _checked_row(line)
-            except ValueError as exc:
-                return sources, targets, FormatError(f"bad glossary row: {exc}", path=path, line=line_number)
+        try:
+            source_term, target_term = _checked_row(line)
+        except ValueError as exc:
+            return sources, targets, FormatError(f"bad glossary row: {exc}", path=path, line=line_number)
         sources.append(source_term)
         targets.append(target_term)
     return sources, targets, None
