@@ -125,27 +125,34 @@ def write_json(path, data: dict[str, Any]) -> None:
         handle.write(json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def decode_utf8(data: bytes, path) -> str:
+    """``data``, the bytes of the file at ``path``, decoded as UTF-8 in one
+    call; a bad byte is a FormatError naming its line (lines end at ``\\n``)."""
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError("not valid UTF-8", path=path, line=data.count(b"\n", 0, exc.start) + 1) from exc
+
+
 def iter_jsonl(path) -> Iterable[tuple[int, dict[str, Any]]]:
-    """Yield (line_number, record) for every data record, skipping the manifest."""
-    with open(path, "rb") as handle:
-        for line_number, raw in enumerate(handle, start=1):
-            try:
-                line = raw.decode("utf-8").strip()
-            except UnicodeDecodeError as exc:
-                raise FormatError("not valid UTF-8", path=path, line=line_number) from exc
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except (ValueError, RecursionError) as exc:
-                # ValueError beyond JSONDecodeError: an integer too long to parse.
-                message = getattr(exc, "msg", exc)
-                raise FormatError(f"invalid JSON: {message}", path=path, line=line_number) from exc
-            if not isinstance(record, dict):
-                raise FormatError("record is not a JSON object", path=path, line=line_number)
-            if record.get("record_type") == MANIFEST_TYPE:
-                continue
-            yield line_number, record
+    """Yield (line_number, record) for every data record, skipping the
+    manifest. The file is decoded whole, so one bad byte yields no record."""
+    text = decode_utf8(Path(path).read_bytes(), path)
+    for line_number, line in enumerate(text.split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            record = json.loads(line)
+        except (ValueError, RecursionError) as exc:
+            # ValueError beyond JSONDecodeError: an integer too long to parse.
+            message = getattr(exc, "msg", exc)
+            raise FormatError(f"invalid JSON: {message}", path=path, line=line_number) from exc
+        if not isinstance(record, dict):
+            raise FormatError("record is not a JSON object", path=path, line=line_number)
+        if record.get("record_type") == MANIFEST_TYPE:
+            continue
+        yield line_number, record
 
 
 def field(record, key: str, kind=str, default=_REQUIRED):

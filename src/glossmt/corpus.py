@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Sequence
 
 from . import _jsonl
-from .errors import AlignmentError, ConfigurationError, FormatError, UsageError
+from .errors import AlignmentError, ConfigurationError, UsageError
 from .prng import seeded_permutation, seeded_shuffle
 
 log = logging.getLogger(__name__)
@@ -51,15 +51,13 @@ def read_text_lines(path) -> list[str]:
     Lines end only at ``\\n``, ``\\r\\n`` or ``\\r``; ``str.splitlines``
     also splits at U+2028, U+0085, form feeds and more, which would cut one
     line in two and misalign a parallel file pair. Invalid UTF-8 raises
-    FormatError with the offending line number.
+    FormatError with the offending line number. The file is decoded and put
+    in NFC whole: NFC never composes across a line break.
     """
-    raw_lines = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8).splitlines()
-    lines: list[str] = []
-    for line_number, raw in enumerate(raw_lines, start=1):
-        try:
-            lines.append(unicodedata.normalize("NFC", raw.decode("utf-8")))
-        except UnicodeDecodeError as exc:
-            raise FormatError("not valid UTF-8", path=path, line=line_number) from exc
+    data = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8).replace(b"\r\n", b"\n").replace(b"\r", b"\n")
+    lines = unicodedata.normalize("NFC", _jsonl.decode_utf8(data, path)).split("\n")
+    if lines[-1] == "":
+        lines.pop()  # the end of the last line, or an empty file
     return lines
 
 

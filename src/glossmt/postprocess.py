@@ -82,18 +82,16 @@ class ExternalCounts(dict):
 
     @classmethod
     def load(cls, path) -> "ExternalCounts":
-        counts = cls()
         seen: set[str] = set()
 
-        def build(record) -> None:
+        def build(record) -> tuple[str, int]:
             segment_id = _jsonl.unique_field(record, "segment_id", seen)
             token_count = _jsonl.field(record, "token_count", int)
             if token_count < 0:
                 raise ValueError(f"token_count must be nonnegative, got {token_count}")
-            counts[segment_id] = token_count
+            return segment_id, token_count
 
-        _jsonl.read_records(path, build)
-        return counts
+        return cls(_jsonl.read_records(path, build))
 
 
 def postprocess_batch(

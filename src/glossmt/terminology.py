@@ -139,11 +139,12 @@ def load_glossary(path, pair: LanguagePair) -> Glossary:
     return Glossary.build(pair, entries)
 
 
-def read_glossary_tsv(path) -> tuple[list[str], list[str]]:
-    """The source and target term columns of a glossary artifact: its
-    manifest comment, then at least one row, each under the row rule of
-    the module docstring. Any other line is a FormatError that names it; so
-    is an artifact with no row.
+def read_glossary_tsv(path) -> tuple[list[str], list[str], list[tuple[str, str]]]:
+    """The source and target term columns of a glossary artifact, and each
+    row's casefolded ``(source, target)`` key: the artifact is its manifest
+    comment, then at least one row, each under the row rule of the module
+    docstring. Any other line is a FormatError that names it; so is an
+    artifact with no row.
 
     The body is checked against the row pattern in one match and cut into
     columns with str.split. Only when that match fails is each row checked
@@ -179,7 +180,7 @@ def read_glossary_tsv(path) -> tuple[list[str], list[str]]:
             seen.add(key)
     if bad_row is not None:
         raise bad_row
-    return sources, targets
+    return sources, targets, keys
 
 
 def _read_rows(lines: list[str], path) -> tuple[list[str], list[str], FormatError | None]:
@@ -322,10 +323,11 @@ class TermPair(_jsonl.Frozen):
 
 
 class TermMatcher:
-    """Multi-pattern matcher for one glossary, given as its term columns:
-    entry ``i`` is ``source_terms[i]`` -> ``target_terms[i]``, both
-    whitespace-normalized, as :func:`read_glossary_tsv` and
-    :class:`GlossaryEntry` hold them.
+    """Multi-pattern matcher for one glossary, given as its term columns and
+    their casefold keys: entry ``i`` is ``source_terms[i]`` ->
+    ``target_terms[i]``, both whitespace-normalized, and ``keys[i]`` is the
+    pair casefolded, no two alike, as :func:`read_glossary_tsv` and
+    :class:`Glossary` hold them.
 
     Indexes the casefolded source terms by their head (see
     :data:`_HEAD_RE`) and the entries by source term. A candidate pair for a
@@ -336,21 +338,20 @@ class TermMatcher:
     its cost grows with the hits, not with the glossary.
     """
 
-    def __init__(self, source_terms: Sequence[str], target_terms: Sequence[str]):
-        # casefolded source term -> (source term, target term, casefolded
+    def __init__(self, source_terms: Sequence[str], target_terms: Sequence[str], keys: Sequence[tuple[str, str]]):
+        # casefolded source term -> (casefolded target term, source term,
         # target term) for every entry with that source term under casefolding.
         self._entries_by_source: dict[str, list[tuple[str, str, str]]] = {}
-        entries = zip(source_terms, target_terms, _casefold_column(target_terms))
-        for source_key, entry in zip(_casefold_column(source_terms), entries):
-            self._entries_by_source.setdefault(source_key, []).append(entry)
+        for source_term, target_term, (source_key, target_key) in zip(source_terms, target_terms, keys):
+            self._entries_by_source.setdefault(source_key, []).append((target_key, source_term, target_term))
         self._sources_by_head: dict[str, list[str]] = {}
         for source_key in self._entries_by_source:
             self._sources_by_head.setdefault(_HEAD_RE.match(source_key).group(1), []).append(source_key)
 
     def find_candidates(self, segment: ParallelSegment) -> list[TermPair]:
         """All glossary pairs realized in the segment, sorted by descending
-        source-term length, then lexicographically. The segment is of the
-        matcher's pair, as ``corpus.read_segments`` checks."""
+        source-term length, then by casefolded source and target term. The
+        segment is of the matcher's pair, as ``corpus.read_segments`` checks."""
         folded_source, source_map = casefold_with_map(segment.source_text)
         first_offset: dict[str, int] = {}
         for hit in _HEAD_RE.finditer(folded_source):
@@ -366,49 +367,38 @@ class TermMatcher:
                 ):
                     first_offset[source_key] = source_map[start]
         folded_target = segment.target_text.casefold()
-        found = [
-            TermPair(source_term, target_term, offset)
+        # No two entries share both keys, so the sort never looks past them.
+        found = sorted(
+            (-len(source_term), source_key, target_key, source_term, target_term, offset)
             for source_key, offset in first_offset.items()
-            for source_term, target_term, target_key in self._entries_by_source[source_key]
+            for target_key, source_term, target_term in self._entries_by_source[source_key]
             if _occurs_on_boundaries(target_key, folded_target)
-        ]
-        found.sort(key=_candidate_sort_key)
-        return found
-
-
-def _candidate_sort_key(pair: TermPair):
-    return (
-        -len(pair.source_term),
-        pair.source_term.casefold(),
-        pair.target_term.casefold(),
-        pair.source_term,
-        pair.target_term,
-    )
+        )
+        return [TermPair(source_term, target_term, offset) for *_, source_term, target_term, offset in found]
 
 
 def build_matcher(glossary: Glossary) -> TermMatcher:
     """The matcher of a :class:`Glossary`'s entries."""
-    return TermMatcher([e.source_term for e in glossary.entries], [e.target_term for e in glossary.entries])
+    entries = glossary.entries
+    return TermMatcher([e.source_term for e in entries], [e.target_term for e in entries], [e.key for e in entries])
 
 
 def term_in_text(term: str, text: str) -> bool:
     """Whether ``term`` occurs in ``text`` under the matching semantics
     (casefolded, word-boundary-anchored, single internal spaces)."""
+    term = normalize_text(term)
+    if not term:
+        raise UsageError("term must be non-empty")
     (found,) = terms_in_text([term], text)
     return found
 
 
 def terms_in_text(terms: Iterable[str], text: str) -> list[bool]:
     """:func:`term_in_text` for each of ``terms``, normalizing and
-    casefolding ``text`` once."""
+    casefolding ``text`` once. The terms are taken as given: non-empty and
+    whitespace-normalized, as :func:`read_candidates` checks them."""
     haystack = normalize_text(text).casefold()
-    found = []
-    for term in terms:
-        pattern = normalize_text(term).casefold()
-        if not pattern:
-            raise UsageError("term must be non-empty")
-        found.append(_occurs_on_boundaries(pattern, haystack))
-    return found
+    return [_occurs_on_boundaries(term.casefold(), haystack) for term in terms]
 
 
 # ---------------------------------------------------------------------------
@@ -432,14 +422,20 @@ def write_candidates(
 
 
 def read_candidates(path) -> list[tuple[str, list[TermPair]]]:
+    """The per-segment candidate lists :func:`write_candidates` wrote. A
+    term that is empty or not whitespace-normalized is a FormatError."""
     seen: set[str] = set()
-    return _jsonl.read_records(
-        path,
-        lambda record: (
-            _jsonl.unique_field(record, "segment_id", seen),
-            [TermPair.from_record(p) for p in _jsonl.field(record, "pairs", list)],
-        ),
-    )
+
+    def build(record) -> tuple[str, list[TermPair]]:
+        segment_id = _jsonl.unique_field(record, "segment_id", seen)
+        pairs = [TermPair.from_record(p) for p in _jsonl.field(record, "pairs", list)]
+        for pair in pairs:
+            for term in (pair.source_term, pair.target_term):
+                if not term or normalize_text(term) != term:
+                    raise ValueError(f"term {term!r} is empty or not whitespace-normalized")
+        return segment_id, pairs
+
+    return _jsonl.read_records(path, build)
 
 
 def write_glossary_tsv(path, entries: Iterable[GlossaryEntry], manifest: dict | None = None) -> None:

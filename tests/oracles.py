@@ -206,9 +206,10 @@ def mqm_oracle(minor: int, major: int, critical: int, token_total: int) -> float
 
 
 class GlossaryRowError(Exception):
-    """What the per-row reader rejected: the message and the 1-based line."""
+    """What the per-row reader rejected: the message and the 1-based line,
+    None for a fault of the whole file."""
 
-    def __init__(self, message: str, line: int):
+    def __init__(self, message: str, line: int | None):
         super().__init__(message, line)
         self.message = message
         self.line = line
@@ -220,8 +221,7 @@ def read_glossary_rows(path) -> tuple[list[str], list[str]]:
     put in NFC on its own, split at tabs (by the csv module when it holds a
     ``"``), and checked in file order for 4 fields, a reliability of ``1``
     to ``4``, non-empty and whitespace-normalized terms, and a casefolded
-    pair not seen before. An artifact with no row reads as two empty
-    columns."""
+    pair not seen before. An artifact with no row is rejected as a whole."""
     raw_lines = Path(path).read_bytes().removeprefix(codecs.BOM_UTF8).splitlines()
     lines = []
     for number, raw in enumerate(raw_lines, start=1):
@@ -235,6 +235,8 @@ def read_glossary_rows(path) -> tuple[list[str], list[str]]:
         manifest = None
     if not isinstance(manifest, dict):
         raise GlossaryRowError("the first line is not the manifest comment", 1)
+    if len(lines) == 1:
+        raise GlossaryRowError("the glossary artifact has no rows", None)
     sources: list[str] = []
     targets: list[str] = []
     seen: set[tuple[str, str]] = set()

@@ -2,6 +2,7 @@
 deleted or renamed fails here before it breaks ``perfbench/run.py``."""
 
 import importlib
+import json
 import os
 import subprocess
 import sys
@@ -10,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import glossmt
+from test_cli import translated_project
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -43,3 +45,24 @@ def test_trace_stage_installs_on_the_program():
 )
 def test_functions_the_benchmark_calls_exist(module, name):
     assert callable(getattr(importlib.import_module(f"glossmt.{module}"), name))
+
+
+def test_trace_stage_spans_the_layers_the_benchmark_reports(tmp_path, fixtures_dir, stub_endpoint):
+    # A per-layer metric reads 0 when the program stops calling the name it wraps.
+    config, _ = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+    src = str(Path(glossmt.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    layers = {
+        "build": {"terminology.matcher_build", "terminology.find_candidates", "terminology.casefold_with_map",
+                  "jsonl.iter_jsonl"},
+        "score": {"terminology.read_candidates", "metrics.term_accuracy", "jsonl.iter_jsonl"},
+    }
+    for stage, names in layers.items():
+        spans_out = tmp_path / f"{stage}.spans.json"
+        result = subprocess.run(
+            [sys.executable, str(PERFBENCH / "trace_stage.py"), str(spans_out), stage, "--config", str(config)],
+            env=env, capture_output=True, text=True,
+        )
+        assert result.returncode == 0, result.stderr
+        trace = json.loads(spans_out.read_text(encoding="utf-8"))
+        assert names <= {trace["names"][span[0]] for span in trace["spans"]}, stage

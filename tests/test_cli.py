@@ -894,6 +894,34 @@ class TestExitCodes:
     def test_missing_config_is_usage_error(self, tmp_path):
         assert run("ingest", "--config", tmp_path / "absent.ini") == 1
 
+    @pytest.mark.parametrize("src, tgt", [("", ""), ("dose ", " dosis")], ids=["empty", "unnormalized"])
+    def test_damaged_candidates_stop_score(self, tmp_path, fixtures_dir, stub_endpoint, capsys, src, tgt):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        candidates = layout.path("candidates", "en-es", mode="test")
+        lines = candidates.read_text(encoding="utf-8").splitlines()
+        line = next(number for number, text in enumerate(lines, start=1) if '"src"' in text)
+        record = json.loads(lines[line - 1])
+        record["pairs"][0] = {"src": src, "tgt": tgt}
+        lines[line - 1] = json.dumps(record, ensure_ascii=False)
+        candidates.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        capsys.readouterr()
+        assert run("score", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"glossmt: data error: {candidates}: bad record: term {src!r} is empty or not whitespace-normalized "
+            f"(line {line})\n"
+        )
+        assert not layout.path("score_file", "en-es", system="stub-model").exists()
+
+    def test_outputs_of_another_test_split_stop_score(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        edit_config(config, "test = 20\n", "test = 19\n")
+        assert run("build", "--config", config) == 0
+        capsys.readouterr()
+        assert run("score", "--config", config) == 1
+        assert capsys.readouterr().err == (
+            "glossmt: usage error: pair en-es: outputs and test references do not cover the same segment ids\n"
+        )
+
     def test_config_with_leading_bom_is_accepted(self, tmp_path, fixtures_dir):
         config, layout = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9")
         config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())

@@ -245,6 +245,9 @@ class TestChrf:
     def test_whitespace_ignored(self):
         assert chrf(["ab cd"], ["abcd"]) == 100.0
 
+    def test_all_whitespace_corpus_is_0(self):
+        assert chrf([" ", "\t\t"], ["  ", "\n"]) == 0.0
+
     def test_partial_overlap_matches_oracle(self):
         hyps = ["la dosis diaria", "efectos adversos graves"]
         refs = ["la dosis semanal", "efectos adversos leves"]

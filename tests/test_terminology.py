@@ -6,7 +6,7 @@ import sys
 import unicodedata
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from glossmt.corpus import ParallelSegment, load_parallel
@@ -115,6 +115,15 @@ class TestLoadGlossary:
             glossary = load_glossary(path, en_es)
         assert len(glossary) == 2
         assert any("line=3" in r.getMessage() for r in caplog.records)
+
+    def test_row_the_entry_rejects_is_skipped(self, tmp_path, en_es, caplog):
+        path = tmp_path / "glossary.tsv"
+        path.write_text("fever\tfiebre\t5\t1001\nrash\terupción\t4\t1001\n", encoding="utf-8")
+        with caplog.at_level(logging.WARNING, logger="glossmt.terminology"):
+            glossary = load_glossary(path, en_es)
+        assert [e.source_term for e in glossary.entries] == ["rash"]
+        warnings = [r.getMessage() for r in caplog.records if r.levelno == logging.WARNING]
+        assert warnings == [f"path={path} line=1 skipped_row reason=invalid_entry"]
 
     def test_bad_reliability_rejected_rowwise(self, tmp_path, en_es):
         path = tmp_path / "glossary.tsv"
@@ -273,6 +282,12 @@ class TestMatching:
         assert term_in_text("dose", "One DOSE daily")
         assert not term_in_text("dose", "overdosed again")
         assert term_in_text("beta-lactamase", "a beta-lactamase inhibitor")
+
+    def test_term_in_text_normalizes_and_checks_its_term(self):
+        assert term_in_text(" one\tdose ", "take one dose daily")
+        for term in ("", " \t"):
+            with pytest.raises(UsageError, match="term must be non-empty"):
+                term_in_text(term, "one dose")
 
     def test_sharp_s_casefold_equivalence(self, en_es):
         matcher = build_matcher(glossary_of(en_es, ("straße", "calle")))
@@ -480,6 +495,17 @@ class TestCandidateIO:
             TermPair(source_term="x", target_term="y"),
         ])]
 
+    @pytest.mark.parametrize(
+        "src, tgt, bad",
+        [("", "", ""), ("dose ", " dosis", "dose "), ("dose", "una  dosis", "una  dosis"), ("dose", "", "")],
+    )
+    def test_term_that_is_empty_or_not_normalized_is_rejected(self, tmp_path, src, tgt, bad):
+        path = tmp_path / "candidates.jsonl"
+        write_candidates(path, [("7", [TermPair("dose", "dosis")]), ("8", [TermPair(src, tgt)])], manifest={})
+        with pytest.raises(FormatError, match=f"bad record: term {bad!r} is empty or not whitespace-normalized") as exc:
+            read_candidates(path)
+        assert (exc.value.path, exc.value.line) == (path, 3)
+
     def test_duplicate_segment_rejected(self, tmp_path):
         pairs = [TermPair(source_term="a", target_term="b")]
         path = tmp_path / "candidates.jsonl"
@@ -517,7 +543,8 @@ class TestGlossaryTsvIO:
         write_glossary_tsv(path, entries, manifest={"source": "unit"})
         assert '"say ""ah"""' in path.read_text(encoding="utf-8")
         assert load_glossary(path, en_es) == Glossary(en_es, tuple(entries))
-        assert read_glossary_tsv(path) == ([e.source_term for e in entries], [e.target_term for e in entries])
+        assert read_glossary_tsv(path)[:2] == ([e.source_term for e in entries], [e.target_term for e in entries])
+        assert read_glossary_tsv(path)[2] == [e.key for e in entries]
 
     def test_strict_reader_rejects_a_row_that_the_lenient_reader_skips(self, tmp_path, en_es, caplog):
         path = tmp_path / "glossary.tsv"
@@ -528,6 +555,13 @@ class TestGlossaryTsvIO:
         with pytest.raises(FormatError, match=r"bad glossary row: 3 fields, not 4 \(line 2\)$") as exc:
             read_glossary_tsv(path)
         assert exc.value.path == path
+
+    def test_strict_reader_rejects_a_manifest_that_is_not_json(self, tmp_path):
+        path = tmp_path / "glossary.tsv"
+        path.write_text("# {\nfever\tfiebre\t4\t1001\n", encoding="utf-8")
+        with pytest.raises(FormatError, match=r"the first line is not the manifest comment \(line 1\)$") as exc:
+            read_glossary_tsv(path)
+        assert (exc.value.path, exc.value.line) == (path, 1)
 
     def test_strict_reader_rejects_an_artifact_with_no_rows(self, tmp_path):
         path = tmp_path / "glossary.tsv"
@@ -584,6 +618,8 @@ def _artifacts(draw):
 
 @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(artifact=_artifacts())
+# The manifest's CR and an empty row's LF make one CRLF: an artifact with no row.
+@example(artifact='# {"entries": 1}\r\n')
 def test_strict_reader_agrees_with_the_per_row_reader(tmp_path, artifact):
     path = tmp_path / "glossary.tsv"
     path.write_bytes(artifact.encode("utf-8"))
@@ -592,9 +628,10 @@ def test_strict_reader_agrees_with_the_per_row_reader(tmp_path, artifact):
     except GlossaryRowError as exc:
         with pytest.raises(FormatError) as raised:
             read_glossary_tsv(path)
-        assert (str(raised.value), raised.value.line) == (f"{path}: {exc.message} (line {exc.line})", exc.line)
+        line = "" if exc.line is None else f" (line {exc.line})"
+        assert (str(raised.value), raised.value.line) == (f"{path}: {exc.message}{line}", exc.line)
     else:
-        assert read_glossary_tsv(path) == expected
+        assert read_glossary_tsv(path)[:2] == expected
 
 
 class TestFormatErrors:
