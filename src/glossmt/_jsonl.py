@@ -4,11 +4,11 @@ manifests).
 
 Every JSONL artifact but the timing sidecar starts with a manifest record
 (``record_type: "manifest"``) carrying at least the config hash and seed,
-so a file can be traced back to the run that produced it. Readers skip the
-manifest transparently. A reader reads its fields with :func:`field` in a
-``build`` function that :func:`read_records` applies to every record, or
-:func:`read_json` to a whole JSON file; both turn what ``build`` rejects
-into a FormatError the same way.
+so a file can be traced back to the run that produced it; readers skip it
+on line 1 only. A reader reads its fields with :func:`field` in a ``build``
+function that :func:`read_records` applies to every record, checking its
+key, or :func:`read_json` to a whole JSON file; both turn what ``build``
+rejects into a FormatError the same way.
 
 A record type with flat fields declares its artifact keys once, in a table
 mapping each key to ``(attribute, kind)`` or ``(attribute, kind, default)``;
@@ -135,8 +135,8 @@ def decode_utf8(data: bytes, path) -> str:
 
 
 def iter_jsonl(path) -> Iterable[tuple[int, dict[str, Any]]]:
-    """Yield (line_number, record) for every data record, skipping the
-    manifest. The file is decoded whole, so one bad byte yields no record."""
+    """Yield (line_number, record) for every record but a manifest on line 1.
+    The file is decoded whole, so one bad byte yields no record."""
     text = decode_utf8(Path(path).read_bytes(), path)
     for line_number, line in enumerate(text.split("\n"), start=1):
         line = line.strip()
@@ -150,7 +150,7 @@ def iter_jsonl(path) -> Iterable[tuple[int, dict[str, Any]]]:
             raise FormatError(f"invalid JSON: {message}", path=path, line=line_number) from exc
         if not isinstance(record, dict):
             raise FormatError("record is not a JSON object", path=path, line=line_number)
-        if record.get("record_type") == MANIFEST_TYPE:
+        if line_number == 1 and record.get("record_type") == MANIFEST_TYPE:
             continue
         yield line_number, record
 
@@ -168,15 +168,6 @@ def field(record, key: str, kind=str, default=_REQUIRED):
     if not isinstance(value, kinds) or (isinstance(value, bool) and bool not in kinds):
         names = " or ".join(k.__name__ for k in kinds)
         raise TypeError(f"field {key!r} must be {names}, got {value!r}")
-    return value
-
-
-def unique_field(record, key: str, seen: set) -> str:
-    """``field(record, key)``, which must not be in ``seen``; it is added."""
-    value = field(record, key)
-    if value in seen:
-        raise ValueError(f"duplicate {key} {value!r}")
-    seen.add(value)
     return value
 
 
@@ -201,19 +192,29 @@ def _build(build: Callable[[Any], T], data, path, what: str, line: int | None = 
         raise FormatError(f"bad {what}: {exc}", path=path, line=line) from exc
 
 
-def read_records(path, build: Callable[[dict[str, Any]], T]) -> list[T]:
-    """``[build(record) for each data record]``; a rejection names its line."""
-    return [_build(build, record, path, "record", line) for line, record in iter_jsonl(path)]
+def read_records(path, build: Callable[[dict[str, Any]], T], key: str | None = None) -> list[T]:
+    """``[build(record) for each data record]``; a rejection names its line.
+    Given a ``key``, no two records may have the same ``field(record, key)``."""
+    seen = set()
+
+    def build_keyed(record) -> T:
+        if (value := field(record, key)) in seen:
+            raise ValueError(f"duplicate {key} {value!r}")
+        seen.add(value)
+        return build(record)
+
+    one = build if key is None else build_keyed
+    return [_build(one, record, path, "record", line) for line, record in iter_jsonl(path)]
 
 
 def read_json(path, what: str, build: Callable[[dict[str, Any]], T]) -> T:
     """``build(data)`` for the JSON object in the file at ``path``, which is
     rejected as a ``what`` with the error map of :func:`read_records`."""
 
-    def parse(raw: bytes) -> T:
-        data = json.loads(raw.decode("utf-8"))
+    def parse(text: str) -> T:
+        data = json.loads(text)
         if not isinstance(data, dict):
             raise TypeError("not a JSON object")
         return build(data)
 
-    return _build(parse, Path(path).read_bytes(), path, what)
+    return _build(parse, decode_utf8(Path(path).read_bytes(), path), path, what)

@@ -161,14 +161,6 @@ def load_parallel(source_path, target_path, pair: LanguagePair) -> list[Parallel
     return segments
 
 
-def _check_unique_ids(segments: Sequence[ParallelSegment]) -> None:
-    seen: set[str] = set()
-    for segment in segments:
-        if segment.id in seen:
-            raise UsageError(f"duplicate segment id {segment.id!r}")
-        seen.add(segment.id)
-
-
 def split_corpus(
     segments: Sequence[ParallelSegment], spec: SplitSpec
 ) -> tuple[list[ParallelSegment], list[ParallelSegment], list[ParallelSegment]]:
@@ -177,9 +169,8 @@ def split_corpus(
     The assignment is a seeded permutation of the input followed by slicing,
     so it depends only on the input order and the seed. The three sets are
     disjoint by construction; leftover segments beyond the requested sizes
-    are discarded.
+    are discarded. Segment ids are unique, as :func:`read_segments` checks.
     """
-    _check_unique_ids(segments)
     if spec.total > len(segments):
         raise ConfigurationError(
             f"split needs {spec.total} segments but corpus has {len(segments)}"
@@ -207,7 +198,6 @@ def merge_tuning_sets(
         for tuning_set in tuning_sets
         for segment in tuning_set
     ]
-    _check_unique_ids(merged)
     return seeded_shuffle(merged, seed)
 
 
@@ -249,4 +239,4 @@ def read_segments(path, pair: LanguagePair, split: str | None = None) -> list[Pa
             _jsonl.field(record, "id"), pair, _jsonl.field(record, "source"), _jsonl.field(record, "target")
         )
 
-    return [segment for segment in _jsonl.read_records(path, build) if segment is not None]
+    return [segment for segment in _jsonl.read_records(path, build, "id") if segment is not None]

@@ -82,16 +82,13 @@ class ExternalCounts(dict):
 
     @classmethod
     def load(cls, path) -> "ExternalCounts":
-        seen: set[str] = set()
-
         def build(record) -> tuple[str, int]:
-            segment_id = _jsonl.unique_field(record, "segment_id", seen)
             token_count = _jsonl.field(record, "token_count", int)
             if token_count < 0:
                 raise ValueError(f"token_count must be nonnegative, got {token_count}")
-            return segment_id, token_count
+            return record["segment_id"], token_count
 
-        return cls(_jsonl.read_records(path, build))
+        return cls(_jsonl.read_records(path, build, "segment_id"))
 
 
 def postprocess_batch(
@@ -155,16 +152,14 @@ def write_outputs(path, outputs: Sequence[ModelOutput], manifest: dict | None = 
 
 
 def read_outputs(path) -> list[ModelOutput]:
-    seen: set[str] = set()
     scheme = None
 
     def build(record) -> ModelOutput:
         nonlocal scheme
-        _jsonl.unique_field(record, "segment_id", seen)
         output = ModelOutput(**_jsonl.from_record(record, _OUTPUT_KEYS))
         scheme = scheme or output.counting_scheme
         if output.counting_scheme != scheme:
             raise ValueError(f"counting scheme {output.counting_scheme!r} after {scheme!r}; a file holds one")
         return output
 
-    return _jsonl.read_records(path, build)
+    return _jsonl.read_records(path, build, "segment_id")

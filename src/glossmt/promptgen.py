@@ -374,6 +374,7 @@ def read_dataset(path, pair: LanguagePair) -> list[InstructionExample]:
             family_id=_jsonl.field(record, "family"),
             target_text=_jsonl.field(record, "target", default=None),
         ),
+        "segment_id",
     )
 
 

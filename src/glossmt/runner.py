@@ -98,6 +98,7 @@ _BAD_FIELD_VALUE = re.compile("\n(?![ \t])|\r(?![ \t\n])").search
 _MAX_LINE = 65536
 _MAX_FIELDS = 100
 _HEX_DIGITS = b"0123456789abcdefABCDEF"
+_MAX_REPLY_BODY = 64 * 1024 * 1024  # a longer reply body is a _BadReply
 
 # One encoder for every request body: json.dumps with options makes a new one per call.
 _REQUEST_ENCODER = json.JSONEncoder(allow_nan=False)
@@ -394,20 +395,26 @@ def _read_body(reader, http11: bool, status: int, fields: dict[bytes, bytes]) ->
     if codings is not None:
         if codings.rpartition(b",")[2].strip().lower() == b"chunked":
             return _read_chunked(reader), keep
-        return reader.read(), False
-    length = fields.get(b"content-length")
-    if length is None:
-        return reader.read(), False
-    size, *others = {value.strip() for value in length.split(b",")}
-    if others or not size.isdigit():
-        raise _BadReply(f"invalid Content-Length {length.decode('latin-1')[:80]!r}")
-    return _read_exactly(reader, int(size)), keep
+    elif (length := fields.get(b"content-length")) is not None:
+        size, *others = {value.strip() for value in length.split(b",")}
+        if others or not size.isdigit():
+            raise _BadReply(f"invalid Content-Length {length.decode('latin-1')[:80]!r}")
+        # int() refuses a string of 4,301 digits; more digits than the bound has is more bytes.
+        size = size.lstrip(b"0") or b"0"
+        if len(size) > len(str(_MAX_REPLY_BODY)):
+            raise _BadReply(f"reply body larger than {_MAX_REPLY_BODY} bytes")
+        return _read_exactly(reader, int(size), _MAX_REPLY_BODY), keep
+    body = reader.read(_MAX_REPLY_BODY + 1)  # the body ends where the connection does
+    if len(body) > _MAX_REPLY_BODY:
+        raise _BadReply(f"reply body larger than {_MAX_REPLY_BODY} bytes")
+    return body, False
 
 
 def _read_chunked(reader) -> bytes:
     """A chunked body (RFC 9112 §7.1); chunk extensions and trailer fields
     are read and dropped."""
     chunks = []
+    room = _MAX_REPLY_BODY
     while True:
         size = _line(reader, "chunked body").partition(b";")[0].strip()
         if not size or size.strip(_HEX_DIGITS):
@@ -416,12 +423,16 @@ def _read_chunked(reader) -> bytes:
         if not size:
             _read_fields(reader)
             return b"".join(chunks)
-        chunks.append(_read_exactly(reader, size))
+        chunks.append(_read_exactly(reader, size, room))
+        room -= size
         if _line(reader, "chunked body") not in (b"\r\n", b"\n"):
             raise _BadReply("chunk data longer than its size")
 
 
-def _read_exactly(reader, size: int) -> bytes:
+def _read_exactly(reader, size: int, room: int) -> bytes:
+    """``size`` bytes of a body that may hold ``room`` more bytes."""
+    if size > room:
+        raise _BadReply(f"reply body larger than {_MAX_REPLY_BODY} bytes")
     data = reader.read(size)
     if len(data) < size:
         raise _BadReply(f"body cut off after {len(data)} of {size} bytes")
@@ -605,7 +616,9 @@ def write_records(path, records: Sequence[GenerationRecord], manifest: dict | No
 
 
 def read_records(path) -> list[GenerationRecord]:
-    return _jsonl.read_records(path, lambda record: GenerationRecord(**_jsonl.from_record(record, _RECORD_KEYS)))
+    return _jsonl.read_records(
+        path, lambda record: GenerationRecord(**_jsonl.from_record(record, _RECORD_KEYS)), "segment_id"
+    )
 
 
 def _timing(record: GenerationRecord) -> dict[str, Any]:

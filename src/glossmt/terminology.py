@@ -424,18 +424,15 @@ def write_candidates(
 def read_candidates(path) -> list[tuple[str, list[TermPair]]]:
     """The per-segment candidate lists :func:`write_candidates` wrote. A
     term that is empty or not whitespace-normalized is a FormatError."""
-    seen: set[str] = set()
-
     def build(record) -> tuple[str, list[TermPair]]:
-        segment_id = _jsonl.unique_field(record, "segment_id", seen)
         pairs = [TermPair.from_record(p) for p in _jsonl.field(record, "pairs", list)]
         for pair in pairs:
             for term in (pair.source_term, pair.target_term):
                 if not term or normalize_text(term) != term:
                     raise ValueError(f"term {term!r} is empty or not whitespace-normalized")
-        return segment_id, pairs
+        return record["segment_id"], pairs
 
-    return _jsonl.read_records(path, build)
+    return _jsonl.read_records(path, build, "segment_id")
 
 
 def write_glossary_tsv(path, entries: Iterable[GlossaryEntry], manifest: dict | None = None) -> None:

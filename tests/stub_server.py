@@ -25,6 +25,10 @@ Routes (select behaviour by path):
   /length-invalid  -> echoes under Content-Length: +N
   /line-N       -> echoes with one header line N bytes long, its CRLF included
   /fields-N     -> echoes with N header fields in all
+  /huge-length  -> to a prompt holding "huge", a head announcing a 10**20-byte
+                   body, then closes; echoes any other prompt
+  /huge-digits  -> likewise, announcing a Content-Length of 5,000 digits
+  /huge-chunk   -> likewise, with a chunked body whose first chunk size has 21 hex digits
   (any CONNECT) -> 403, recorded as ("CONNECT host:port", None, headers); a stub
                    made with tunnels=True answers 200 and relays bytes both ways
                    between the client and host:port until either side closes
@@ -161,6 +165,10 @@ class _Handler(BaseHTTPRequestHandler):
                     self._send(500, b'{"error": "transient"}')
                     return
 
+        if self.path in _HUGE and "huge" in prompt:
+            self.wfile.write(b"HTTP/1.1 200 OK\r\n" + _HUGE[self.path])
+            self.close_connection = True
+            return
         if self.path in _FRAMED or self.path.startswith(("/line-", "/fields-")):
             body = json.dumps({"text": echo_text(prompt)}).encode("utf-8")
             self.wfile.write(_framed(self.path, body))
@@ -196,6 +204,12 @@ def _relay(source, sink):
         pass
 
 
+# The head of each oversized reply, after its status line.
+_HUGE = {
+    "/huge-length": b"Content-Length: %d\r\n\r\n" % 10**20,
+    "/huge-digits": b"Content-Length: 1%s\r\n\r\n" % (b"0" * 4999),
+    "/huge-chunk": b"Transfer-Encoding: chunked\r\n\r\n1%s\r\n" % (b"0" * 20),
+}
 _FRAMED = ("/chunked", "/close-delimited", "/http10", "/continue", "/length-conflict", "/length-invalid")
 
 

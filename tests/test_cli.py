@@ -922,6 +922,46 @@ class TestExitCodes:
             "glossmt: usage error: pair en-es: outputs and test references do not cover the same segment ids\n"
         )
 
+    @pytest.mark.parametrize(
+        "artifact, names, stage, key",
+        [
+            ("corpus", {}, "build", "id"),
+            ("splits", {}, "score", "id"),
+            ("test_dataset", {}, "translate", "segment_id"),
+            ("generations", {}, "translate", "segment_id"),
+            ("outputs", {}, "score", "segment_id"),
+            ("candidates", {"mode": "test"}, "score", "segment_id"),
+        ],
+        ids=["corpus", "splits", "test_dataset", "generations", "outputs", "candidates"],
+    )
+    def test_repeated_record_stops_the_stage_that_reads_it(
+        self, tmp_path, fixtures_dir, stub_endpoint, capsys, artifact, names, stage, key
+    ):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        path = layout.path(artifact, "en-es", **names)
+        lines = path.read_text(encoding="utf-8").splitlines(keepends=True)
+        path.write_text("".join([*lines, lines[1]]), encoding="utf-8")
+        stub_endpoint.reset()
+        capsys.readouterr()
+        assert run(stage, "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"glossmt: data error: {path}: bad record: duplicate {key} {json.loads(lines[1])[key]!r} "
+            f"(line {len(lines) + 1})\n"
+        )
+        assert stub_endpoint.requests == []
+
+    def test_manifest_record_after_line_1_stops_score(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
+        outputs = layout.path("outputs", "en-es")
+        lines = outputs.read_text(encoding="utf-8").splitlines(keepends=True)
+        outputs.write_text("".join([*lines[:3], lines[0], *lines[3:]]), encoding="utf-8")
+        capsys.readouterr()
+        assert run("score", "--config", config) == 2
+        assert capsys.readouterr().err == (
+            f"glossmt: data error: {outputs}: bad record: missing field 'segment_id' (line 4)\n"
+        )
+        assert not layout.path("score_file", "en-es", system="stub-model").exists()
+
     def test_config_with_leading_bom_is_accepted(self, tmp_path, fixtures_dir):
         config, layout = write_project(tmp_path, fixtures_dir, "http://127.0.0.1:9")
         config.write_bytes(b"\xef\xbb\xbf" + config.read_bytes())
@@ -1034,14 +1074,6 @@ class TestScoreInputs:
         assert run("score", "--config", config) == 1
         assert_one_line_error(capsys, "usage", "run `glossmt build` first")
 
-    def test_duplicate_candidate_ids_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
-        config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        self.rewrite_candidates(layout, lambda lines: lines + [lines[1]])
-        assert run("score", "--config", config) == 2
-        assert_one_line_error(
-            capsys, "data", f"{layout.path('candidates', 'en-es', mode='test')}: bad record: duplicate segment_id"
-        )
-
     def test_candidate_ids_differing_from_references_is_usage_error(
         self, tmp_path, fixtures_dir, stub_endpoint, capsys
     ):
@@ -1138,14 +1170,16 @@ class TestReportInputs:
         assert run("score", "--config", config) == 2
         assert_one_line_error(capsys, "data", f"{bad}: bad score file")
 
-    def test_duplicate_output_record_is_data_error(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
+    def test_score_file_not_utf8_is_data_error_naming_its_line(self, tmp_path, fixtures_dir, stub_endpoint, capsys):
         config, layout = translated_project(tmp_path, fixtures_dir, stub_endpoint)
-        outputs = layout.path("outputs", "en-es")
-        lines = outputs.read_text(encoding="utf-8").splitlines(keepends=True)
-        outputs.write_text("".join([*lines, lines[1]]), encoding="utf-8")
+        assert run("score", "--config", config) == 0
+        path = layout.path("score_file", "en-es", system="stub-model")
+        lines = path.read_bytes().split(b"\n")
+        lines[2] = lines[2].replace(b'"', b'"\xff', 1)
+        path.write_bytes(b"\n".join(lines))
         capsys.readouterr()
-        assert run("score", "--config", config) == 2
-        assert_one_line_error(capsys, "data", f"{outputs}: bad record: duplicate segment_id")
+        assert run("report", "--config", config) == 2
+        assert capsys.readouterr().err == f"glossmt: data error: {path}: not valid UTF-8 (line 3)\n"
 
 
 class TestMatchOnce:

@@ -181,12 +181,13 @@ class TestSplit:
         with pytest.raises(ConfigurationError):
             split_corpus(corpus, spec)
 
-    def test_duplicate_ids_rejected(self, en_es):
-        corpus = [seg(en_es, "1"), seg(en_es, "1")]
-        with pytest.raises(UsageError):
-            split_corpus(
-                corpus, SplitSpec(tuning_size=1, validation_size=0, test_size=1, seed=0)
-            )
+    def test_duplicate_ids_rejected(self, tmp_path, en_es):
+        # split_corpus takes ids as unique: read_segments rejects a repeated one.
+        path = tmp_path / "segments.jsonl"
+        write_segments(path, {"tuning": [seg(en_es, "1")], "test": [seg(en_es, "1")]}, manifest={"seed": 1})
+        with pytest.raises(FormatError, match="duplicate id '1'") as exc:
+            read_segments(path, en_es, split="tuning")
+        assert exc.value.line == 3
 
     def test_nonpositive_sizes_rejected(self):
         with pytest.raises(ConfigurationError):
@@ -206,11 +207,6 @@ class TestMerge:
         # seeded shuffle must actually interleave for this seed
         assert [s.id for s in merged] != [s.id for s in part_a + part_b]
         assert merge_tuning_sets([part_a, part_b], seed=3) == merged
-
-    def test_collision_after_qualification_rejected(self, en_es):
-        part = [seg(en_es, "1")]
-        with pytest.raises(UsageError):
-            merge_tuning_sets([part, part], seed=0)
 
 
 class TestRoundTrip:

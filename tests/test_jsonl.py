@@ -28,6 +28,13 @@ def test_iter_skips_manifest_and_numbers_lines(tmp_path):
     assert [number for number, _ in rows] == [2, 3]
 
 
+def test_iter_yields_a_manifest_after_line_1(tmp_path):
+    path = tmp_path / "data.jsonl"
+    manifest = {"record_type": "manifest", "seed": 1}
+    path.write_text("".join(_jsonl.dumps(r) + "\n" for r in (manifest, {"x": 1}, manifest)), encoding="utf-8")
+    assert list(_jsonl.iter_jsonl(path)) == [(2, {"x": 1}), (3, manifest)]
+
+
 def test_bad_json_reports_path_and_line(tmp_path):
     path = tmp_path / "data.jsonl"
     path.write_text('{"ok": 1}\nnot json\n', encoding="utf-8")
@@ -211,6 +218,13 @@ class TestReadRecords:
         with pytest.raises(AlignmentError):
             _jsonl.read_records(path, build)
 
+    def test_key_repeated_is_format_error_on_its_line(self, tmp_path):
+        path = self.write(tmp_path, '{"a": "x"}', '{"a": "y"}', '{"a": "x"}')
+        assert len(_jsonl.read_records(path, dict)) == 3
+        with pytest.raises(FormatError, match="bad record: duplicate a 'x'") as exc:
+            _jsonl.read_records(path, dict, "a")
+        assert exc.value.line == 4
+
 
 class TestKeyTables:
     KEYS = {"id": ("segment_id", str), "n": ("count", int), "note": ("note", str, None)}
@@ -248,8 +262,8 @@ class TestReadJson:
 
     def test_not_utf8_is_format_error(self, tmp_path):
         path = tmp_path / "data.json"
-        path.write_bytes(b'{"a": "\xff"}')
-        with pytest.raises(FormatError, match="bad data file"):
+        path.write_bytes(b'{\n"a":\n"\xff"}')
+        with pytest.raises(FormatError, match=r"data.json: not valid UTF-8 \(line 3\)"):
             _jsonl.read_json(path, "data file", dict)
 
     @pytest.mark.parametrize(

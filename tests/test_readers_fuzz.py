@@ -76,8 +76,12 @@ def records(valid):
 RECORDS = {name: records(valid) for name, (_, valid) in READERS.items()}
 
 
-def write_record(path, record):
-    path.write_text(json.dumps(record, ensure_ascii=False) + "\n", encoding="utf-8")
+# The readers whose records each name a segment that no other record names.
+KEYED = sorted(set(READERS) - {"load_external_scores", "load_annotations"})
+
+
+def write_record(path, *records):
+    path.write_text("".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8")
 
 
 @pytest.mark.parametrize("name", sorted(READERS))
@@ -127,6 +131,26 @@ def test_malformed_record_is_format_error_with_line(tmp_path, name, record):
     with pytest.raises(FormatError) as exc:
         READERS[name][0](path)
     assert exc.value.line == 1
+
+
+@pytest.mark.parametrize("name", KEYED)
+def test_repeated_record_is_format_error_on_its_line(tmp_path, name):
+    read, valid = READERS[name]
+    path = tmp_path / "artifact.jsonl"
+    write_record(path, valid, valid)
+    with pytest.raises(FormatError, match="bad record: duplicate ") as exc:
+        read(path)
+    assert exc.value.line == 2
+
+
+@pytest.mark.parametrize("name", sorted(READERS))
+def test_manifest_after_line_1_is_format_error_on_its_line(tmp_path, name):
+    read, valid = READERS[name]
+    path = tmp_path / "artifact.jsonl"
+    write_record(path, valid, {"record_type": "manifest", "config_hash": "0" * 64, "seed": 1})
+    with pytest.raises(FormatError) as exc:
+        read(path)
+    assert exc.value.line == 2
 
 
 @pytest.mark.parametrize("name", sorted(READERS))

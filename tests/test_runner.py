@@ -13,6 +13,7 @@ from pathlib import Path
 
 import pytest
 
+from glossmt import runner
 from glossmt.config import InferenceConfig
 from glossmt.errors import ConfigurationError, EndpointError, UsageError
 from glossmt.runner import (
@@ -505,6 +506,9 @@ class TestReplyFraming:
             ("/length-invalid", r"invalid Content-Length '\+\d+'"),
             ("/line-65537", "header section: line longer than 65536 bytes"),
             ("/fields-101", "more than 100 header fields"),
+            ("/huge-length", "reply body larger than 67108864 bytes"),
+            ("/huge-digits", "reply body larger than 67108864 bytes"),
+            ("/huge-chunk", "reply body larger than 67108864 bytes"),
         ],
     )
     def test_reply_that_breaks_the_framing_rules_fails_its_request(self, caplog, path, error):
@@ -514,6 +518,22 @@ class TestReplyFraming:
             assert re.fullmatch("request failed after 1 attempts: " + error, record.error), record.error
         # Each failure closes its connection, so no reply is read from what is left of another.
         assert counts == {"opened": 3, "reopened": 0, "requests_sent": 3}
+
+    @pytest.mark.parametrize("path", ["/chunked", "/close-delimited"])
+    def test_body_that_grows_past_the_limit_fails_its_request(self, caplog, monkeypatch, path):
+        monkeypatch.setattr(runner, "_MAX_REPLY_BODY", 10)
+        _, records, _ = self.run_batch(caplog, path, max_retries=0)
+        assert [r.error for r in records] == ["request failed after 1 attempts: reply body larger than 10 bytes"] * 3
+
+    def test_oversized_reply_fails_its_own_request_only(self):
+        batch = [Prompt(str(i), f"{'huge' if i % 2 else 'fine'} {i}") for i in range(4)]
+        with StubEndpoint() as stub:
+            records = generate_batch(batch, config(stub.url + "/huge-length", max_concurrent_requests=2))
+        error = "request failed after 3 attempts: reply body larger than 67108864 bytes"
+        assert [(r.segment_id, r.raw_output, r.error) for r in records] == [
+            (p.segment_id, "", error) if i % 2 else (p.segment_id, echo_text(p.rendered_text), None)
+            for i, p in enumerate(batch)
+        ]
 
     def test_no_route_goes_through_http_client_requests(self, monkeypatch):
         def refuse(*args, **kwargs):
